@@ -52,15 +52,15 @@ def main(out_dir="demo_out"):
 
     # Node sampling at the default influence radius R = 5 * mean edge length.
     R = 5 * l_bar
-    pca_nodes = sample_nodes_pca(s, R)
-    far_nodes = sample_nodes_farthest(s, R)
+    pca_nodes, _ = sample_nodes_pca(s, R)
+    far_nodes, _ = sample_nodes_farthest(s, R)
     print(f"\nsampling at R = {R:.4f}:")
     print(f"  pca scan:       {len(pca_nodes)} nodes (separation >= R)")
     print(f"  farthest-point: {len(far_nodes)} nodes (denser: covers to R/2)")
 
     # Halving the radius roughly quadruples the node count on a 2D surface.
     for factor in (1.0, 0.5):
-        n = len(sample_nodes_pca(s, factor * R))
+        n = len(sample_nodes_pca(s, factor * R)[0])
         print(f"  pca scan at {factor:.1f}R: {n} nodes")
 
     g = build_graph(s)

@@ -7,8 +7,8 @@ majorization-minimization outer loop and an L-BFGS inner solver.
 """
 
 from .correspond import (CorrespondenceSet, RigidTransform, SpatialIndex,
-                         best_rigid, build_spatial_index, find_correspondences,
-                         lift_rigid_to_state, rigid_icp_init)
+                         best_rigid, find_correspondences, lift_rigid_to_state,
+                         rigid_icp_init)
 from .energy import (EnergyParams, SurrogateSystem, assemble_surrogate,
                      energy_align, energy_reg, energy_rot, identity_state,
                      pack_state, project_rotation, total_energy, unpack_state,

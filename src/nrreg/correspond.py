@@ -50,10 +50,6 @@ class SpatialIndex:
         return best.astype(np.int64), dist
 
 
-def build_spatial_index(points):
-    return SpatialIndex(points)
-
-
 @dataclass
 class CorrespondenceSet:
     """Per-query nearest target point plus a validity mask."""

@@ -12,16 +12,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-from scipy.spatial import cKDTree
 
-from .errors import DegenerateInputError, InvalidInputError
-from .mesh import Surface
-
-KNN_FALLBACK_K = 8
+from .errors import InvalidInputError
+from .mesh import Surface, surface_edges
 
 
 @dataclass
@@ -31,18 +29,6 @@ class GeodesicField:
     source_vertex: int
     distances: np.ndarray
     capped_at: float | None = None
-
-
-def _knn_edges(points, k=KNN_FALLBACK_K):
-    n = len(points)
-    if n < 2:
-        raise DegenerateInputError("need at least 2 points for a k-NN graph")
-    tree = cKDTree(points)
-    k = min(k + 1, n)
-    _, idx = tree.query(points, k=k)
-    rows = np.repeat(np.arange(n), k - 1)
-    cols = idx[:, 1:].ravel()
-    return np.column_stack([rows, cols])
 
 
 def _edge_graph(points, edges):
@@ -161,49 +147,18 @@ def geodesic_from(s: Surface, seed, cap=None, method="auto"):
             raise InvalidInputError("fast marching requires triangle faces")
         d = _fast_marching(s.vertices, s.faces, seed, cap)
     elif method == "dijkstra":
-        if len(s.edges) > 0:
-            edges = s.edges
-        else:
-            if n < 2:
-                raise DegenerateInputError("no faces and fewer than 2 points")
-            edges = _knn_edges(s.vertices)
-        d = _dijkstra(s.vertices, edges, [seed], cap)
+        d = _dijkstra(s.vertices, surface_edges(s), [seed], cap)
     else:
         raise InvalidInputError(f"unknown method {method!r}")
     return GeodesicField(seed, d, cap)
 
 
-class MultiSourceField:
-    """Pointwise-minimum geodesic distance to a growing seed set.
-
-    Adding a seed computes one single-source field and lowers only the
-    entries it improves, which is what the incremental node-sampling scan
-    needs.
-    """
-
-    def __init__(self, surface: Surface, cap=None, method="auto"):
-        self.surface = surface
-        self.cap = cap
-        self.method = method
-        self.seeds = []
-        self.distances = np.full(surface.n_vertices, np.inf)
-
-    def add_seed(self, seed):
-        fld = geodesic_from(self.surface, seed, cap=self.cap, method=self.method)
-        self.seeds.append(seed)
-        np.minimum(self.distances, fld.distances, out=self.distances)
-        return self.distances
-
-
-def multi_source_geodesic(s: Surface, seeds, cap=None, method="auto"):
+def multi_source_geodesic(s: Surface, seeds, cap=None):
     """Minimum geodesic distance from every vertex to any seed."""
     seeds = list(seeds)
     if not seeds:
         raise InvalidInputError("seed set must be non-empty")
-    acc = MultiSourceField(s, cap=cap, method=method)
-    for seed in seeds:
-        acc.add_seed(seed)
-    return acc.distances
+    return reduce(np.minimum, (geodesic_from(s, seed, cap=cap).distances for seed in seeds))
 
 
 def nearest_seed_labels(s: Surface, seeds):

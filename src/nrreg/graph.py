@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import DegenerateInputError, InvalidInputError
-from .geodesic import MultiSourceField, geodesic_from, nearest_seed_labels
+from .geodesic import geodesic_from, nearest_seed_labels
 from .mesh import Surface, mean_edge_length, save_ply
 
 DEFAULT_RADIUS_FACTOR = 5.0
@@ -63,27 +63,38 @@ def principal_axis(points):
     return axis
 
 
-def sample_nodes_pca(s: Surface, R, method="auto"):
+def node_field(distances, R):
+    """A node's geodesic field as the (vertex indices, distances) of its
+    entries within 2R: influence needs distances below R, node edges below
+    2R."""
+    idx = np.flatnonzero(distances <= 2.0 * R)
+    return idx, distances[idx]
+
+
+def sample_nodes_pca(s: Surface, R):
     """Scan points sorted by first-principal-axis projection; keep a point
-    iff its geodesic distance to all kept points is at least ``R``."""
+    iff its geodesic distance to all kept points is at least ``R``.
+
+    Returns the nodes and their fields (see :func:`node_field`).  Each field
+    is marched once, capped at 2R; the cap leaves every distance at or below
+    it unchanged, so the test against ``R`` is that of a cap-R scan."""
     if R <= 0:
         raise InvalidInputError("R must be positive")
     n = s.n_vertices
     if n == 0:
         raise DegenerateInputError("empty surface")
-    axis = principal_axis(s.vertices)
-    proj = s.vertices @ axis
-    order = np.argsort(proj, kind="stable")
-    acc = MultiSourceField(s, cap=R, method=method)
-    nodes = []
-    for i in order:
-        if not nodes or acc.distances[i] >= R:
+    nearest = np.full(n, np.inf)
+    nodes, fields = [], []
+    for i in np.argsort(s.vertices @ principal_axis(s.vertices), kind="stable"):
+        if nearest[i] >= R:
+            idx, d = node_field(geodesic_from(s, int(i), cap=2.0 * R).distances, R)
+            nearest[idx] = np.minimum(nearest[idx], d)
             nodes.append(int(i))
-            acc.add_seed(int(i))
-    return np.array(nodes, dtype=np.int64)
+            fields.append((idx, d))
+    return np.array(nodes, dtype=np.int64), fields
 
 
-def sample_nodes_farthest(s: Surface, R, method="auto"):
+def sample_nodes_farthest(s: Surface, R):
     """Start from vertex 0; repeatedly add the point maximizing the minimum
     geodesic distance to the current nodes, until every point lies within
     ``R/2`` of a node.
@@ -91,89 +102,95 @@ def sample_nodes_farthest(s: Surface, R, method="auto"):
     The half-radius coverage target is the conventional farthest-point
     stopping rule for deformation-graph nodes (each point then has several
     nodes inside its influence radius ``R``); it produces a denser node set
-    than the PCA scan at the same ``R``."""
+    than the PCA scan at the same ``R``.  Returns the nodes and their fields
+    (see :func:`node_field`); the farthest-point test needs the uncapped
+    fields."""
     if R <= 0:
         raise InvalidInputError("R must be positive")
     if s.n_vertices == 0:
         raise DegenerateInputError("empty surface")
-    acc = MultiSourceField(s, cap=None, method=method)
-    nodes = [0]
-    acc.add_seed(0)
+    nearest = np.full(s.n_vertices, np.inf)
+    nodes, fields = [], []
+    far = 0
     while True:
-        finite = np.where(np.isfinite(acc.distances), acc.distances, -1.0)
+        d = geodesic_from(s, far).distances
+        np.minimum(nearest, d, out=nearest)
+        nodes.append(far)
+        fields.append(node_field(d, R))
+        finite = np.where(np.isfinite(nearest), nearest, -1.0)
         far = int(np.argmax(finite))
         if finite[far] <= 0.5 * R:
-            break
-        nodes.append(far)
-        acc.add_seed(far)
-    return np.array(nodes, dtype=np.int64)
+            return np.array(nodes, dtype=np.int64), fields
 
 
-def influence_weights(s: Surface, node_indices, R, method="auto"):
-    """Per-point influence sets and normalized weights.
+def _stack(fields):
+    """Flatten per-node fields into (node, vertex, distance) arrays, node-major."""
+    node = np.repeat(np.arange(len(fields)), [len(idx) for idx, _ in fields])
+    return (node, np.concatenate([idx for idx, _ in fields]),
+            np.concatenate([d for _, d in fields]))
 
-    One geodesic field per node, capped at 2R: influence needs distances
-    below R, node-edge construction below 2R.  Points farther than ``R``
-    from every node get full weight on their geodesically nearest node
-    (Euclidean nearest if unreachable); those fallbacks are reported
-    separately."""
+
+def influence_weights(s: Surface, node_indices, fields, R):
+    """Per-point influence sets and normalized weights from the node fields.
+
+    Points farther than ``R`` from every node get full weight on their
+    geodesically nearest node (Euclidean nearest if unreachable); those
+    fallbacks are reported separately."""
     n = s.n_vertices
-    r = len(node_indices)
-    dists = np.full((r, n), np.inf)
-    for j, vi in enumerate(node_indices):
-        dists[j] = geodesic_from(s, int(vi), cap=2.0 * R, method=method).distances
-    raw = np.zeros((r, n))
-    inside = dists < R
-    raw[inside] = (1.0 - (dists[inside] / R) ** 2) ** 3
-    covered = raw.sum(axis=0) > 0
+    node, vert, dist = _stack(fields)
+    inside = dist < R
+    node, vert = node[inside], vert[inside]
+    raw = (1.0 - (dist[inside] / R) ** 2) ** 3
 
-    fallback = np.where(~covered)[0]
+    fallback = np.flatnonzero(np.bincount(vert, minlength=n) == 0)
     if len(fallback) > 0:
-        labels, best = nearest_seed_labels(s, [int(v) for v in node_indices])
-        for i in fallback:
-            j = labels[i]
-            if j < 0:
-                # disconnected from every node: Euclidean nearest
-                d2 = np.linalg.norm(s.vertices[node_indices] - s.vertices[i], axis=1)
-                j = int(np.argmin(d2))
-            raw[j, i] = 1.0
+        labels, _ = nearest_seed_labels(s, [int(v) for v in node_indices])
+        extra = labels[fallback]
+        for k in np.flatnonzero(extra < 0):
+            # disconnected from every node: Euclidean nearest
+            d2 = np.linalg.norm(s.vertices[node_indices] - s.vertices[fallback[k]], axis=1)
+            extra[k] = int(np.argmin(d2))
+        node = np.concatenate([node, extra])
+        vert = np.concatenate([vert, fallback])
+        raw = np.concatenate([raw, np.ones(len(fallback))])
 
-    weights = raw / raw.sum(axis=0, keepdims=True)
-    mat = csr_matrix(weights.T)
-    mat.eliminate_zeros()
-    return mat, dists, fallback
+    # per-point sums accumulate in node order, as a dense column sum would
+    sums = np.bincount(vert, weights=raw, minlength=n)
+    mat = csr_matrix((raw / sums[vert], (vert, node)), shape=(n, len(node_indices)))
+    return mat, fallback
 
 
-def build_graph(s: Surface, R=None, sampler="pca", method="auto"):
+def build_graph(s: Surface, R=None, sampler="pca"):
     """Construct the full deformation graph for a surface.
 
     ``R`` defaults to 5x the mean source edge length.  ``sampler`` selects
-    the PCA-ordered scan or farthest-point sampling.
+    the PCA-ordered scan or farthest-point sampling.  Each node's geodesic
+    field is computed once and serves sampling, influence and edges.
     """
     if R is None:
         R = DEFAULT_RADIUS_FACTOR * mean_edge_length(s)
     if R <= 0:
         raise InvalidInputError("R must be positive")
     if sampler == "pca":
-        nodes = sample_nodes_pca(s, R, method=method)
+        nodes, fields = sample_nodes_pca(s, R)
     elif sampler == "farthest":
-        nodes = sample_nodes_farthest(s, R, method=method)
+        nodes, fields = sample_nodes_farthest(s, R)
     else:
         raise InvalidInputError(f"unknown sampler {sampler!r}")
 
-    weights, node_fields, fallback = influence_weights(s, nodes, R, method=method)
+    weights, fallback = influence_weights(s, nodes, fields, R)
 
     # Node-to-node edges connect overlapping influence regions (geodesic
     # distance < 2R).  Sampling keeps nodes at least R apart, so a sub-R
-    # edge rule would always produce an empty edge set.
-    r = len(nodes)
-    pairs = []
-    for j in range(r):
-        dj = node_fields[j][nodes]
-        for k in range(j + 1, r):
-            if dj[k] < 2.0 * R:
-                pairs.append((j, k))
-    edges = np.array(pairs, dtype=np.int64) if pairs else np.empty((0, 2), dtype=np.int64)
+    # edge rule would always produce an empty edge set.  Fast-marching
+    # distances are not symmetric: edge (j, k), j < k, is decided by node
+    # j's field at node k.
+    node_of = np.full(s.n_vertices, -1)
+    node_of[nodes] = np.arange(len(nodes))
+    j, vert, dist = _stack(fields)
+    k = node_of[vert]
+    near = (k > j) & (dist < 2.0 * R)
+    edges = np.unique(np.column_stack([j[near], k[near]]), axis=0)
 
     return DeformationGraph(
         node_indices=nodes,
@@ -199,7 +216,10 @@ def transform_points(g: DeformationGraph, X, V=None):
         V = g.source_positions
     V = np.asarray(V, dtype=np.float64)
     A, t = unpack_state(X)
-    W = g.influence if len(V) == g.n_points else _weights_for(g, V)
+    if len(V) != g.n_points:
+        raise InvalidInputError(
+            "transform_points only supports the source points the graph was built on")
+    W = g.influence
     out = np.zeros_like(V)
     # per-node accumulation keeps the sum order deterministic
     Wc = W.tocsc()
@@ -212,12 +232,6 @@ def transform_points(g: DeformationGraph, X, V=None):
         moved = (V[rows] - g.node_positions[j]) @ A[j].T + g.node_positions[j] + t[j]
         out[rows] += w[:, None] * moved
     return out
-
-
-def _weights_for(g, V):
-    raise InvalidInputError(
-        "transform_points only supports the source points the graph was built on"
-    )
 
 
 def dump_graph_ply(g: DeformationGraph, path):

@@ -17,6 +17,8 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateInputError, FormatError, InvalidInputError
 
+KNN_GRAPH_K = 8
+
 
 def edges_from_faces(faces):
     """Unique undirected edges (sorted index pairs) of a triangle array."""
@@ -41,6 +43,8 @@ class Surface:
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise InvalidInputError("vertices must be an (n, 3) array")
+        if not np.isfinite(self.vertices).all():
+            raise InvalidInputError("vertices must be finite")
         n = len(self.vertices)
         if self.faces is not None:
             self.faces = np.ascontiguousarray(self.faces, dtype=np.int64)
@@ -60,6 +64,8 @@ class Surface:
                     raise InvalidInputError("self-loop edge")
         if self.normals is not None:
             self.normals = np.ascontiguousarray(self.normals, dtype=np.float64)
+            if not np.isfinite(self.normals).all():
+                raise InvalidInputError("normals must be finite")
 
     @property
     def n_vertices(self):
@@ -74,12 +80,27 @@ class Surface:
         )
 
 
+def surface_edges(s: Surface):
+    """The surface graph that geodesics and mesh scale are measured on: the
+    surface's own edges, or for a raw point cloud the directed edges from
+    each point to its ``KNN_GRAPH_K`` nearest neighbors."""
+    if len(s.edges) > 0:
+        return s.edges
+    n = s.n_vertices
+    if n < 2:
+        raise DegenerateInputError("need at least 2 points for a k-NN graph")
+    k = min(KNN_GRAPH_K + 1, n)
+    _, idx = cKDTree(s.vertices).query(s.vertices, k=k)
+    return np.column_stack([np.repeat(np.arange(n), k - 1), idx[:, 1:].ravel()])
+
+
 def mean_edge_length(s: Surface):
-    """Mean Euclidean length over the surface's edges."""
-    if len(s.edges) == 0:
-        raise DegenerateInputError("surface has no edges")
-    d = s.vertices[s.edges[:, 0]] - s.vertices[s.edges[:, 1]]
-    return float(np.mean(np.linalg.norm(d, axis=1)))
+    """Mean Euclidean length over the surface graph's edges."""
+    e = surface_edges(s)
+    mean = float(np.mean(np.linalg.norm(s.vertices[e[:, 0]] - s.vertices[e[:, 1]], axis=1)))
+    if mean == 0.0:
+        raise DegenerateInputError("surface edges have zero mean length")
+    return mean
 
 
 @dataclass

@@ -10,6 +10,7 @@ outlier suppression.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +64,7 @@ class LbfgsHistory:
     """Ring buffer of (state difference, gradient difference) pairs."""
 
     def __init__(self, m):
-        self.m = m
-        self.pairs = []   # (S, T, rho), oldest first
+        self.pairs = deque(maxlen=m)   # (S, T, rho), oldest first
 
     def push(self, S, T):
         rho = float(np.sum(T * S))
@@ -72,12 +72,10 @@ class LbfgsHistory:
         if abs(rho) <= CURVATURE_EPS * np.linalg.norm(S) * np.linalg.norm(T):
             return False
         self.pairs.append((S, T, rho))
-        if len(self.pairs) > self.m:
-            self.pairs.pop(0)
         return True
 
     def clear(self):
-        self.pairs = []
+        self.pairs.clear()
 
     def __len__(self):
         return len(self.pairs)
@@ -263,18 +261,19 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
     trace = []
     reasons = []
     stage = 0
+    # the points and correspondences of the current X carry over from one
+    # outer iteration, and from one stage, to the next
+    corr = corr0
     while True:
         eparams = EnergyParams(nu_a, nu_r, alpha, beta, params.kernel)
-        moved = transform_points(graph, X)
         reason = "i_max"
         for k in range(params.i_max):
-            corr = find_correspondences(moved, target, index)
             sys = assemble_surrogate(graph, X, corr, eparams)
             X = solve_inner(sys, X, params)
             moved_new = transform_points(graph, X)
             max_disp = float(np.max(np.linalg.norm(moved_new - moved, axis=1)))
-            corr_new = find_correspondences(moved_new, target, index)
-            energy = total_energy(graph, X, corr_new, eparams)
+            corr = find_correspondences(moved_new, target, index)
+            energy = total_energy(graph, X, corr, eparams)
             trace.append(TraceRow(stage, k, nu_a, nu_r, energy, max_disp,
                                   time.perf_counter() - t_start))
             moved = moved_new

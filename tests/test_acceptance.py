@@ -320,10 +320,10 @@ def test_criterion_10_sampling(capsys):
         ny = int(rng.integers(8, 16))
         s = grid_mesh(nx, ny, wavy=float(rng.uniform(0.0, 0.15)))
         R = 5 * mean_edge_length(s)
-        n_pca = len(sample_nodes_pca(s, R))
-        n_far = len(sample_nodes_farthest(s, R))
+        n_pca = len(sample_nodes_pca(s, R)[0])
+        n_far = len(sample_nodes_farthest(s, R)[0])
         ok &= n_pca <= n_far
-        ok &= len(sample_nodes_pca(s, R / 2)) > n_pca
+        ok &= len(sample_nodes_pca(s, R / 2)[0]) > n_pca
     _report(capsys, 10, "pca <= farthest node count; R/2 adds nodes", ok)
 
 

@@ -48,6 +48,21 @@ def test_register_missing_flag_exit_1(mesh_files):
     assert rc == 1
 
 
+def test_register_nan_vertex_is_typed_error(mesh_files, tmp_path, capsys):
+    d, _ = mesh_files
+    bad = tmp_path / "nan.ply"
+    bad.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"
+                   "property float x\nproperty float y\nproperty float z\n"
+                   "end_header\n0 0 0\n1 nan 0\n0 1 0\n")
+    rc = main(["register", "--source", str(bad), "--target", str(d / "target.ply"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
 def test_register_determinism(mesh_files, tmp_path):
     d, _ = mesh_files
     args = ["register", "--source", str(d / "source.obj"),

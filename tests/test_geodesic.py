@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nrreg.errors import InvalidInputError
-from nrreg.geodesic import (MultiSourceField, geodesic_from,
-                            multi_source_geodesic, nearest_seed_labels)
+from nrreg.geodesic import (geodesic_from, multi_source_geodesic,
+                            nearest_seed_labels)
 from nrreg.mesh import Surface
 
 from conftest import grid_mesh, polyline_surface
@@ -53,16 +53,6 @@ def test_multi_source_is_pointwise_min():
     singles = np.stack([geodesic_from(s, v).distances for v in seeds])
     multi = multi_source_geodesic(s, seeds)
     assert np.allclose(multi, singles.min(axis=0))
-
-
-def test_multi_source_incremental():
-    s = grid_mesh(6, 6)
-    acc = MultiSourceField(s)
-    acc.add_seed(0)
-    d1 = acc.distances.copy()
-    acc.add_seed(35)
-    assert np.all(acc.distances <= d1 + 1e-12)
-    assert acc.distances[35] == 0.0
 
 
 def test_nearest_seed_labels():

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from nrreg.correspond import RigidTransform, lift_rigid_to_state
 from nrreg.energy import identity_state, pack_state
 from nrreg.errors import InvalidInputError
-from nrreg.graph import (build_graph, influence_weights, principal_axis,
-                         sample_nodes_farthest, sample_nodes_pca,
-                         transform_points)
+from nrreg.geodesic import geodesic_from
+from nrreg.graph import (build_graph, influence_weights, node_field,
+                         principal_axis, sample_nodes_farthest,
+                         sample_nodes_pca, transform_points)
 from nrreg.mesh import mean_edge_length
 
 from conftest import grid_mesh, polyline_surface, rot_z
+
+
+def fields(s, nodes, R):
+    """Node fields as the samplers return them, for hand-picked nodes."""
+    return [node_field(geodesic_from(s, v).distances, R) for v in nodes]
 
 
 def test_principal_axis_sign_fixed():
@@ -22,7 +29,7 @@ def test_principal_axis_sign_fixed():
 
 def test_pca_scan_collinear():
     s = polyline_surface(4)   # points at x = 0, 1, 2, 3
-    nodes = sample_nodes_pca(s, R=1.5)
+    nodes, _ = sample_nodes_pca(s, R=1.5)
     assert nodes.tolist() == [0, 2]
 
 
@@ -30,18 +37,16 @@ def test_farthest_collinear():
     s = polyline_surface(4)
     # farthest sampling runs to half-radius coverage: 0, then the far end,
     # then the two interior points (both still > R/2 = 0.75 from the nodes)
-    nodes = sample_nodes_farthest(s, R=1.5)
+    nodes, _ = sample_nodes_farthest(s, R=1.5)
     assert nodes.tolist() == [0, 3, 1, 2]
 
 
 def test_farthest_two_points():
     s = polyline_surface(2, spacing=0.5)
-    assert sample_nodes_farthest(s, R=1.0).tolist() == [0]
+    assert sample_nodes_farthest(s, R=1.0)[0].tolist() == [0]
 
 
 def test_sampling_separation(grid25):
-    from nrreg.geodesic import geodesic_from
-
     R = 5 * mean_edge_length(grid25)
     # PCA scan guarantees pairwise separation >= R; the denser farthest
     # sampler guarantees separation > R/2.  The guarantee holds in the
@@ -49,7 +54,7 @@ def test_sampling_separation(grid25):
     # single-source marching differs by the (direction-dependent) few-percent
     # fast-marching consistency error, hence the 10% slack.
     for sampler, sep in ((sample_nodes_pca, R), (sample_nodes_farthest, R / 2)):
-        nodes = sampler(grid25, R)
+        nodes, _ = sampler(grid25, R)
         for v in nodes:
             d = geodesic_from(grid25, int(v)).distances[nodes]
             others = d[nodes != v]
@@ -61,7 +66,7 @@ def test_influence_weights_hand_example():
     # 1 and 1.5, so raw weights (1 - (d/R)^2)^3 with R = 2 normalize to
     # 0.421875 / 0.083740 ~ 0.8344 / 0.1656.
     s = polyline_surface(6, spacing=0.5)   # x = 0, .5, 1, 1.5, 2, 2.5
-    W, _, fallback = influence_weights(s, np.array([0, 5]), R=2.0)
+    W, fallback = influence_weights(s, np.array([0, 5]), fields(s, [0, 5], 2.0), R=2.0)
     w = W.toarray()[2]
     raw = np.array([(1 - (1.0 / 2) ** 2) ** 3, (1 - (1.5 / 2) ** 2) ** 3])
     assert np.allclose(w, raw / raw.sum())
@@ -76,8 +81,6 @@ def test_weights_partition_of_unity(grid25):
 
 
 def test_weights_locality(grid25):
-    from nrreg.geodesic import geodesic_from
-
     g = build_graph(grid25)
     W = g.influence.toarray()
     covered = np.setdiff1d(np.arange(g.n_points), g.fallback_points)
@@ -90,7 +93,7 @@ def test_weights_locality(grid25):
 def test_fallback_gets_nearest_node():
     # last point is farther than R from both nodes
     s = polyline_surface(5)  # x = 0..4
-    W, _, fallback = influence_weights(s, np.array([0, 1]), R=1.5)
+    W, fallback = influence_weights(s, np.array([0, 1]), fields(s, [0, 1], 1.5), R=1.5)
     assert fallback.tolist() == [3, 4]
     assert W.toarray()[4].tolist() == [0.0, 1.0]
 
@@ -116,7 +119,7 @@ def test_build_graph_bad_args(grid25):
 
 def test_halving_radius_adds_nodes(grid25):
     R = 5 * mean_edge_length(grid25)
-    assert len(sample_nodes_pca(grid25, R / 2)) > len(sample_nodes_pca(grid25, R))
+    assert len(sample_nodes_pca(grid25, R / 2)[0]) > len(sample_nodes_pca(grid25, R)[0])
 
 
 def test_transform_identity(grid25):
@@ -143,3 +146,53 @@ def test_transform_single_node_affine():
     p = g.node_positions[0]
     expected = (s.vertices - p) @ A.T + p + t
     assert np.allclose(transform_points(g, X), expected, atol=1e-14)
+
+
+def dense_graph_oracle(s, R, sampler):
+    """The graph recomputed per node with dense (r, n) arrays: a cap-R (PCA)
+    or uncapped (farthest) field per node for sampling, then a second field
+    per node, capped at 2R, for the influence weights and the edges."""
+    nearest = np.full(s.n_vertices, np.inf)
+    if sampler == "pca":
+        nodes = []
+        for i in np.argsort(s.vertices @ principal_axis(s.vertices), kind="stable"):
+            if nearest[i] >= R:
+                nodes.append(int(i))
+                np.minimum(nearest, geodesic_from(s, int(i), cap=R).distances, out=nearest)
+    else:
+        nodes = [0]
+        while True:
+            np.minimum(nearest, geodesic_from(s, nodes[-1]).distances, out=nearest)
+            finite = np.where(np.isfinite(nearest), nearest, -1.0)
+            if finite.max() <= 0.5 * R:
+                break
+            nodes.append(int(np.argmax(finite)))
+    nodes = np.array(nodes, dtype=np.int64)
+    dists = np.stack([geodesic_from(s, int(v), cap=2.0 * R).distances for v in nodes])
+    raw = np.zeros_like(dists)
+    inside = dists < R
+    raw[inside] = (1.0 - (dists[inside] / R) ** 2) ** 3
+    assert np.all(raw.sum(axis=0) > 0)      # no fallback points in these cases
+    W = csr_matrix((raw / raw.sum(axis=0, keepdims=True)).T)
+    W.eliminate_zeros()
+    edges = [(j, k) for j in range(len(nodes)) for k in range(j + 1, len(nodes))
+             if dists[j, nodes[k]] < 2.0 * R]
+    return nodes, np.array(edges, dtype=np.int64).reshape(-1, 2), W
+
+
+@pytest.mark.parametrize("sampler", ["pca", "farthest"])
+@pytest.mark.parametrize("case", ["grid25", "polyline"])
+def test_build_graph_matches_dense_oracle(grid25, case, sampler):
+    if case == "grid25":
+        s, R = grid25, 5 * mean_edge_length(grid25)
+    else:
+        s, R = polyline_surface(30, spacing=0.3), 1.0
+    g = build_graph(s, R=R, sampler=sampler)
+    nodes, edges, W = dense_graph_oracle(s, R, sampler)
+    assert np.array_equal(g.node_indices, nodes)
+    assert np.array_equal(g.node_edges, edges)
+    assert len(edges) > 0
+    for a, b in ((g.influence.indptr, W.indptr), (g.influence.indices, W.indices),
+                 (g.influence.data, W.data)):
+        assert np.array_equal(a, b)
+    assert len(g.fallback_points) == 0

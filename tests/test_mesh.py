@@ -5,7 +5,7 @@ from nrreg.errors import DegenerateInputError, FormatError, InvalidInputError
 from nrreg.mesh import (NormalizationRecord, Surface, compute_normals,
                         edges_from_faces, error_colors, load_obj, load_ply,
                         load_surface, mean_edge_length, normalize_pair,
-                        save_obj, save_ply, write_error_mesh)
+                        save_obj, save_ply, surface_edges, write_error_mesh)
 
 from conftest import grid_mesh
 
@@ -25,6 +25,28 @@ def test_surface_validation():
         Surface(np.zeros((3, 3)), faces=np.array([[0, 1, 5]]))
     with pytest.raises(InvalidInputError):
         Surface(np.zeros((3, 3)), edges=np.array([[1, 1]]))
+
+
+def test_surface_rejects_non_finite():
+    v = np.zeros((3, 3))
+    v[1, 2] = np.nan
+    with pytest.raises(InvalidInputError):
+        Surface(v)
+    normals = np.ones((3, 3))
+    normals[0, 0] = np.inf
+    with pytest.raises(InvalidInputError):
+        Surface(np.zeros((3, 3)), normals=normals)
+
+
+def test_point_cloud_surface_graph_is_knn():
+    pts = np.column_stack([np.arange(12.0), np.zeros(12), np.zeros(12)])
+    e = surface_edges(Surface(pts))
+    assert e.shape == (12 * 8, 2)
+    assert np.all(e[:, 0] != e[:, 1])
+    # the first point's 8 neighbors are the next 8 points on the line
+    assert sorted(e[e[:, 0] == 0, 1].tolist()) == list(range(1, 9))
+    lengths = np.abs(pts[e[:, 0], 0] - pts[e[:, 1], 0])
+    assert mean_edge_length(Surface(pts)) == pytest.approx(lengths.mean())
 
 
 def test_surface_edges_derived_from_faces():

@@ -11,7 +11,7 @@ from nrreg.solver import (LbfgsHistory, RegistrationResult, SolverParams,
                           TraceRow, anneal_stage_count, line_search, register,
                           solve_inner, two_loop_direction)
 
-from conftest import grid_mesh
+from conftest import grid_mesh, rot_z
 from test_energy import random_graph, random_state
 
 
@@ -179,6 +179,18 @@ def test_register_fixed_nu_single_stage():
     stages = {row.stage for row in res.energy_trace}
     assert stages == {0}
     assert len(res.termination_reasons) == 1
+
+
+def test_register_point_cloud_source():
+    # a faceless source measures its scale and geodesics on the k-NN graph
+    grid = grid_mesh(10, 10)
+    target = Surface(grid.vertices @ rot_z(0.1).T, grid.faces)
+    s_n, t_n, _ = normalize_pair(compute_normals(Surface(grid.vertices)),
+                                 compute_normals(target))
+    res = register(s_n, t_n)
+    assert res.graph.n_nodes > 1 and len(res.graph.node_edges) > 0
+    assert all(r.endswith("converged") for r in res.termination_reasons)
+    assert rmse(res.transformed_source, GroundTruth(t_n.vertices)) < 1e-6
 
 
 def test_register_empty_raises():
