@@ -11,8 +11,7 @@ from .correspond import (CorrespondenceSet, RigidTransform, SpatialIndex,
                          rigid_icp_init)
 from .energy import (EnergyParams, SurrogateSystem, assemble_surrogate,
                      energy_align, energy_reg, energy_rot, identity_state,
-                     pack_state, project_rotation, total_energy, unpack_state,
-                     welsch)
+                     pack_state, total_energy, unpack_state, welsch)
 from .errors import (DegenerateInputError, FormatError, InitializationError,
                      InvalidInputError, NrregError, SolverError)
 from .evaluate import (GroundTruth, add_gaussian_normal_noise, remove_region,

@@ -1,11 +1,11 @@
 """Robust energies, their quadratic surrogates, and the analytic gradient.
 
 State layout: each node contributes a 4x3 block ``[A_j^T; t_j^T]``; the full
-state X stacks the r blocks into a (4r, 3) matrix.  The alignment and
-smoothness terms then have sparse matrix forms ``|W_a (F X + P - U)|_F^2``
-and ``|W_r (B X - Y)|_F^2`` whose structure depends only on the graph, so the
-sparse patterns are assembled once per graph and reused while only the
-diagonal weights change between iterations.
+state X stacks the r blocks into a (4r, 3) matrix.  The deformation is one
+linear map, assembled once per graph (:func:`build_structure`): every deformed
+point is a row of ``F X + P`` and every edge residual a row of ``B X - Y``, so
+the terms are ``|W_a (F X + P - U)|_F^2`` and ``|W_r (B X - Y)|_F^2`` and only
+the diagonal weights change between iterations.
 """
 
 from __future__ import annotations
@@ -90,19 +90,8 @@ class EnergyParams:
 
 def energy_align(g, X, corr, nu_a, kernel="welsch"):
     """Sum of kernel values over point-to-correspondent distances."""
-    from .graph import transform_points
-
-    moved = transform_points(g, X)
-    dist = np.linalg.norm(moved - corr.positions, axis=1)
+    dist = np.linalg.norm(align_residual(build_structure(g), X, corr.positions), axis=1)
     return float(np.sum(_kernel(dist, nu_a, kernel)))
-
-
-def residual_Dij(X, i, j, positions):
-    """Transformation-consistency residual of node j measured at node i."""
-    A, t = unpack_state(X)
-    p_i = positions[i]
-    p_j = positions[j]
-    return A[j] @ (p_i - p_j) + p_j + t[j] - (p_i + t[i])
 
 
 def directed_edges(g):
@@ -114,39 +103,14 @@ def directed_edges(g):
     return np.concatenate([e, e[:, ::-1]])
 
 
-def edge_residuals(g, X):
-    """All D_ij residuals, one row per directed edge occurrence."""
-    de = directed_edges(g)
-    if len(de) == 0:
-        return np.empty((0, 3))
-    A, t = unpack_state(X)
-    p_i = g.node_positions[de[:, 0]]
-    p_j = g.node_positions[de[:, 1]]
-    Aj = A[de[:, 1]]
-    rot = np.einsum("nab,nb->na", Aj, p_i - p_j)
-    return rot + p_j + t[de[:, 1]] - p_i - t[de[:, 0]]
-
-
 def energy_reg(g, X, nu_r, kernel="welsch"):
-    res = edge_residuals(g, X)
-    if len(res) == 0:
-        return 0.0
-    return float(np.sum(_kernel(np.linalg.norm(res, axis=1), nu_r, kernel)))
-
-
-def project_rotation(A):
-    """Closest rotation in Frobenius norm, via SVD with det correction."""
-    A = np.asarray(A, dtype=np.float64)
-    U, _, Vt = np.linalg.svd(A)
-    d = np.sign(np.linalg.det(U @ Vt))
-    if d == 0:
-        d = 1.0
-    D = np.diag([1.0, 1.0, d])
-    return U @ D @ Vt
+    dist = np.linalg.norm(reg_residual(build_structure(g), X), axis=1)
+    return float(np.sum(_kernel(dist, nu_r, kernel)))
 
 
 def project_rotations(As):
-    """Batched :func:`project_rotation`."""
+    """Closest rotation to each 3x3 matrix in Frobenius norm, via SVD with
+    det correction."""
     As = np.asarray(As, dtype=np.float64)
     U, _, Vt = np.linalg.svd(As)
     det = np.linalg.det(np.einsum("nab,nbc->nac", U, Vt))
@@ -230,6 +194,16 @@ def build_structure(g) -> EnergyStructure:
     return struct
 
 
+def align_residual(st: EnergyStructure, X, U):
+    """Deformed source points minus their targets, ``F X + P - U``."""
+    return st.F @ X + st.P - U
+
+
+def reg_residual(st: EnergyStructure, X):
+    """The D_ij residuals, one row per directed edge, ``B X - Y``."""
+    return st.B @ X - st.Y
+
+
 # ---------------------------------------------------------------------------
 # surrogate system
 
@@ -237,7 +211,6 @@ def build_structure(g) -> EnergyStructure:
 class SurrogateSystem:
     """Frozen targets and Gaussian weights of one majorization step."""
 
-    graph: object
     structure: EnergyStructure
     U: np.ndarray            # (n, 3) frozen correspondence targets
     wa: np.ndarray           # (n,) squared diagonal of W_a
@@ -245,29 +218,25 @@ class SurrogateSystem:
     params: EnergyParams
 
     def align_residual(self, X):
-        return self.structure.F @ X + self.structure.P - self.U
+        return align_residual(self.structure, X, self.U)
 
     def reg_residual(self, X):
-        return self.structure.B @ X - self.structure.Y
+        return reg_residual(self.structure, X)
 
     def energy(self, X):
         ra = self.align_residual(X)
         ea = float(np.sum(self.wa * np.sum(ra * ra, axis=1)))
         rr = self.reg_residual(X)
-        er = float(np.sum(self.wr * np.sum(rr * rr, axis=1))) if len(rr) else 0.0
+        er = float(np.sum(self.wr * np.sum(rr * rr, axis=1)))
         return ea + self.params.alpha * er + self.params.beta * energy_rot(X)
 
     def gradient(self, X):
         st = self.structure
-        Gm = st.F.T @ (self.wa[:, None] * self.align_residual(X))
-        if len(self.wr):
-            Gm = Gm + self.params.alpha * (st.B.T @ (self.wr[:, None] * self.reg_residual(X)))
+        Gm = (st.F.T @ (self.wa[:, None] * self.align_residual(X))
+              + self.params.alpha * (st.B.T @ (self.wr[:, None] * self.reg_residual(X))))
         if self.params.beta != 0.0:
             A, _ = unpack_state(X)
-            Z = np.zeros_like(X)
-            P = project_rotations(A)
-            for k in range(3):
-                Z[k::4] = P[:, :, k]
+            Z = pack_state(project_rotations(A), np.zeros((len(A), 3)))
             Gm = Gm + self.params.beta * (st.J @ X - Z)
         return 2.0 * Gm
 
@@ -275,9 +244,8 @@ class SurrogateSystem:
         """2 (F^T W_a^2 F + alpha B^T W_r^2 B + beta J), diagonally jittered
         so the factorization never hits an exactly singular translation row."""
         st = self.structure
-        H = st.F.T @ diags(self.wa) @ st.F
-        if len(self.wr):
-            H = H + self.params.alpha * (st.B.T @ diags(self.wr) @ st.B)
+        H = (st.F.T @ diags(self.wa) @ st.F
+             + self.params.alpha * (st.B.T @ diags(self.wr) @ st.B))
         H = 2.0 * (H + self.params.beta * st.J)
         H = H + SPD_JITTER * identity(H.shape[0])
         return H.tocsc()
@@ -302,8 +270,8 @@ def assemble_surrogate(g, X_k, corr_k, params: EnergyParams) -> SurrogateSystem:
         wa = np.ones(g.n_points)
         wr = np.ones(struct.B.shape[0])
     else:
-        ra = struct.F @ X_k + struct.P - U
+        ra = align_residual(struct, X_k, U)
         wa = gaussian_weight(np.sum(ra * ra, axis=1), params.nu_a)
-        rr = struct.B @ X_k - struct.Y
+        rr = reg_residual(struct, X_k)
         wr = gaussian_weight(np.sum(rr * rr, axis=1), params.nu_r)
-    return SurrogateSystem(g, struct, U.copy(), wa, wr, params)
+    return SurrogateSystem(struct, U.copy(), wa, wr, params)

@@ -79,9 +79,11 @@ def remove_region(s: Surface, seed_vertex, geodesic_radius):
 def synthesize_deformation(s: Surface, g, node_rotations, node_translations):
     """Deform a surface with known per-node transforms; returns the deformed
     surface (as target) and the per-vertex ground truth."""
+    if s.n_vertices != g.n_points:
+        raise InvalidInputError("the graph was built on a different surface")
     X = pack_state(np.asarray(node_rotations, dtype=np.float64),
                    np.asarray(node_translations, dtype=np.float64))
-    deformed = transform_points(g, X, s.vertices)
+    deformed = transform_points(g, X)
     target = Surface(deformed, None if s.faces is None else s.faces.copy())
     if target.faces is not None:
         target = compute_normals(target)

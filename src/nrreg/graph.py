@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from .energy import build_structure
 from .errors import DegenerateInputError, InvalidInputError
 from .geodesic import geodesic_from, nearest_seed_labels
 from .mesh import Surface, mean_edge_length, save_ply
@@ -39,11 +40,6 @@ class DeformationGraph:
     @property
     def n_points(self):
         return self.influence.shape[0]
-
-    def influence_list(self, i):
-        """List of (node index, weight) pairs for source point ``i``."""
-        row = self.influence.getrow(i)
-        return list(zip(row.indices.tolist(), row.data.tolist()))
 
 
 def principal_axis(points):
@@ -203,35 +199,15 @@ def build_graph(s: Surface, R=None, sampler="pca"):
     )
 
 
-def transform_points(g: DeformationGraph, X, V=None):
-    """Blend per-node affine transforms into deformed positions.
+def transform_points(g: DeformationGraph, X):
+    """Deformed positions of the source points the graph was built on.
 
-    ``X`` is the stacked (4r, 3) state; ``V`` defaults to the source points
-    the graph was built on.  Each point moves to
-    ``sum_j w_ij (A_j (v_i - p_j) + p_j + t_j)``.
+    ``X`` is the stacked (4r, 3) state.  Point i moves to
+    ``sum_j w_ij (A_j (v_i - p_j) + p_j + t_j)``, which is row i of
+    ``F X + P`` (:func:`nrreg.energy.build_structure`).
     """
-    from .energy import unpack_state  # local import to avoid a cycle
-
-    if V is None:
-        V = g.source_positions
-    V = np.asarray(V, dtype=np.float64)
-    A, t = unpack_state(X)
-    if len(V) != g.n_points:
-        raise InvalidInputError(
-            "transform_points only supports the source points the graph was built on")
-    W = g.influence
-    out = np.zeros_like(V)
-    # per-node accumulation keeps the sum order deterministic
-    Wc = W.tocsc()
-    for j in range(g.n_nodes):
-        sl = slice(Wc.indptr[j], Wc.indptr[j + 1])
-        rows = Wc.indices[sl]
-        w = Wc.data[sl]
-        if len(rows) == 0:
-            continue
-        moved = (V[rows] - g.node_positions[j]) @ A[j].T + g.node_positions[j] + t[j]
-        out[rows] += w[:, None] * moved
-    return out
+    st = build_structure(g)
+    return st.F @ X + st.P
 
 
 def dump_graph_ply(g: DeformationGraph, path):

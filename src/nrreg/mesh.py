@@ -91,7 +91,11 @@ def surface_edges(s: Surface):
         raise DegenerateInputError("need at least 2 points for a k-NN graph")
     k = min(KNN_GRAPH_K + 1, n)
     _, idx = cKDTree(s.vertices).query(s.vertices, k=k)
-    return np.column_stack([np.repeat(np.arange(n), k - 1), idx[:, 1:].ravel()])
+    # a coincident twin may come before the point itself: drop the point's
+    # own index, or its last neighbor where the point is absent
+    own = idx == np.arange(n)[:, None]
+    own[~own.any(axis=1), -1] = True
+    return np.column_stack([np.repeat(np.arange(n), k - 1), idx[~own]])
 
 
 def mean_edge_length(s: Surface):

@@ -289,7 +289,7 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
 
     return RegistrationResult(
         final_state=X,
-        transformed_source=transform_points(graph, X),
+        transformed_source=moved,
         energy_trace=trace,
         termination_reasons=reasons,
         graph=graph,

@@ -25,6 +25,7 @@ from nrreg.mesh import (Surface, compute_normals, mean_edge_length,
 from nrreg.solver import LbfgsHistory, SolverParams, register, two_loop_direction
 
 from conftest import grid_mesh, linear_twist
+from oracles import influence_list, residual_Dij
 from test_energy import random_graph, random_state
 from test_solver import dense_bfgs_direction
 
@@ -209,14 +210,14 @@ def test_criterion_03_matrix_form(capsys):
         align_loop = 0.0
         for i in range(g.n_points):
             moved = np.zeros(3)
-            for j, w in g.influence_list(i):
+            for j, w in influence_list(g, i):
                 v = g.source_positions[i]
                 p = g.node_positions[j]
                 moved += w * (A[j] @ (v - p) + p + t[j])
             align_loop += sys.wa[i] * float(np.sum((moved - sys.U[i]) ** 2))
 
         # scalar-loop smoothness term: sum over directed edges of w^r |D_ij|^2
-        from nrreg.energy import directed_edges, residual_Dij
+        from nrreg.energy import directed_edges
         reg_loop = 0.0
         for k, (i, j) in enumerate(directed_edges(g)):
             D = residual_Dij(X, i, j, g.node_positions)

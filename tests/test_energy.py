@@ -4,16 +4,16 @@ from scipy.sparse import csr_matrix
 
 from nrreg.correspond import CorrespondenceSet, find_correspondences
 from nrreg.energy import (EnergyParams, assemble_surrogate, build_structure,
-                          directed_edges, edge_residuals, energy_align,
-                          energy_reg, energy_rot, gaussian_weight,
-                          identity_state, pack_state, project_rotation,
-                          project_rotations, residual_Dij, total_energy,
+                          directed_edges, energy_align, energy_reg, energy_rot,
+                          gaussian_weight, identity_state, pack_state,
+                          project_rotations, reg_residual, total_energy,
                           unpack_state, welsch)
 from nrreg.errors import InvalidInputError
 from nrreg.graph import DeformationGraph, build_graph, transform_points
 from nrreg.mesh import Surface
 
 from conftest import grid_mesh, rot_z
+from oracles import blend_points, project_rotation, residual_Dij
 
 
 def random_graph(rng, r, n):
@@ -87,6 +87,10 @@ def test_residual_dij_hand_example():
     assert np.allclose(residual_Dij(X, 0, 1, positions), [1.0, -1.0, 0.0])
     # node 0 is the identity: measured at node 1 the residual vanishes
     assert np.allclose(residual_Dij(X, 1, 0, positions), 0.0)
+    # B X - Y has the same rows: directed edge (0, 1), then (1, 0)
+    g = DeformationGraph(np.arange(2), positions, np.array([[0, 1]]), 1.0,
+                         csr_matrix(np.eye(2)), positions)
+    assert np.allclose(reg_residual(build_structure(g), X), [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def test_directed_edges_both_orientations():
@@ -101,7 +105,7 @@ def test_edge_residuals_match_scalar(grid25):
     rng = np.random.default_rng(2)
     g = build_graph(grid25)
     X = random_state(rng, g.n_nodes)
-    res = edge_residuals(g, X)
+    res = reg_residual(build_structure(g), X)
     de = directed_edges(g)
     for k in (0, len(de) // 2, len(de) - 1):
         i, j = de[k]
@@ -110,11 +114,12 @@ def test_edge_residuals_match_scalar(grid25):
 
 def test_project_rotation():
     R = rot_z(0.4)
-    assert np.abs(project_rotation(R) - R).max() < 1e-12
-    assert np.abs(project_rotation(2.5 * R) - R).max() < 1e-12
     refl = np.diag([1.0, 1.0, -1.0])
-    P = project_rotation(refl)
-    assert np.linalg.det(P) == pytest.approx(1.0)
+    P = project_rotations(np.stack([R, 2.5 * R, refl]))
+    assert np.abs(P[0] - R).max() < 1e-12
+    assert np.abs(P[1] - R).max() < 1e-12
+    assert np.linalg.det(P[2]) == pytest.approx(1.0)
+    assert np.linalg.det(project_rotation(refl)) == pytest.approx(1.0)
     rng = np.random.default_rng(3)
     As = np.eye(3) + 0.4 * rng.normal(size=(6, 3, 3))
     batched = project_rotations(As)
@@ -133,8 +138,11 @@ def test_matrix_form_reproduces_pointwise(grid25):
     g = build_graph(grid25)
     st = build_structure(g)
     X = random_state(rng, g.n_nodes, spread=0.2)
-    assert np.abs(st.F @ X + st.P - transform_points(g, X)).max() < 1e-12
-    assert np.abs(st.B @ X - st.Y - edge_residuals(g, X)).max() < 1e-12
+    assert np.abs(st.F @ X + st.P - blend_points(g, X)).max() < 1e-12
+    de = directed_edges(g)
+    loop = np.array([residual_Dij(X, i, j, g.node_positions) for i, j in de])
+    assert np.abs(st.B @ X - st.Y - loop).max() < 1e-12
+    assert np.array_equal(transform_points(g, X), st.F @ X + st.P)
 
 
 def test_structure_cached_and_deterministic(grid25):

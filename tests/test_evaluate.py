@@ -70,6 +70,13 @@ def test_synthesize_identity_is_noop(grid25):
     assert target.normals is not None
 
 
+def test_synthesize_needs_the_graph_surface(grid25, grid9):
+    g = build_graph(grid9)
+    rots = np.broadcast_to(np.eye(3), (g.n_nodes, 3, 3)).copy()
+    with pytest.raises(InvalidInputError):
+        synthesize_deformation(grid25, g, rots, np.zeros((g.n_nodes, 3)))
+
+
 def test_random_node_rotations_are_rotations(grid25):
     g = build_graph(grid25)
     rots, trans = random_node_rotations(g, 10.0, rng_seed=5, translation_scale=0.01)

@@ -49,6 +49,20 @@ def test_point_cloud_surface_graph_is_knn():
     assert mean_edge_length(Surface(pts)) == pytest.approx(lengths.mean())
 
 
+def test_point_cloud_surface_graph_has_no_self_loops():
+    # coincident points: the k-NN query may return the twin before the point
+    assert surface_edges(Surface(np.zeros((2, 3)))).tolist() == [[0, 1], [1, 0]]
+    xs, ys = np.meshgrid(np.arange(10.0), np.arange(10.0), indexing="ij")
+    grid = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(100)])
+    dup = [3, 17, 42, 66, 91]
+    e = surface_edges(Surface(np.vstack([grid, grid[dup]])))
+    assert e.shape == (105 * 8, 2)
+    assert np.all(e[:, 0] != e[:, 1])
+    for twin, i in zip(range(100, 105), dup):
+        assert twin in e[e[:, 0] == i, 1]
+        assert i in e[e[:, 0] == twin, 1]
+
+
 def test_surface_edges_derived_from_faces():
     s = grid_mesh(3, 3)
     assert len(s.edges) == 16  # 12 axis-aligned + 4 diagonals

@@ -1,19 +1,33 @@
-"""Property tests of the geodesic invariants the deformation graph relies on.
+"""Property tests of the invariants the graph and the solver rely on.
 
 The graph marches each node's field once, capped at 2R, and reads both the
 sampling test (distances below R) and the influence and edge rules from it.
 That is exact only if a capped field equals the uncapped one with every
 entry beyond the cap set to +inf.
+
+The solver starts from a rigid map lifted onto the graph, so the lifted
+state must reproduce that map exactly.  Each outer iteration minimizes a
+quadratic surrogate, which lowers the robust energy only if the surrogate
+majorizes it; and each L-BFGS step needs a descent direction.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
+from nrreg.correspond import (CorrespondenceSet, RigidTransform,
+                              lift_rigid_to_state)
+from nrreg.energy import EnergyParams, assemble_surrogate, total_energy
 from nrreg.geodesic import geodesic_from
+from nrreg.graph import build_graph, transform_points
 from nrreg.mesh import Surface
+from nrreg.solver import LbfgsHistory, two_loop_direction
 
 from conftest import grid_mesh
+from test_energy import random_graph, random_state
+
+seeds = st.integers(0, 2**32 - 1)
 
 
 @st.composite
@@ -23,7 +37,7 @@ def wavy_grids(draw):
     nx = draw(st.integers(3, 12))
     ny = draw(st.integers(3, 12))
     s = grid_mesh(nx, ny, wavy=draw(st.floats(0.0, 0.2)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(seeds))
     v = s.vertices.copy()
     v[:, :2] += rng.uniform(-0.3, 0.3, size=(len(v), 2)) / max(nx, ny)
     return Surface(v, s.faces), draw(st.integers(0, nx * ny - 1))
@@ -50,3 +64,60 @@ def test_fmm_between_euclidean_and_dijkstra(case):
     euclid = np.linalg.norm(s.vertices - s.vertices[seed], axis=1)
     assert np.all(euclid <= fmm + 1e-12)
     assert np.all(fmm <= dij + 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(wavy_grids(), st.booleans(), seeds)
+def test_lifted_rigid_state_reproduces_rigid_map(case, point_cloud, seed):
+    s, _ = case
+    if point_cloud:
+        s = Surface(s.vertices)
+    g = build_graph(s)
+    rng = np.random.default_rng(seed)
+    rt = RigidTransform(Rotation.random(random_state=rng).as_matrix(),
+                        rng.uniform(-1.0, 1.0, size=3))
+    moved = transform_points(g, lift_rigid_to_state(rt, g))
+    assert np.abs(moved - rt.apply(s.vertices)).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.floats(0.05, 0.5), st.floats(0.05, 0.5), st.floats(0.1, 2.0),
+       st.floats(0.1, 2.0), st.floats(0.01, 1.0))
+def test_surrogate_majorizes_energy(seed, nu_a, nu_r, alpha, beta, step):
+    """With the correspondences frozen, the surrogate rises from X_k at least
+    as much as the robust energy does."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, 4, 40)
+    Xk = random_state(rng, 4)
+    corr = CorrespondenceSet(np.zeros(40, dtype=np.int64), rng.uniform(size=(40, 3)),
+                             np.zeros(40), np.ones(40, dtype=bool))
+    params = EnergyParams(nu_a, nu_r, alpha, beta)
+    sys = assemble_surrogate(g, Xk, corr, params)
+    X = Xk + step * rng.normal(size=Xk.shape)
+    surrogate_change = sys.energy(X) - sys.energy(Xk)
+    energy_change = total_energy(g, X, corr, params) - total_energy(g, Xk, corr, params)
+    assert surrogate_change >= energy_change - 1e-10 * max(1.0, abs(surrogate_change))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, st.integers(1, 3), st.integers(1, 6), st.integers(0, 10))
+def test_two_loop_direction_is_descent(seed, r, m, n_pairs):
+    """Any SPD H0 and any history of positive-curvature pairs that the
+    curvature guard accepts give a descent direction for every gradient."""
+    rng = np.random.default_rng(seed)
+    n = 12 * r
+    M = rng.normal(size=(n, n))
+    H0 = M @ M.T + n * np.eye(n)
+    hist = LbfgsHistory(m)
+    for _ in range(n_pairs):
+        C = rng.normal(size=(n, n))
+        S = rng.normal(size=(4 * r, 3))
+        T = ((C @ C.T + np.eye(n)) @ S.ravel()).reshape(S.shape)
+        assert hist.push(S, T)
+    # the map grad -> -d is the implied inverse Hessian; d is a descent
+    # direction for every gradient iff its symmetric part is positive definite
+    Hinv = np.column_stack([
+        -two_loop_direction(hist, e.reshape(4 * r, 3),
+                            lambda Q: np.linalg.solve(H0, Q.ravel()).reshape(Q.shape)).ravel()
+        for e in np.eye(n)])
+    assert np.linalg.eigvalsh(Hinv + Hinv.T).min() > 0.0
