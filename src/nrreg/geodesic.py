@@ -5,6 +5,15 @@ triangle update; every update is clamped from above by the corresponding edge
 (Dijkstra) update, so fast-marching values never exceed edge-graph distances.
 Surfaces without faces fall back to Dijkstra, either on their explicit edges
 or on a k-nearest-neighbor graph for raw point clouds.
+
+What a surface is marched on is built once per surface and kept on it: for
+fast marching, each vertex's incident triangles with their edge lengths and
+corner dot products as plain floats, so the marching loop makes no numpy
+call; for Dijkstra, the CSR matrix of the surface graph.  Each length and
+dot comes from numpy's 3-vector dot (BLAS ``ddot``), as when the loop took
+them from the points on the fly.  That dot fuses its multiply-adds, so a
+plain ``x*x + y*y + z*z`` rounds differently in about a third of cases and
+would move fields in the last bit.
 """
 
 from __future__ import annotations
@@ -41,32 +50,75 @@ def _edge_graph(points, edges):
     return m.tocsr()
 
 
-def _dijkstra(points, edges, seeds, cap):
-    graph = _edge_graph(points, np.asarray(edges, dtype=np.int64))
+def _dots(a, b):
+    """Row-wise dot products of two (m, 3) arrays, each through numpy's
+    3-vector dot: a stacked (1, 3) @ (3, 1) matmul makes one such dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _incident_triangles(points, faces):
+    """Per vertex v, one ``(c, o, |vc|, |oc|, (v - c).(o - c))`` entry for each
+    ordered pair (c, o) of the other two corners of every triangle at v;
+    triangles that repeat v are skipped.  The lengths and dots are plain
+    floats, computed once per triangle edge and corner."""
+    p = [points[faces[:, k]] for k in range(3)]
+    # column k: the length of edge (k, k + 1) and the dot at corner k
+    edge = np.column_stack([np.sqrt(_dots(e, e))
+                            for e in (p[1] - p[0], p[2] - p[1], p[0] - p[2])]).tolist()
+    corner = np.column_stack([_dots(p[(k + 1) % 3] - p[k], p[(k + 2) % 3] - p[k])
+                              for k in range(3)]).tolist()
+    incident = [[] for _ in range(len(points))]
+    for f, el, cd in zip(faces.tolist(), edge, corner):
+        for k, q, r in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            v = f[k]
+            if f[q] != v != f[r]:
+                incident[v].append((f[q], f[r], el[k], el[q], cd[q]))
+                incident[v].append((f[r], f[q], el[r], el[q], cd[r]))
+    return incident
+
+
+def _geometry(s: Surface, method):
+    """What ``method`` marches on: the :func:`_incident_triangles` table for
+    ``fmm``, the surface graph's CSR matrix of edge lengths for ``dijkstra``.
+
+    Built on first use and kept on the surface, so it is freed with it.  A
+    surface whose vertices, faces or edges were rebound since (as
+    ``normalize_pair`` does on its copies) gets it built afresh; the arrays
+    themselves are not to be changed in place after a geodesic call.
+    """
+    arrays = (s.vertices, s.faces, s.edges)
+    cached = getattr(s, "_geodesic_geometry", None)
+    if cached is None or any(a is not b for a, b in zip(cached[0], arrays)):
+        cached = s._geodesic_geometry = (arrays, {})
+    built = cached[1]
+    if method not in built:
+        built[method] = (_incident_triangles(s.vertices, s.faces) if method == "fmm"
+                         else _edge_graph(s.vertices, surface_edges(s)))
+    return built[method]
+
+
+def _dijkstra(graph, seed, cap):
     limit = np.inf if cap is None else cap
-    d = _csgraph_dijkstra(graph, directed=False, indices=list(seeds),
+    d = _csgraph_dijkstra(graph, directed=False, indices=[seed],
                           limit=limit, min_only=True)
     if cap is not None:
         d = np.where(d > cap, np.inf, d)
     return np.asarray(d, dtype=np.float64)
 
 
-def _triangle_update(dc_a, dc_b, p_c, p_a, p_b):
-    """Planar-wavefront arrival time at ``p_c`` given times at ``p_a``/``p_b``.
+def _triangle_update(dc_a, dc_b, b_len, a_len, cab):
+    """Planar-wavefront arrival time at vertex c of triangle (c, a, b), given
+    the times at a and b, the edge lengths ``b_len = |ca|`` and
+    ``a_len = |cb|``, and the corner dot ``cab = (a - c).(b - c)``.
 
     Returns +inf when the update is not upwind-admissible (the caller then
     falls back to edge updates).
     """
     if dc_b < dc_a:
-        dc_a, dc_b = dc_b, dc_a
-        p_a, p_b = p_b, p_a
-    ca = p_a - p_c
-    cb = p_b - p_c
-    b_len = math.sqrt(float(ca @ ca))
-    a_len = math.sqrt(float(cb @ cb))
+        dc_a, dc_b, a_len, b_len = dc_b, dc_a, b_len, a_len
     if a_len == 0.0 or b_len == 0.0:
         return math.inf
-    cos_t = float(ca @ cb) / (a_len * b_len)
+    cos_t = cab / (a_len * b_len)
     if cos_t <= 0.0:            # obtuse at the update vertex: edge update only
         return math.inf
     cos_t = min(cos_t, 1.0)
@@ -87,16 +139,12 @@ def _triangle_update(dc_a, dc_b, p_c, p_a, p_b):
     return dc_a + t
 
 
-def _fast_marching(points, faces, seed, cap):
-    n = len(points)
-    # vertex -> incident triangles
-    tri_of = [[] for _ in range(n)]
-    for ti, f in enumerate(faces):
-        for v in f:
-            tri_of[v].append(ti)
-    dist = np.full(n, np.inf)
-    done = np.zeros(n, dtype=bool)
+def _fast_marching(incident, seed, cap):
+    n = len(incident)
+    dist = [math.inf] * n
+    done = [False] * n
     dist[seed] = 0.0
+    reached = [seed]
     heap = [(0.0, seed)]
     limit = math.inf if cap is None else cap
     while heap:
@@ -106,27 +154,25 @@ def _fast_marching(points, faces, seed, cap):
         if d > limit:
             break
         done[v] = True
-        for ti in tri_of[v]:
-            f = faces[ti]
-            others = [w for w in f if w != v]
-            if len(others) != 2:
-                continue  # degenerate triangle
-            for c in others:
-                if done[c]:
-                    continue
-                o = others[0] if c == others[1] else others[1]
-                # edge update from the newly accepted vertex
-                cand = d + float(np.linalg.norm(points[c] - points[v]))
-                if done[o] and np.isfinite(dist[o]):
-                    tu = _triangle_update(d, dist[o], points[c], points[v], points[o])
-                    if tu < cand:
-                        cand = tu
-                if cand < dist[c]:
-                    dist[c] = cand
-                    heapq.heappush(heap, (cand, c))
+        for c, o, vc, oc, cvo in incident[v]:
+            if done[c]:
+                continue
+            cand = d + vc           # edge update from the newly accepted vertex
+            if done[o]:
+                tu = _triangle_update(d, dist[o], vc, oc, cvo)
+                if tu < cand:
+                    cand = tu
+            if cand < dist[c]:
+                if dist[c] == math.inf:
+                    reached.append(c)
+                dist[c] = cand
+                heapq.heappush(heap, (cand, c))
+    # a capped march reaches few of the vertices: convert only those
+    out = np.full(n, np.inf)
+    out[reached] = [dist[v] for v in reached]
     if cap is not None:
-        dist = np.where(dist > cap, np.inf, dist)
-    return dist
+        out[out > cap] = np.inf
+    return out
 
 
 def geodesic_from(s: Surface, seed, cap=None, method="auto"):
@@ -145,9 +191,9 @@ def geodesic_from(s: Surface, seed, cap=None, method="auto"):
     if method == "fmm":
         if not has_faces:
             raise InvalidInputError("fast marching requires triangle faces")
-        d = _fast_marching(s.vertices, s.faces, seed, cap)
+        d = _fast_marching(_geometry(s, method), seed, cap)
     elif method == "dijkstra":
-        d = _dijkstra(s.vertices, surface_edges(s), [seed], cap)
+        d = _dijkstra(_geometry(s, method), seed, cap)
     else:
         raise InvalidInputError(f"unknown method {method!r}")
     return GeodesicField(seed, d, cap)

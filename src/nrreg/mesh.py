@@ -201,11 +201,35 @@ def _pca_normals(points, k=10):
     mst = minimum_spanning_tree(graph)
     sym = mst + mst.T
     order, preds = breadth_first_order(sym, 0, directed=False)
-    for v in order:
-        p = preds[v]
-        if p >= 0 and np.dot(normals[v], normals[p]) < 0:
-            normals[v] = -normals[v]
+    _orient_along_tree(normals, order, preds)
     return normals
+
+
+def _orient_along_tree(normals, order, preds):
+    """Orient normals in place as a pass in BFS order would: a vertex turns
+    iff its dot with its parent's already oriented normal is negative, so a
+    dot of exactly 0 never turns it.
+
+    Turning a normal negates its dots exactly, so a vertex's final sign is the
+    product of the signs of the unoriented dots on its way up to the nearest
+    vertex that keeps its own: the root, an unreached vertex, or one whose dot
+    is 0.  Pointer jumping composes those products.  A dot small enough for a
+    vectorised sum to get its sign wrong is recomputed with the pass's own
+    3-vector dot."""
+    child = order[1:]
+    parent = preds[child]
+    dots = np.einsum("ij,ij->i", normals[child], normals[parent])
+    for k in np.flatnonzero(np.abs(dots) < 1e-9):
+        dots[k] = np.dot(normals[child[k]], normals[parent[k]])
+    linked = dots != 0
+    up = np.arange(len(normals))
+    up[child[linked]] = parent[linked]
+    sign = np.ones(len(normals))
+    sign[child[dots < 0]] = -1.0
+    while not np.array_equal(up[up], up):
+        sign *= sign[up]
+        up = up[up]
+    normals *= sign[:, None]
 
 
 def compute_normals(s: Surface, k=10):

@@ -1,10 +1,18 @@
-"""Scalar reference implementations of the deformation map.
+"""Scalar reference implementations.
 
 The package computes every deformed point as ``F X + P`` and every edge
 residual as ``B X - Y``.  These loops restate the same quantities one point,
 one node or one edge at a time, straight from the definitions, so the tests
 can check the matrix forms against something other than themselves.
+
+The same goes for fast marching, which the package runs on lengths and dots
+precomputed per surface, and for the orientation of PCA normals, which it
+propagates along the spanning tree by pointer jumping: the loops below take
+every quantity from the points or normals at the moment it is needed.
 """
+
+import heapq
+import math
 
 import numpy as np
 
@@ -46,3 +54,87 @@ def project_rotation(A):
     if d == 0:
         d = 1.0
     return U @ np.diag([1.0, 1.0, d]) @ Vt
+
+
+def triangle_update(dc_a, dc_b, p_c, p_a, p_b):
+    """Planar-wavefront arrival time at ``p_c`` given times at ``p_a``/``p_b``,
+    from the points (+inf when not upwind-admissible)."""
+    if dc_b < dc_a:
+        dc_a, dc_b = dc_b, dc_a
+        p_a, p_b = p_b, p_a
+    ca = p_a - p_c
+    cb = p_b - p_c
+    b_len = math.sqrt(float(ca @ ca))
+    a_len = math.sqrt(float(cb @ cb))
+    if a_len == 0.0 or b_len == 0.0:
+        return math.inf
+    cos_t = float(ca @ cb) / (a_len * b_len)
+    if cos_t <= 0.0:
+        return math.inf
+    cos_t = min(cos_t, 1.0)
+    sin2 = 1.0 - cos_t * cos_t
+    u = dc_b - dc_a
+    aa = a_len * a_len + b_len * b_len - 2.0 * a_len * b_len * cos_t
+    bb = 2.0 * b_len * u * (a_len * cos_t - b_len)
+    cc = b_len * b_len * (u * u - a_len * a_len * sin2)
+    disc = bb * bb - 4.0 * aa * cc
+    if disc < 0.0 or aa <= 0.0:
+        return math.inf
+    t = (-bb + math.sqrt(disc)) / (2.0 * aa)
+    if t <= u:
+        return math.inf
+    q = b_len * (t - u) / t
+    if not (a_len * cos_t < q < a_len / cos_t):
+        return math.inf
+    return dc_a + t
+
+
+def fast_marching(points, faces, seed, cap):
+    """Fast marching from ``seed``, every length and dot taken from the points
+    as it is needed, with the vertex-to-triangle lists built per call."""
+    n = len(points)
+    tri_of = [[] for _ in range(n)]
+    for ti, f in enumerate(faces):
+        for v in f:
+            tri_of[v].append(ti)
+    dist = np.full(n, np.inf)
+    done = np.zeros(n, dtype=bool)
+    dist[seed] = 0.0
+    heap = [(0.0, seed)]
+    limit = math.inf if cap is None else cap
+    while heap:
+        d, v = heapq.heappop(heap)
+        if done[v] or d > dist[v]:
+            continue
+        if d > limit:
+            break
+        done[v] = True
+        for ti in tri_of[v]:
+            f = faces[ti]
+            others = [w for w in f if w != v]
+            if len(others) != 2:
+                continue  # degenerate triangle
+            for c in others:
+                if done[c]:
+                    continue
+                o = others[0] if c == others[1] else others[1]
+                cand = d + float(np.linalg.norm(points[c] - points[v]))
+                if done[o] and np.isfinite(dist[o]):
+                    tu = triangle_update(d, dist[o], points[c], points[v], points[o])
+                    if tu < cand:
+                        cand = tu
+                if cand < dist[c]:
+                    dist[c] = cand
+                    heapq.heappush(heap, (cand, c))
+    if cap is not None:
+        dist = np.where(dist > cap, np.inf, dist)
+    return dist
+
+
+def orient_along_tree(normals, order, preds):
+    """Visit vertices in BFS order and flip each normal whose dot with its
+    parent's (already oriented) normal is negative."""
+    for v in order:
+        p = preds[v]
+        if p >= 0 and np.dot(normals[v], normals[p]) < 0:
+            normals[v] = -normals[v]

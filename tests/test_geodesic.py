@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from nrreg.errors import InvalidInputError
+from nrreg.evaluate import add_gaussian_normal_noise
 from nrreg.geodesic import (geodesic_from, multi_source_geodesic,
                             nearest_seed_labels)
-from nrreg.mesh import Surface
+from nrreg.mesh import Surface, compute_normals, normalize_pair
 
 from conftest import grid_mesh, polyline_surface
+from oracles import fast_marching
 
 
 def test_polyline_distances():
@@ -88,3 +90,42 @@ def test_point_cloud_falls_back_to_knn():
     d = geodesic_from(Surface(pts), 0).distances
     assert d[0] == 0.0
     assert np.isfinite(d).all()
+
+
+@pytest.mark.parametrize("n", [9, 25])
+def test_fmm_matches_pointwise_oracle_on_test_grids(n):
+    s = grid_mesh(n, n)
+    for seed in range(0, n * n, n + 2):
+        for cap in (None, 0.3):
+            assert np.array_equal(geodesic_from(s, seed, cap=cap).distances,
+                                  fast_marching(s.vertices, s.faces, seed, cap))
+
+
+def test_rebound_surfaces_march_their_own_geometry():
+    """What a surface is marched on is kept on it; a copy, or the surface
+    itself after its vertices or faces are rebound, must not reuse it."""
+    s = compute_normals(grid_mesh(9, 9))
+
+    def expect_fresh(t):
+        assert np.array_equal(geodesic_from(t, 3).distances,
+                              fast_marching(t.vertices, t.faces, 3, None))
+
+    expect_fresh(s)
+    scaled = s.copy()
+    scaled.vertices = 2.0 * scaled.vertices
+    expect_fresh(scaled)
+    expect_fresh(normalize_pair(s, s)[0])
+    expect_fresh(add_gaussian_normal_noise(s, 0.5, 0.05, 1))
+    s.vertices = 3.0 * s.vertices
+    expect_fresh(s)
+    s.faces = s.faces[::-1].copy()
+    expect_fresh(s)
+
+
+def test_rebound_point_cloud_gets_a_fresh_knn_graph():
+    rng = np.random.default_rng(4)
+    cloud = Surface(rng.uniform(size=(80, 3)))
+    geodesic_from(cloud, 0)
+    cloud.vertices = rng.uniform(size=(80, 3))
+    assert np.array_equal(geodesic_from(cloud, 0).distances,
+                          geodesic_from(Surface(cloud.vertices), 0).distances)

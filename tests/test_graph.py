@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from nrreg import geodesic
 from nrreg.correspond import RigidTransform, lift_rigid_to_state
 from nrreg.energy import identity_state, pack_state
 from nrreg.errors import InvalidInputError
@@ -9,7 +10,7 @@ from nrreg.geodesic import geodesic_from
 from nrreg.graph import (build_graph, influence_weights, node_field,
                          principal_axis, sample_nodes_farthest,
                          sample_nodes_pca, transform_points)
-from nrreg.mesh import mean_edge_length
+from nrreg.mesh import Surface, mean_edge_length, surface_edges
 
 from conftest import grid_mesh, polyline_surface, rot_z
 from oracles import influence_list
@@ -197,3 +198,21 @@ def test_build_graph_matches_dense_oracle(grid25, case, sampler):
                  (g.influence.data, W.data)):
         assert np.array_equal(a, b)
     assert len(g.fallback_points) == 0
+
+
+def test_point_cloud_graph_builds_its_knn_graph_once(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return surface_edges(s)
+
+    monkeypatch.setattr(geodesic, "surface_edges", counting)
+    rng = np.random.default_rng(5)
+    cloud = Surface(grid_mesh(12, 12).vertices + rng.normal(0.0, 0.01, size=(144, 3)))
+    R = 5.0 * mean_edge_length(cloud)
+    for sampler in ("pca", "farthest"):
+        g = build_graph(cloud.copy(), R=R, sampler=sampler)
+        assert g.n_nodes > 1
+        assert len(calls) == 1
+        calls.clear()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nrreg import mesh
 from nrreg.errors import DegenerateInputError, FormatError, InvalidInputError
 from nrreg.mesh import (NormalizationRecord, Surface, compute_normals,
                         edges_from_faces, error_colors, load_obj, load_ply,
@@ -8,6 +9,7 @@ from nrreg.mesh import (NormalizationRecord, Surface, compute_normals,
                         save_obj, save_ply, surface_edges, write_error_mesh)
 
 from conftest import grid_mesh
+from oracles import orient_along_tree
 
 
 def test_edges_from_faces_unique_sorted():
@@ -115,6 +117,36 @@ def test_point_cloud_normals_sphere():
     # PCA normals are radial up to a global sign, consistently oriented
     assert np.all(np.abs(radial) > 0.95)
     assert len(np.unique(np.sign(radial))) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pca_normal_orientation_matches_bfs_loop(seed, monkeypatch):
+    """Noisy wavy clouds: the propagated signs equal those of a pass that
+    flips vertex by vertex in BFS order, bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 1500))
+    xy = rng.uniform(size=(n, 2))
+    z = 0.1 * np.sin(4.0 * xy[:, 0]) + rng.normal(0.0, rng.uniform(0.0, 0.05), size=n)
+    pts = np.column_stack([xy, z])
+    fast = mesh._pca_normals(pts)
+    monkeypatch.setattr(mesh, "_orient_along_tree", orient_along_tree)
+    assert np.array_equal(fast, mesh._pca_normals(pts))
+
+
+def test_orient_along_tree_zero_dot_never_flips():
+    """Tree 0 -> 1 -> {2, 4}, 2 -> 3; vertex 5 is unreached.  Vertex 1 turns,
+    vertex 2 is perpendicular to it (dot exactly 0) and keeps its normal, so
+    its child 3 turns against it; vertex 4 agrees with 1 only once 1 turned."""
+    normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+                        [-1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, 0.0, -1.0]])
+    order = np.array([0, 1, 2, 4, 3])
+    preds = np.array([-9999, 0, 1, 2, 1, -9999])
+    expected = normals.copy()
+    orient_along_tree(expected, order, preds)
+    mesh._orient_along_tree(normals, order, preds)
+    assert np.array_equal(normals, expected)
+    assert np.array_equal(normals[:, 2], [1.0, 1.0, 0.0, 0.0, 0.8, -1.0])
+    assert np.array_equal(normals[2:4, 0], [1.0, 1.0])
 
 
 def test_obj_roundtrip(tmp_path):

@@ -3,7 +3,9 @@
 The graph marches each node's field once, capped at 2R, and reads both the
 sampling test (distances below R) and the influence and edge rules from it.
 That is exact only if a capped field equals the uncapped one with every
-entry beyond the cap set to +inf.
+entry beyond the cap set to +inf.  Fast marching runs on lengths and dots
+precomputed per surface, and must give the fields of a march that takes
+them from the points as it goes, to the last bit.
 
 The solver starts from a rigid map lifted onto the graph, so the lifted
 state must reproduce that map exactly.  Each outer iteration minimizes a
@@ -25,6 +27,7 @@ from nrreg.mesh import Surface
 from nrreg.solver import LbfgsHistory, two_loop_direction
 
 from conftest import grid_mesh
+from oracles import fast_marching
 from test_energy import random_graph, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -53,6 +56,33 @@ def test_capped_field_is_uncapped_field_cut_at_cap(case, cap_share, point_cloud)
     cap = cap_share * float(full.max())
     capped = geodesic_from(s, seed, cap=cap).distances
     assert np.array_equal(capped, np.where(full > cap, np.inf, full))
+
+
+@st.composite
+def odd_meshes(draw):
+    """A jittered wavy grid, optionally with a second, shifted copy as another
+    component, an isolated vertex and a degenerate triangle on two vertices
+    anywhere, one of them repeated; and a seed vertex anywhere."""
+    s, _ = draw(wavy_grids())
+    v, f = s.vertices, s.faces
+    if draw(st.booleans()):
+        f = np.vstack([f, f + len(v)])
+        v = np.vstack([v, v + [2.0, 0.0, 0.0]])
+    if draw(st.booleans()):
+        v = np.vstack([v, [0.5, 0.5, 1.0]])
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, len(v) - 1), min_size=2, max_size=2,
+                             unique=True))
+        f = np.vstack([f, draw(st.permutations([a, a, b]))])
+    return Surface(v, f), draw(st.integers(0, len(v) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_meshes(), st.one_of(st.none(), st.floats(0.0, 1.5)))
+def test_fmm_matches_pointwise_oracle(case, cap):
+    s, seed = case
+    assert np.array_equal(geodesic_from(s, seed, cap=cap).distances,
+                          fast_marching(s.vertices, s.faces, seed, cap))
 
 
 @settings(max_examples=40, deadline=None)
