@@ -141,8 +141,8 @@ def cmd_register(args):
         raise FileNotFoundError(gt_path)
     params = _solver_params(cfg)
 
-    source = compute_normals(load_surface(src_path))
-    target = compute_normals(load_surface(tgt_path))
+    source = load_surface(src_path)
+    target = load_surface(tgt_path)
     src_n, tgt_n, rec = normalize_pair(source, target)
     src_n = compute_normals(src_n)
     tgt_n = compute_normals(tgt_n)

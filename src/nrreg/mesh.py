@@ -21,13 +21,17 @@ KNN_GRAPH_K = 8
 
 
 def edges_from_faces(faces):
-    """Unique undirected edges (sorted index pairs) of a triangle array."""
+    """Unique undirected edges (sorted index pairs) of a triangle array with
+    non-negative indices, in lexicographic order."""
     faces = np.asarray(faces, dtype=np.int64)
     if faces.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e.sort(axis=1)
-    return np.unique(e, axis=0)
+    a, b = faces.T.ravel(), faces[:, [1, 2, 0]].T.ravel()
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    # one integer key per pair, ordered as the pairs are
+    n = j.max() + 1
+    key = np.unique(i * n + j)
+    return np.column_stack([key // n, key % n])
 
 
 @dataclass
@@ -173,9 +177,12 @@ def _face_vertex_normals(vertices, faces):
     lens = np.linalg.norm(fn, axis=1)
     ok = lens > 0
     fn[ok] /= lens[ok, None]
-    acc = np.zeros_like(vertices)
-    for k in range(3):
-        np.add.at(acc, faces[:, k], fn)
+    # corner 0 of every face, then corner 1, then 2: the order np.add.at
+    # would add them in, so every sum is the same to the last bit
+    corners = faces.T.ravel()
+    acc = np.empty_like(vertices)
+    for c in range(3):
+        acc[:, c] = np.bincount(corners, np.tile(fn[:, c], 3), minlength=len(vertices))
     lens = np.linalg.norm(acc, axis=1)
     lens[lens == 0] = 1.0
     return acc / lens[:, None]
@@ -304,6 +311,12 @@ def save_obj(s: Surface, path):
 
 # ---------------------------------------------------------------------------
 # PLY
+#
+# A body is read one element at a time, as one block: every row of the
+# element converted at once into a float64 array with one column per value.
+# That takes each row to have the first row's list lengths, which is checked;
+# an element whose rows differ (triangles mixed with quads) is walked row by
+# row instead.
 
 _PLY_TYPES = {
     "char": "b", "int8": "b",
@@ -315,6 +328,8 @@ _PLY_TYPES = {
     "float": "f", "float32": "f",
     "double": "d", "float64": "d",
 }
+
+_FACE_LISTS = ("vertex_indices", "vertex_index")
 
 
 def _parse_ply_header(fh, path):
@@ -333,135 +348,240 @@ def _parse_ply_header(fh, path):
         if not line or line.startswith("comment") or line.startswith("obj_info"):
             continue
         parts = line.split()
-        if parts[0] == "format":
-            fmt = parts[1]
-            if fmt not in ("ascii", "binary_little_endian"):
-                raise FormatError(f"unsupported format {fmt!r}", path, lineno)
-        elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
-        elif parts[0] == "property":
-            if not elements:
-                raise FormatError("property before element", path, lineno)
-            if parts[1] == "list":
-                elements[-1][2].append((parts[4], parts[3], parts[2]))
+        try:
+            if parts[0] == "format":
+                fmt = parts[1]
+                if fmt not in ("ascii", "binary_little_endian"):
+                    raise FormatError(f"unsupported format {fmt!r}", path, lineno)
+            elif parts[0] == "element":
+                count = int(parts[2])
+                if count < 0:
+                    raise FormatError("negative element count", path, lineno)
+                elements.append((parts[1], count, []))
+            elif parts[0] == "property":
+                if not elements:
+                    raise FormatError("property before element", path, lineno)
+                if parts[1] == "list":
+                    prop = (parts[4], parts[3], parts[2])
+                    if prop[2] not in _PLY_TYPES or _PLY_TYPES[prop[2]] in "fd":
+                        raise FormatError("list length type is not an integer", path, lineno)
+                else:
+                    prop = (parts[2], parts[1], None)
+                if prop[1] not in _PLY_TYPES:
+                    raise FormatError(f"unknown property type {prop[1]!r}", path, lineno)
+                elements[-1][2].append(prop)
+            elif parts[0] == "end_header":
+                break
             else:
-                elements[-1][2].append((parts[2], parts[1], None))
-        elif parts[0] == "end_header":
-            break
-        else:
-            raise FormatError(f"unknown header record {parts[0]!r}", path, lineno)
+                raise FormatError(f"unknown header record {parts[0]!r}", path, lineno)
+        except (IndexError, ValueError):
+            raise FormatError(f"malformed header record {line!r}", path, lineno) from None
     if fmt is None:
         raise FormatError("header has no format record", path)
     return fmt, elements
 
 
+class _AsciiBody:
+    """Whitespace-separated values, one token each, read as float64."""
+
+    def __init__(self, data):
+        self.tokens = data.decode("ascii", errors="replace").split()
+        self.end = len(self.tokens)
+
+    def size(self, ptype):
+        return 1
+
+    def length(self, p, ltype):
+        return int(self.tokens[p])
+
+    def block(self, pos, types, count):
+        rows = np.array(self.tokens[pos:pos + count * len(types)], dtype=np.float64)
+        return rows.reshape(count, len(types))
+
+    def take(self, offsets, ptype):
+        return np.array([self.tokens[p] for p in offsets], dtype=np.float64)
+
+
+class _BinaryBody:
+    """Little-endian values packed back to back."""
+
+    def __init__(self, data):
+        self.data = data
+        self.end = len(data)
+
+    def size(self, ptype):
+        return struct.calcsize("<" + _PLY_TYPES[ptype])
+
+    def length(self, p, ltype):
+        return struct.unpack_from("<" + _PLY_TYPES[ltype], self.data, p)[0]
+
+    def block(self, pos, types, count):
+        row = np.dtype([(f"v{k}", "<" + _PLY_TYPES[t]) for k, t in enumerate(types)])
+        rows = np.frombuffer(self.data, row, count, pos)
+        return rows.astype([(f, np.float64) for f in row.names]).view(np.float64).reshape(count, -1)
+
+    def take(self, offsets, ptype):
+        code = "<" + _PLY_TYPES[ptype]
+        spans = np.add.outer(np.asarray(offsets, dtype=np.int64), np.arange(struct.calcsize(code)))
+        return np.frombuffer(self.data, np.uint8)[spans].view(code)[:, 0].astype(np.float64)
+
+
+def _walk(body, pos, count, props):
+    """Row by row, the offset of every property value in ``count`` rows from
+    ``pos``, the lengths of each list, and the position after the rows."""
+    offsets = {p: [] for p, _, _ in props}
+    lengths = {p: [] for p, _, ltype in props if ltype}
+    for _ in range(count):
+        for pname, ptype, ltype in props:
+            step, n = body.size(ptype), 1
+            if ltype is not None:
+                n = body.length(pos, ltype)
+                if n < 0:
+                    raise ValueError("negative list length")
+                lengths[pname].append(n)
+                pos += body.size(ltype)
+            if pos + n * step > body.end:
+                raise IndexError("body ends inside an element")
+            offsets[pname].extend(range(pos, pos + n * step, step))
+            pos += n * step
+    return offsets, lengths, pos
+
+
+def _split_rows(rows, props, lengths):
+    """Columns of a block whose rows all have the first row's list lengths,
+    or None if one differs."""
+    scalars, lists, c = {}, {}, 0
+    for pname, _, ltype in props:
+        if ltype is None:
+            scalars[pname] = rows[:, c]
+            c += 1
+        else:
+            n = lengths[pname][0]
+            if not (rows[:, c] == n).all():
+                return None
+            lists[pname] = (np.full(len(rows), n), rows[:, c + 1:c + 1 + n].ravel())
+            c += 1 + n
+    return scalars, lists
+
+
+def _read_element(body, pos, count, props):
+    """Scalar and list columns of the element whose rows start at ``pos``, and
+    the position after it.  A scalar property reads as a (count,) float64
+    array, a list property as its (count,) lengths and its values end to end."""
+    if count == 0 or not props:
+        return ({}, {}), pos
+    _, lengths, first_end = _walk(body, pos, 1, props)
+    end = pos + count * (first_end - pos)
+    if end <= body.end:
+        types = []
+        for pname, ptype, ltype in props:
+            types += [ptype] if ltype is None else [ltype] + [ptype] * lengths[pname][0]
+        try:
+            cols = _split_rows(body.block(pos, types, count), props, lengths)
+        except ValueError:      # a bad value, or one past a shorter element
+            cols = None
+        if cols is not None:
+            return cols, end
+    offsets, lengths, end = _walk(body, pos, count, props)
+    scalars = {p: body.take(offsets[p], t) for p, t, ltype in props if ltype is None}
+    lists = {p: (np.array(lengths[p], dtype=np.int64), body.take(offsets[p], t))
+             for p, t, ltype in props if ltype is not None}
+    return (scalars, lists), end
+
+
+def _fan(lengths, indices):
+    """Fan triangles (v0, vj, vj+1) of polygons given by their sizes and their
+    vertex indices end to end, in polygon order."""
+    ntri = np.maximum(lengths - 2, 0)
+    first = np.repeat(np.cumsum(lengths) - lengths, ntri)
+    j = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(ntri) - ntri, ntri)
+    return np.column_stack([indices[first], indices[j], indices[j + 1]])
+
+
 def load_ply(path):
+    """Load an ascii or binary_little_endian PLY surface.
+
+    Polygons are fan-triangulated, and ``nx``/``ny``/``nz`` vertex properties
+    become normals.  A malformed file raises :class:`FormatError`.
+    """
     with open(path, "rb") as fh:
         fmt, elements = _parse_ply_header(fh, path)
-        data = {}
-        if fmt == "ascii":
-            text = fh.read().decode("ascii", errors="replace").split()
-            pos = 0
-            for name, count, props in elements:
-                rows = []
-                for _ in range(count):
-                    row = {}
-                    for pname, ptype, ltype in props:
-                        if ltype is None:
-                            row[pname] = float(text[pos]); pos += 1
-                        else:
-                            cnt = int(text[pos]); pos += 1
-                            row[pname] = [float(text[pos + k]) for k in range(cnt)]
-                            pos += cnt
-                    rows.append(row)
-                data[name] = rows
-        else:
-            for name, count, props in elements:
-                rows = []
-                for _ in range(count):
-                    row = {}
-                    for pname, ptype, ltype in props:
-                        if ltype is None:
-                            code = _PLY_TYPES[ptype]
-                            (val,) = struct.unpack("<" + code, fh.read(struct.calcsize(code)))
-                            row[pname] = float(val)
-                        else:
-                            ccode = _PLY_TYPES[ltype]
-                            (cnt,) = struct.unpack("<" + ccode, fh.read(struct.calcsize(ccode)))
-                            icode = _PLY_TYPES[ptype]
-                            sz = struct.calcsize(icode)
-                            row[pname] = list(struct.unpack("<" + icode * cnt, fh.read(sz * cnt)))
-                    rows.append(row)
-                data[name] = rows
+        body = (_AsciiBody if fmt == "ascii" else _BinaryBody)(fh.read())
+    cols, counts, pos = {}, {}, 0
+    for name, count, props in elements:
+        try:
+            cols[name], pos = _read_element(body, pos, count, props)
+        except (IndexError, struct.error):
+            raise FormatError(f"body ends inside element {name!r}", path) from None
+        except ValueError:
+            raise FormatError(f"bad value in element {name!r}", path) from None
+        counts[name] = count
 
-    if "vertex" not in data or not data["vertex"]:
+    if not counts.get("vertex"):
         raise InvalidInputError(f"{path}: no vertices")
-    vrows = data["vertex"]
-    verts = np.array([[r["x"], r["y"], r["z"]] for r in vrows], dtype=np.float64)
+    scalars = cols["vertex"][0]
+    if not all(k in scalars for k in ("x", "y", "z")):
+        raise FormatError("vertex element lacks x, y or z", path)
+    verts = np.column_stack([scalars["x"], scalars["y"], scalars["z"]])
     normals = None
-    if all(k in vrows[0] for k in ("nx", "ny", "nz")):
-        normals = np.array([[r["nx"], r["ny"], r["nz"]] for r in vrows], dtype=np.float64)
+    if all(k in scalars for k in ("nx", "ny", "nz")):
+        normals = np.column_stack([scalars["nx"], scalars["ny"], scalars["nz"]])
     faces = None
-    if "face" in data and data["face"]:
-        tri = []
-        for r in data["face"]:
-            idx = [int(i) for i in r["vertex_indices"]]
-            for a, b in zip(idx[1:-1], idx[2:]):
-                tri.append([idx[0], a, b])
-        faces = np.array(tri, dtype=np.int64)
-        if faces.size and (faces.min() < 0 or faces.max() >= len(verts)):
+    if counts.get("face"):
+        lists = cols["face"][1]
+        key = next((k for k in _FACE_LISTS if k in lists), None)
+        if key is None:
+            raise FormatError("face element has no vertex_indices list", path)
+        tri = np.trunc(_fan(*lists[key]))
+        if not ((tri >= 0) & (tri < len(verts))).all():
             raise FormatError("face index out of range", path)
+        faces = tri.astype(np.int64)
     return Surface(verts, faces, normals=normals)
 
 
 def save_ply(s: Surface, path, colors=None, binary=False):
     """Write a surface as PLY; ``colors`` is an optional (n, 3) uint8 array."""
     n = s.n_vertices
-    has_n = s.normals is not None
-    has_c = colors is not None
-    if has_c:
+    # (PLY type, property names, values) of each per-vertex triple
+    blocks = [("float", "x y z", s.vertices)]
+    if s.normals is not None:
+        blocks.append(("float", "nx ny nz", s.normals))
+    if colors is not None:
         colors = np.asarray(colors, dtype=np.uint8)
         if colors.shape != (n, 3):
             raise InvalidInputError("colors must be (n, 3)")
+        blocks.append(("uchar", "red green blue", colors))
     header = ["ply",
               "format binary_little_endian 1.0" if binary else "format ascii 1.0",
-              f"element vertex {n}",
-              "property float x", "property float y", "property float z"]
-    if has_n:
-        header += ["property float nx", "property float ny", "property float nz"]
-    if has_c:
-        header += ["property uchar red", "property uchar green", "property uchar blue"]
-    nf = 0 if s.faces is None else len(s.faces)
+              f"element vertex {n}"]
+    header += [f"property {t} {name}" for t, names, _ in blocks for name in names.split()]
     if s.faces is not None:
-        header += [f"element face {nf}",
-                   "property list uchar int vertex_indices"]
+        header += [f"element face {len(s.faces)}", "property list uchar int vertex_indices"]
     header.append("end_header")
 
+    if binary:
+        rows = np.empty(n, [(f"p{k}", "<" + _PLY_TYPES[t], (3,)) for k, (t, _, _) in enumerate(blocks)])
+        with np.errstate(over="ignore"):
+            for k, (_, _, values) in enumerate(blocks):
+                rows[f"p{k}"] = values
+        if not all(np.isfinite(rows[f]).all() for f in rows.dtype.names):
+            raise InvalidInputError("values beyond the float32 range of binary PLY")
+        body = [rows.tobytes()]
+        if s.faces is not None:
+            tri = np.empty(len(s.faces), [("n", "u1"), ("v", "<i4", (3,))])
+            tri["n"] = 3
+            tri["v"] = s.faces
+            body.append(tri.tobytes())
+    else:
+        row = " ".join(("%d" if t == "uchar" else "%.9g") for t, _, _ in blocks for _ in range(3))
+        values = np.column_stack([v for _, _, v in blocks]).ravel().tolist()
+        text = (row + "\n") * n % tuple(values)
+        if s.faces is not None:
+            text += "3 %d %d %d\n" * len(s.faces) % tuple(s.faces.ravel().tolist())
+        body = [(text or "\n").encode("ascii")]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            for i in range(n):
-                fh.write(struct.pack("<3f", *s.vertices[i]))
-                if has_n:
-                    fh.write(struct.pack("<3f", *s.normals[i]))
-                if has_c:
-                    fh.write(struct.pack("<3B", *colors[i]))
-            if s.faces is not None:
-                for f in s.faces:
-                    fh.write(struct.pack("<B3i", 3, *f))
-        else:
-            lines = []
-            for i in range(n):
-                parts = [f"{x:.9g}" for x in s.vertices[i]]
-                if has_n:
-                    parts += [f"{x:.9g}" for x in s.normals[i]]
-                if has_c:
-                    parts += [str(int(x)) for x in colors[i]]
-                lines.append(" ".join(parts))
-            if s.faces is not None:
-                for f in s.faces:
-                    lines.append(f"3 {f[0]} {f[1]} {f[2]}")
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.writelines(body)
 
 
 def load_surface(path, fmt=None):

@@ -9,14 +9,22 @@ The same goes for fast marching, which the package runs on lengths and dots
 precomputed per surface, and for the orientation of PCA normals, which it
 propagates along the spanning tree by pointer jumping: the loops below take
 every quantity from the points or normals at the moment it is needed.
+
+The package reads and writes PLY one numpy block per element; the reader
+and writer below go one row at a time through a dict per row and ``struct``.
+Edges are deduplicated here as index-pair rows, and face normals summed
+with ``np.add.at``, one corner at a time.
 """
 
 import heapq
 import math
+import struct
 
 import numpy as np
 
 from nrreg.energy import unpack_state
+from nrreg.errors import FormatError, InvalidInputError
+from nrreg.mesh import _PLY_TYPES, Surface, _parse_ply_header
 
 
 def influence_list(g, i):
@@ -138,3 +146,136 @@ def orient_along_tree(normals, order, preds):
         p = preds[v]
         if p >= 0 and np.dot(normals[v], normals[p]) < 0:
             normals[v] = -normals[v]
+
+
+def edges_unique_rows(faces):
+    """Unique undirected edges (sorted index pairs) of a triangle array."""
+    faces = np.asarray(faces, dtype=np.int64)
+    if faces.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    e.sort(axis=1)
+    return np.unique(e, axis=0)
+
+
+def face_vertex_normals(vertices, faces):
+    v0, v1, v2 = (vertices[faces[:, k]] for k in range(3))
+    fn = np.cross(v1 - v0, v2 - v0)
+    lens = np.linalg.norm(fn, axis=1)
+    ok = lens > 0
+    fn[ok] /= lens[ok, None]
+    acc = np.zeros_like(vertices)
+    for k in range(3):
+        np.add.at(acc, faces[:, k], fn)
+    lens = np.linalg.norm(acc, axis=1)
+    lens[lens == 0] = 1.0
+    return acc / lens[:, None]
+
+
+def load_ply_rows(path):
+    with open(path, "rb") as fh:
+        fmt, elements = _parse_ply_header(fh, path)
+        data = {}
+        if fmt == "ascii":
+            text = fh.read().decode("ascii", errors="replace").split()
+            pos = 0
+            for name, count, props in elements:
+                rows = []
+                for _ in range(count):
+                    row = {}
+                    for pname, ptype, ltype in props:
+                        if ltype is None:
+                            row[pname] = float(text[pos]); pos += 1
+                        else:
+                            cnt = int(text[pos]); pos += 1
+                            row[pname] = [float(text[pos + k]) for k in range(cnt)]
+                            pos += cnt
+                    rows.append(row)
+                data[name] = rows
+        else:
+            for name, count, props in elements:
+                rows = []
+                for _ in range(count):
+                    row = {}
+                    for pname, ptype, ltype in props:
+                        if ltype is None:
+                            code = _PLY_TYPES[ptype]
+                            (val,) = struct.unpack("<" + code, fh.read(struct.calcsize(code)))
+                            row[pname] = float(val)
+                        else:
+                            ccode = _PLY_TYPES[ltype]
+                            (cnt,) = struct.unpack("<" + ccode, fh.read(struct.calcsize(ccode)))
+                            icode = _PLY_TYPES[ptype]
+                            sz = struct.calcsize(icode)
+                            row[pname] = list(struct.unpack("<" + icode * cnt, fh.read(sz * cnt)))
+                    rows.append(row)
+                data[name] = rows
+
+    if "vertex" not in data or not data["vertex"]:
+        raise InvalidInputError(f"{path}: no vertices")
+    vrows = data["vertex"]
+    verts = np.array([[r["x"], r["y"], r["z"]] for r in vrows], dtype=np.float64)
+    normals = None
+    if all(k in vrows[0] for k in ("nx", "ny", "nz")):
+        normals = np.array([[r["nx"], r["ny"], r["nz"]] for r in vrows], dtype=np.float64)
+    faces = None
+    if "face" in data and data["face"]:
+        tri = []
+        for r in data["face"]:
+            idx = [int(i) for i in r["vertex_indices"]]
+            for a, b in zip(idx[1:-1], idx[2:]):
+                tri.append([idx[0], a, b])
+        faces = np.array(tri, dtype=np.int64)
+        if faces.size and (faces.min() < 0 or faces.max() >= len(verts)):
+            raise FormatError("face index out of range", path)
+    return Surface(verts, faces, normals=normals)
+
+
+def save_ply_rows(s: Surface, path, colors=None, binary=False):
+    """Write a surface as PLY; ``colors`` is an optional (n, 3) uint8 array."""
+    n = s.n_vertices
+    has_n = s.normals is not None
+    has_c = colors is not None
+    if has_c:
+        colors = np.asarray(colors, dtype=np.uint8)
+        if colors.shape != (n, 3):
+            raise InvalidInputError("colors must be (n, 3)")
+    header = ["ply",
+              "format binary_little_endian 1.0" if binary else "format ascii 1.0",
+              f"element vertex {n}",
+              "property float x", "property float y", "property float z"]
+    if has_n:
+        header += ["property float nx", "property float ny", "property float nz"]
+    if has_c:
+        header += ["property uchar red", "property uchar green", "property uchar blue"]
+    nf = 0 if s.faces is None else len(s.faces)
+    if s.faces is not None:
+        header += [f"element face {nf}",
+                   "property list uchar int vertex_indices"]
+    header.append("end_header")
+
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        if binary:
+            for i in range(n):
+                fh.write(struct.pack("<3f", *s.vertices[i]))
+                if has_n:
+                    fh.write(struct.pack("<3f", *s.normals[i]))
+                if has_c:
+                    fh.write(struct.pack("<3B", *colors[i]))
+            if s.faces is not None:
+                for f in s.faces:
+                    fh.write(struct.pack("<B3i", 3, *f))
+        else:
+            lines = []
+            for i in range(n):
+                parts = [f"{x:.9g}" for x in s.vertices[i]]
+                if has_n:
+                    parts += [f"{x:.9g}" for x in s.normals[i]]
+                if has_c:
+                    parts += [str(int(x)) for x in colors[i]]
+                lines.append(" ".join(parts))
+            if s.faces is not None:
+                for f in s.faces:
+                    lines.append(f"3 {f[0]} {f[1]} {f[2]}")
+            fh.write(("\n".join(lines) + "\n").encode("ascii"))

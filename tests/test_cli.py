@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from nrreg import mesh
 from nrreg.cli import (EXIT_BAD_PATH, EXIT_OK, _merge_config, _read_config,
                        _solver_params, main)
-from nrreg.mesh import load_ply, save_obj, save_ply
+from nrreg.mesh import (Surface, compute_normals, load_ply, load_surface,
+                        normalize_pair, save_obj, save_ply)
+from nrreg.solver import SolverParams, register
 
 from conftest import grid_mesh
 
@@ -61,6 +64,47 @@ def test_register_nan_vertex_is_typed_error(mesh_files, tmp_path, capsys):
     assert err.startswith("error:")
     assert "finite" in err
     assert "Traceback" not in err
+
+
+def test_register_truncated_ply_is_typed_error(mesh_files, tmp_path, capsys):
+    d, _ = mesh_files
+    bad = tmp_path / "truncated.ply"
+    bad.write_bytes((d / "target.ply").read_bytes()[:-40])
+    rc = main(["register", "--source", str(d / "source.obj"), "--target", str(bad),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_register_estimates_normals_once_per_input(mesh_files, tmp_path, monkeypatch):
+    """Normals come from the normalized surfaces only: a point-cloud target
+    gets one PCA estimate, and the outputs are those of a run that also
+    estimated normals on the raw inputs."""
+    d, s = mesh_files
+    cloud = tmp_path / "cloud.ply"
+    bent = s.vertices + [0.0, 0.0, 0.05] * np.sin(3.0 * s.vertices[:, :1])
+    save_ply(Surface(bent), cloud)
+    calls = []
+    pca = mesh._pca_normals
+    monkeypatch.setattr(mesh, "_pca_normals", lambda *a, **k: calls.append(1) or pca(*a, **k))
+    new = tmp_path / "new"
+    assert main(["register", "--source", str(d / "source.obj"), "--target", str(cloud),
+                 "--out", str(new)]) == EXIT_OK
+    assert len(calls) == 1
+
+    old = tmp_path / "old"
+    old.mkdir()
+    source = compute_normals(load_surface(d / "source.obj"))
+    target = compute_normals(load_surface(cloud))
+    src_n, tgt_n, rec = normalize_pair(source, target)
+    result = register(compute_normals(src_n), compute_normals(tgt_n), SolverParams())
+    save_ply(Surface(rec.denormalize(result.transformed_source, "target"), source.faces),
+             old / "result.ply")
+    result.write_trace_csv(old / "trace.csv")
+    for name in ("result.ply", "trace.csv"):
+        assert (new / name).read_bytes() == (old / name).read_bytes()
 
 
 def test_register_determinism(mesh_files, tmp_path):

@@ -9,7 +9,7 @@ from nrreg.mesh import (NormalizationRecord, Surface, compute_normals,
                         save_obj, save_ply, surface_edges, write_error_mesh)
 
 from conftest import grid_mesh
-from oracles import orient_along_tree
+from oracles import face_vertex_normals, orient_along_tree
 
 
 def test_edges_from_faces_unique_sorted():
@@ -119,6 +119,18 @@ def test_point_cloud_normals_sphere():
     assert len(np.unique(np.sign(radial))) == 1
 
 
+def test_face_normals_match_add_at_oracle():
+    """The per-vertex sums add the faces' normals in np.add.at's order, so
+    they are equal bit for bit."""
+    s = grid_mesh(50, 50, wavy=0.1)
+    assert np.array_equal(mesh._face_vertex_normals(s.vertices, s.faces),
+                          face_vertex_normals(s.vertices, s.faces))
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(60, 3))
+    f = rng.integers(0, 60, size=(300, 3))
+    assert np.array_equal(mesh._face_vertex_normals(v, f), face_vertex_normals(v, f))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_pca_normal_orientation_matches_bfs_loop(seed, monkeypatch):
     """Noisy wavy clouds: the propagated signs equal those of a pass that
@@ -200,11 +212,69 @@ def test_ply_binary_roundtrip(tmp_path):
     assert np.array_equal(back.faces, s.faces)
 
 
+def test_ply_binary_beyond_float32_is_typed_error(tmp_path):
+    p = tmp_path / "big.ply"
+    with pytest.raises(InvalidInputError):
+        save_ply(Surface([[1e39, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), p, binary=True)
+    assert not p.exists()
+
+
 def test_ply_bad_magic(tmp_path):
     p = tmp_path / "bad.ply"
     p.write_bytes(b"not a ply\n")
     with pytest.raises(FormatError):
         load_ply(p)
+
+
+_PLY_XYZ = (b"ply\nformat ascii 1.0\nelement vertex 3\n"
+            b"property float x\nproperty float y\nproperty float z\n")
+_PLY_FACE = b"element face 1\nproperty list uchar int vertex_indices\n"
+_PLY_BODY = b"end_header\n0 0 0\n1 0 0\n0 1 0\n"
+
+
+def _binary_triangle():
+    return (_PLY_XYZ.replace(b"ascii", b"binary_little_endian") + _PLY_FACE + b"end_header\n"
+            + np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype="<f4").tobytes()
+            + bytes([3]) + np.array([0, 1, 2], dtype="<i4").tobytes())
+
+
+# Each escaped as a builtin exception from the row-by-row reader.
+MALFORMED_PLY = {
+    "truncated-ascii": _PLY_XYZ + b"end_header\n0 0 0\n1 0 0\n0 1",
+    "non-numeric-token": _PLY_XYZ + b"end_header\n0 0 0\n1 zero 0\n0 1 0\n",
+    "non-integer-count": _PLY_XYZ.replace(b"vertex 3", b"vertex 3.5") + _PLY_BODY,
+    "no-z": _PLY_XYZ.replace(b"property float z\n", b"") + b"end_header\n0 0\n1 0\n0 1\n",
+    "truncated-binary": _binary_triangle()[:-2],
+    "unnamed-face-list": _PLY_XYZ + _PLY_FACE.replace(b"vertex_indices", b"corners")
+    + _PLY_BODY + b"3 0 1 2\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PLY))
+def test_ply_malformed_is_format_error(tmp_path, case):
+    p = tmp_path / "bad.ply"
+    p.write_bytes(MALFORMED_PLY[case])
+    with pytest.raises(FormatError) as exc:
+        load_ply(p)
+    assert exc.value.path == p
+
+
+def test_ply_face_list_named_vertex_index(tmp_path):
+    p = tmp_path / "m.ply"
+    p.write_bytes(_PLY_XYZ + _PLY_FACE.replace(b"indices", b"index") + _PLY_BODY + b"3 0 1 2\n")
+    assert load_ply(p).faces.tolist() == [[0, 1, 2]]
+    # the untruncated binary file of the malformed cases loads
+    p.write_bytes(_binary_triangle())
+    assert load_ply(p).faces.tolist() == [[0, 1, 2]]
+
+
+def test_ply_mixed_polygons_fan_triangulate(tmp_path):
+    p = tmp_path / "mixed.ply"
+    p.write_bytes(_PLY_XYZ.replace(b"vertex 3", b"vertex 5")
+                  + _PLY_FACE.replace(b"face 1", b"face 2")
+                  + b"end_header\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n2 0 0\n"
+                  + b"4 0 1 2 3\n3 1 4 2\n")
+    assert load_ply(p).faces.tolist() == [[0, 1, 2], [0, 2, 3], [1, 4, 2]]
 
 
 def test_load_surface_dispatch(tmp_path):

@@ -11,11 +11,20 @@ The solver starts from a rigid map lifted onto the graph, so the lifted
 state must reproduce that map exactly.  Each outer iteration minimizes a
 quadratic surrogate, which lowers the robust energy only if the surrogate
 majorizes it; and each L-BFGS step needs a descent direction.
+
+Surfaces are read and written as PLY one block per element, and must load
+and save exactly as a reader and writer that go row by row do; edges are
+deduplicated through one integer key per index pair, and must come out as
+the sorted unique rows.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 from nrreg.correspond import (CorrespondenceSet, RigidTransform,
@@ -23,11 +32,11 @@ from nrreg.correspond import (CorrespondenceSet, RigidTransform,
 from nrreg.energy import EnergyParams, assemble_surrogate, total_energy
 from nrreg.geodesic import geodesic_from
 from nrreg.graph import build_graph, transform_points
-from nrreg.mesh import Surface
+from nrreg.mesh import Surface, edges_from_faces, load_ply, save_ply
 from nrreg.solver import LbfgsHistory, two_loop_direction
 
 from conftest import grid_mesh
-from oracles import fast_marching
+from oracles import edges_unique_rows, fast_marching, load_ply_rows, save_ply_rows
 from test_energy import random_graph, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -151,3 +160,120 @@ def test_two_loop_direction_is_descent(seed, r, m, n_pairs):
                             lambda Q: np.linalg.solve(H0, Q.ravel()).reshape(Q.shape)).ravel()
         for e in np.eye(n)])
     assert np.linalg.eigvalsh(Hinv + Hinv.T).min() > 0.0
+
+
+# within the float32 range, so that binary files can hold every value
+coords = st.floats(-1e30, 1e30, allow_nan=False)
+
+
+@st.composite
+def ply_surfaces(draw):
+    """A surface of 1 to 20 vertices, each of faces, normals and per-vertex
+    colors drawn or left out, and whether to write it as binary."""
+    n = draw(st.integers(1, 20))
+    faces = draw(st.none() | arrays(np.int64, st.tuples(st.integers(0, 12), st.just(3)),
+                                    elements=st.integers(0, n - 1)))
+    normals = draw(st.none() | arrays(np.float64, (n, 3), elements=coords))
+    colors = draw(st.none() | arrays(np.uint8, (n, 3)))
+    s = Surface(draw(arrays(np.float64, (n, 3), elements=coords)), faces, normals=normals)
+    return s, colors, draw(st.booleans())
+
+
+@st.composite
+def polygon_plys(draw):
+    """Bytes of a hand-written PLY whose polygons have 0 to 5 vertices each,
+    in the same or mixed sizes, at least one of them with 3 or more.  The
+    vertices may carry a list of 0 to 2 weights, so that rows of mixed length
+    occur in the vertex element too, and an ascii file may write the face
+    indices with a fraction, which loading truncates."""
+    n = draw(st.integers(1, 10))
+    v = draw(arrays(np.float64, (n, 3), elements=coords)).tolist()
+    weights = draw(st.none() | st.lists(st.lists(coords, max_size=2), min_size=n, max_size=n))
+    polygons = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=5),
+                             min_size=1, max_size=12))
+    assume(any(len(p) >= 3 for p in polygons))
+    binary = draw(st.booleans())
+    head = ["ply", "format %s 1.0" % ("binary_little_endian" if binary else "ascii"),
+            "element vertex %d" % n, "property double x", "property double y", "property double z"]
+    if weights is not None:
+        head.append("property list uchar float weights")
+    head += ["element face %d" % len(polygons), "property list uchar int vertex_indices",
+             "end_header"]
+    body = []
+    if binary:
+        for k, row in enumerate(v):
+            body.append(np.array(row, dtype="<f8").tobytes())
+            if weights is not None:
+                body.append(bytes([len(weights[k])]) + np.array(weights[k], dtype="<f4").tobytes())
+        for p in polygons:
+            body.append(bytes([len(p)]) + np.array(p, dtype="<i4").tobytes())
+    else:
+        frac = draw(st.sampled_from([0.0, 0.5]))
+        for k, row in enumerate(v):
+            tokens = [repr(x) for x in row]
+            if weights is not None:
+                tokens += [str(len(weights[k]))] + [repr(w) for w in weights[k]]
+            body.append((" ".join(tokens) + "\n").encode())
+        for p in polygons:
+            body.append((" ".join([str(len(p))] + [repr(i + frac) for i in p]) + "\n").encode())
+    return ("\n".join(head) + "\n").encode() + b"".join(body)
+
+
+@st.composite
+def face_arrays(draw):
+    """Triangles on up to 2 000 vertices, some repeated, some degenerate."""
+    n = draw(st.integers(1, 2000))
+    f = draw(arrays(np.int64, st.tuples(st.integers(0, 30), st.just(3)),
+                    elements=st.integers(0, n - 1)))
+    f = np.concatenate([f, f[:draw(st.integers(0, 5))]])
+    degenerate = draw(arrays(np.bool_, len(f)))
+    f[degenerate, 2] = f[degenerate, 0]
+    return f
+
+
+def _same(a, b):
+    """Equal in shape, dtype and value, or both None."""
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_loads_as_rows(path):
+    new, old = load_ply(path), load_ply_rows(path)
+    for name in ("vertices", "faces", "edges", "normals"):
+        assert _same(getattr(new, name), getattr(old, name)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(ply_surfaces())
+def test_saved_ply_loads_as_the_row_reader_loads_it(case):
+    s, colors, binary = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.ply"
+        save_ply(s, path, colors=colors, binary=binary)
+        _assert_loads_as_rows(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polygon_plys())
+def test_polygon_ply_loads_as_the_row_reader_loads_it(data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "p.ply"
+        path.write_bytes(data)
+        _assert_loads_as_rows(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ply_surfaces())
+def test_save_ply_writes_the_row_writer_bytes(case):
+    s, colors, binary = case
+    with tempfile.TemporaryDirectory() as d:
+        save_ply(s, Path(d) / "new.ply", colors=colors, binary=binary)
+        save_ply_rows(s, Path(d) / "old.ply", colors=colors, binary=binary)
+        assert (Path(d) / "new.ply").read_bytes() == (Path(d) / "old.ply").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(face_arrays())
+def test_edges_from_faces_are_the_unique_sorted_rows(faces):
+    assert _same(edges_from_faces(faces), edges_unique_rows(faces))
