@@ -17,8 +17,9 @@ import traceback
 import numpy as np
 
 from . import evaluate, mesh
+from .energy import KERNELS
 from .errors import NrregError
-from .graph import build_graph
+from .graph import SAMPLERS, build_graph
 from .mesh import (Surface, compute_normals, load_surface, mean_edge_length,
                    normalize_pair, save_ply, write_error_mesh)
 from .solver import SolverParams, register
@@ -48,8 +49,8 @@ def _add_common_flags(p):
     p.add_argument("--target", help="target surface (OBJ or PLY)")
     p.add_argument("--gt", help="ground-truth deformed positions (PLY)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--kernel", choices=["welsch", "l2"], default=None)
-    p.add_argument("--sampler", choices=["pca", "farthest"], default=None)
+    p.add_argument("--kernel", choices=KERNELS, default=None)
+    p.add_argument("--sampler", choices=SAMPLERS, default=None)
     p.add_argument("--radius-factor", type=float, default=None)
     p.add_argument("--k-alpha", type=float, default=None)
     p.add_argument("--k-beta", type=float, default=None)
@@ -127,9 +128,6 @@ class _OutputSet:
         for p in self.paths:
             if os.path.exists(p):
                 os.remove(p)
-            sidecar = p + ".edges.txt"
-            if os.path.exists(sidecar):
-                os.remove(sidecar)
 
 
 def cmd_register(args):

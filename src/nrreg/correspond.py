@@ -160,11 +160,3 @@ def lift_rigid_to_state(rt: RigidTransform, g):
     t = g.node_positions @ rt.rotation.T + rt.translation - g.node_positions
     return pack_state(A, t)
 
-
-def write_correspondence_csv(corr: CorrespondenceSet, path):
-    """Debug dump: one row per source point."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("source_index,target_index,distance,valid\n")
-        for i in range(len(corr.indices)):
-            fh.write(f"{i},{corr.indices[i]},{corr.distances[i]:.12g},"
-                     f"{int(corr.valid[i])}\n")

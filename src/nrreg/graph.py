@@ -4,6 +4,11 @@ Nodes are a geodesically separated subset of the source points; every node
 within radius ``R`` of a source point influences it with the compactly
 supported weight ``(1 - D^2/R^2)^3``, normalized so the weights of each point
 sum to one.
+
+The graph carries the linear map of its deformation.  With the node
+transforms stacked into the (4r, 3) state X (block rows ``[A_j^T; t_j^T]``),
+every deformed point is a row of ``F X + P`` and every edge residual a row of
+``B X - Y``.
 """
 
 from __future__ import annotations
@@ -13,17 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .energy import build_structure
 from .errors import DegenerateInputError, InvalidInputError
 from .geodesic import geodesic_from, nearest_seed_labels
 from .mesh import Surface, mean_edge_length, save_ply
 
 DEFAULT_RADIUS_FACTOR = 5.0
+SAMPLERS = ("pca", "farthest")
 
 
 @dataclass
 class DeformationGraph:
-    """Sampled nodes plus the per-source-point influence weights."""
+    """Sampled nodes, the per-source-point influence weights, and the linear
+    map they define, built once from them."""
 
     node_indices: np.ndarray        # (r,) indices into the source vertices
     node_positions: np.ndarray      # (r, 3)
@@ -32,6 +38,30 @@ class DeformationGraph:
     influence: csr_matrix           # (n, r) normalized weights w_ij
     source_positions: np.ndarray    # (n, 3) the points the weights refer to
     fallback_points: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    F: csr_matrix = field(init=False, repr=False)   # (n, 4r)
+    P: np.ndarray = field(init=False, repr=False)   # (n, 3)
+    B: csr_matrix = field(init=False, repr=False)   # (2e, 4r), one row per directed edge
+    Y: np.ndarray = field(init=False, repr=False)   # (2e, 3)
+
+    def __post_init__(self):
+        shape = (self.n_points, 4 * self.n_nodes)
+        Pn = self.node_positions
+        W = self.influence.tocoo()
+        # row i of F holds w_ij [v_i - p_j, 1] on the four state columns of node j
+        offsets = self.source_positions[W.row] - Pn[W.col]
+        vals = np.column_stack([offsets, np.ones(W.nnz)]) * W.data[:, None]
+        cols = 4 * W.col[:, None] + np.arange(4)
+        self.F = csr_matrix((vals.ravel(), (np.repeat(W.row, 4), cols.ravel())), shape=shape)
+        self.P = np.asarray(self.influence @ Pn)
+        # D_ij = A_j (p_i - p_j) + p_j + t_j - (p_i + t_i): [p_i - p_j, 1] on
+        # node j's columns and -1 on node i's translation column
+        i, j = directed_edges(self).T
+        k, ones = np.arange(len(i)), np.ones(len(i))
+        self.Y = Pn[i] - Pn[j]
+        vals = np.concatenate([np.column_stack([self.Y, ones]).ravel(), -ones])
+        rows = np.concatenate([np.repeat(k, 4), k])
+        cols = np.concatenate([(4 * j[:, None] + np.arange(4)).ravel(), 4 * i + 3])
+        self.B = csr_matrix((vals, (rows, cols)), shape=(len(k), shape[1]))
 
     @property
     def n_nodes(self):
@@ -40,6 +70,13 @@ class DeformationGraph:
     @property
     def n_points(self):
         return self.influence.shape[0]
+
+
+def directed_edges(g):
+    """Both orientations of every undirected graph edge, as an (2e, 2) array
+    of (i, j) pairs; row order is (i, j) then (j, i) per edge."""
+    e = np.asarray(g.node_edges, dtype=np.int64).reshape(-1, 2)
+    return np.concatenate([e, e[:, ::-1]])
 
 
 def principal_axis(points):
@@ -204,10 +241,9 @@ def transform_points(g: DeformationGraph, X):
 
     ``X`` is the stacked (4r, 3) state.  Point i moves to
     ``sum_j w_ij (A_j (v_i - p_j) + p_j + t_j)``, which is row i of
-    ``F X + P`` (:func:`nrreg.energy.build_structure`).
+    ``F X + P``.
     """
-    st = build_structure(g)
-    return st.F @ X + st.P
+    return g.F @ X + g.P
 
 
 def dump_graph_ply(g: DeformationGraph, path):

@@ -7,6 +7,7 @@ triangle faces; edges are always derived from the faces when present.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -258,55 +259,55 @@ def compute_normals(s: Surface, k=10):
 # OBJ
 
 
+def _obj_arrays(text):
+    """Vertices, polygon sizes and 1-based polygon vertex indices of the
+    ``v`` and ``f`` records in ``text``, each record type converted as one
+    block; ValueError or OverflowError if a record does not convert."""
+    # a record's tag is its line's first token.  Taken are the first three
+    # tokens after a v ("" where the line has fewer) and the rest of an f
+    # line, whose v/vt/vn tokens are then cut at their first slash
+    coords = re.findall(r"^[^\S\n]*v(?!\S)[^\S\n]*(\S*)[^\S\n]*(\S*)[^\S\n]*(\S*)", text, re.M)
+    polygons = re.findall(r"^[^\S\n]*f(?!\S)([^\n]*)", text, re.M)
+    verts = np.array(coords, dtype=np.float64).reshape(len(coords), 3)
+    lengths = np.array([len(p.split()) for p in polygons], dtype=np.int64)
+    heads = np.array(re.sub(r"/\S*", "", " ".join(polygons)).split(), dtype=np.int64)
+    if (lengths < 3).any() or len(heads) != lengths.sum() or (heads <= 0).any():
+        raise ValueError("malformed record")
+    return verts, lengths, heads
+
+
 def load_obj(path):
-    vertices = []
-    faces = []
+    """Load the ``v`` and ``f`` records of an OBJ file, fan-triangulating
+    polygons; all other records (``vn``, ``vt``, ``usemtl``, ...) are ignored.
+
+    A record that does not convert (too few values, a non-number, a face
+    index below 1 or beyond int64) raises :class:`FormatError` with its line."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise FormatError("vertex needs 3 coordinates", path, lineno)
-                try:
-                    vertices.append([float(x) for x in parts[1:4]])
-                except ValueError:
-                    raise FormatError("bad vertex coordinate", path, lineno) from None
-            elif tag == "f":
-                if len(parts) < 4:
-                    raise FormatError("face needs at least 3 indices", path, lineno)
-                idx = []
-                for token in parts[1:]:
-                    head = token.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError:
-                        raise FormatError(f"bad face index {head!r}", path, lineno) from None
-                    if i <= 0:
-                        raise FormatError(f"face index {i} is not 1-based positive", path, lineno)
-                    idx.append(i - 1)
-                for a, b in zip(idx[1:-1], idx[2:]):  # fan-triangulate
-                    faces.append([idx[0], a, b])
-            # all other records (vn, vt, usemtl, ...) are ignored
-    if not vertices:
+        text = fh.read()
+    try:
+        verts, lengths, heads = _obj_arrays(text)
+    except (ValueError, OverflowError):
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            try:
+                _obj_arrays(line)
+            except (ValueError, OverflowError):
+                raise FormatError(f"malformed record {line.strip()!r}", path, lineno) from None
+    if len(verts) == 0:
         raise InvalidInputError(f"{path}: no vertices")
-    verts = np.array(vertices, dtype=np.float64)
-    farr = np.array(faces, dtype=np.int64) if faces else None
-    if farr is not None and farr.size and farr.max() >= len(verts):
-        raise FormatError("face index out of range", path)
-    return Surface(verts, farr)
+    faces = None
+    if len(lengths):
+        faces = _fan(lengths, heads - 1)
+        if faces.max() >= len(verts):
+            raise FormatError("face index out of range", path)
+    return Surface(verts, faces)
 
 
 def save_obj(s: Surface, path):
+    text = "v %.9g %.9g %.9g\n" * s.n_vertices % tuple(s.vertices.ravel().tolist())
+    if s.faces is not None:
+        text += "f %d %d %d\n" * len(s.faces) % tuple((s.faces + 1).ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for v in s.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        if s.faces is not None:
-            for f in s.faces:
-                fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

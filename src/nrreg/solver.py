@@ -19,9 +19,9 @@ from scipy.sparse.linalg import splu
 from .correspond import (DEFAULT_EPS_D, DEFAULT_THETA_DEG, SpatialIndex,
                          find_correspondences, lift_rigid_to_state,
                          rigid_icp_init)
-from .energy import EnergyParams, assemble_surrogate, total_energy
+from .energy import KERNELS, EnergyParams, assemble_surrogate, total_energy
 from .errors import InvalidInputError, SolverError
-from .graph import DEFAULT_RADIUS_FACTOR, build_graph, transform_points
+from .graph import DEFAULT_RADIUS_FACTOR, SAMPLERS, build_graph, transform_points
 from .mesh import Surface, mean_edge_length
 
 CURVATURE_EPS = 1e-12
@@ -58,6 +58,10 @@ class SolverParams:
             raise InvalidInputError("tolerances must be positive")
         if self.nu_a_max_factor < self.nu_a_min_factor or self.nu_a_min_factor <= 0:
             raise InvalidInputError("need nu_a_max >= nu_a_min > 0")
+        if self.kernel not in KERNELS:
+            raise InvalidInputError(f"unknown kernel {self.kernel!r}")
+        if self.sampler not in SAMPLERS:
+            raise InvalidInputError(f"unknown sampler {self.sampler!r}")
 
 
 class LbfgsHistory:
@@ -196,15 +200,18 @@ class RegistrationResult:
                 fh.write(line + "\n")
 
 
-def anneal_stage_count(nu_max, nu_min):
-    """Number of stages of the halving schedule from nu_max down to nu_min."""
-    if nu_max <= nu_min:
-        return 1
-    return int(np.ceil(np.log2(nu_max / nu_min))) + 1
+def anneal_schedule(nu_a_max, nu_a_min, nu_r_max):
+    """The (nu_a, nu_r) of each annealing stage: both widths start at their
+    maxima and halve together until nu_a reaches its floor ``nu_a_min``."""
+    stages = [(nu_a_max, nu_r_max)]
+    while stages[-1][0] > nu_a_min:
+        nu_a, nu_r = stages[-1]
+        stages.append((max(0.5 * nu_a, nu_a_min), 0.5 * nu_r))
+    return stages
 
 
 def register(source: Surface, target: Surface, params: SolverParams | None = None,
-             graph=None, initial_state=None, seed_pairs=None):
+             graph=None, initial_state=None):
     """Align the source surface to the target point set.
 
     Both surfaces are expected preprocessed: normalized to the common unit
@@ -227,8 +234,7 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
     rigid = None
     if initial_state is None:
         rigid = rigid_icp_init(source, target, iters=params.icp_iters,
-                               eps_d=params.eps_d, theta=params.theta,
-                               seed_pairs=seed_pairs)
+                               eps_d=params.eps_d, theta=params.theta)
         X = lift_rigid_to_state(rigid, graph)
     else:
         X = np.array(initial_state, dtype=np.float64)
@@ -239,32 +245,25 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
     d_bar = float(np.median(corr0.distances))
 
     nu_a_min = params.nu_a_min_factor * l_bar
-    nu_a_max = max(params.nu_a_max_factor * d_bar, nu_a_min)
-    nu_r_max = params.nu_r_max_factor * l_bar
+    stages = anneal_schedule(max(params.nu_a_max_factor * d_bar, nu_a_min), nu_a_min,
+                             params.nu_r_max_factor * l_bar)
+    if params.kernel == "l2":
+        stages = stages[:1]
+    elif params.fixed_nu:
+        # ablation mode: single stage at the values annealing would end with
+        stages = stages[-1:]
 
     n = source.n_vertices
     n_edges = max(len(graph.node_edges), 1)
     alpha = params.k_alpha * n / n_edges
     beta = params.k_beta * n / graph.n_nodes
 
-    if params.fixed_nu and params.kernel == "welsch":
-        # ablation mode: single stage at the values annealing would end with
-        halvings = anneal_stage_count(nu_a_max, nu_a_min) - 1
-        nu_a = nu_a_min
-        nu_r = nu_r_max * 0.5 ** halvings
-        single_stage = True
-    else:
-        nu_a = nu_a_max
-        nu_r = nu_r_max
-        single_stage = params.kernel == "l2"
-
     trace = []
     reasons = []
-    stage = 0
     # the points and correspondences of the current X carry over from one
     # outer iteration, and from one stage, to the next
     corr = corr0
-    while True:
+    for stage, (nu_a, nu_r) in enumerate(stages):
         eparams = EnergyParams(nu_a, nu_r, alpha, beta, params.kernel)
         reason = "i_max"
         for k in range(params.i_max):
@@ -281,11 +280,6 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
                 reason = "converged"
                 break
         reasons.append(f"stage {stage}: {reason}")
-        if single_stage or nu_a <= nu_a_min:
-            break
-        nu_a = max(0.5 * nu_a, nu_a_min)
-        nu_r = 0.5 * nu_r
-        stage += 1
 
     return RegistrationResult(
         final_state=X,

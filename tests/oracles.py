@@ -10,8 +10,9 @@ precomputed per surface, and for the orientation of PCA normals, which it
 propagates along the spanning tree by pointer jumping: the loops below take
 every quantity from the points or normals at the moment it is needed.
 
-The package reads and writes PLY one numpy block per element; the reader
-and writer below go one row at a time through a dict per row and ``struct``.
+The package reads and writes PLY one numpy block per element, and OBJ one
+block per record type; the readers and writers below go one row at a time,
+PLY through a dict per row and ``struct``.
 Edges are deduplicated here as index-pair rows, and face normals summed
 with ``np.add.at``, one corner at a time.
 """
@@ -279,3 +280,54 @@ def save_ply_rows(s: Surface, path, colors=None, binary=False):
                 for f in s.faces:
                     lines.append(f"3 {f[0]} {f[1]} {f[2]}")
             fh.write(("\n".join(lines) + "\n").encode("ascii"))
+
+
+def load_obj_rows(path):
+    """OBJ ``v``/``f`` records one line at a time, fan-triangulating each
+    polygon as it is read."""
+    vertices = []
+    faces = []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if parts[0] == "v":
+                if len(parts) < 4:
+                    raise FormatError("vertex needs 3 coordinates", path, lineno)
+                try:
+                    vertices.append([float(x) for x in parts[1:4]])
+                except ValueError:
+                    raise FormatError("bad vertex coordinate", path, lineno) from None
+            elif parts[0] == "f":
+                if len(parts) < 4:
+                    raise FormatError("face needs at least 3 indices", path, lineno)
+                idx = []
+                for token in parts[1:]:
+                    head = token.split("/")[0]
+                    try:
+                        i = int(head)
+                    except ValueError:
+                        raise FormatError(f"bad face index {head!r}", path, lineno) from None
+                    if not 0 < i <= np.iinfo(np.int64).max:
+                        raise FormatError(f"face index {i} is not a 1-based int64", path, lineno)
+                    idx.append(i - 1)
+                for a, b in zip(idx[1:-1], idx[2:]):
+                    faces.append([idx[0], a, b])
+    if not vertices:
+        raise InvalidInputError(f"{path}: no vertices")
+    verts = np.array(vertices, dtype=np.float64)
+    farr = np.array(faces, dtype=np.int64) if faces else None
+    if farr is not None and farr.max() >= len(verts):
+        raise FormatError("face index out of range", path)
+    return Surface(verts, farr)
+
+
+def save_obj_rows(s: Surface, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in s.vertices:
+            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        if s.faces is not None:
+            for f in s.faces:
+                fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")

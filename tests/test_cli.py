@@ -182,6 +182,25 @@ def test_config_file_and_overrides(tmp_path):
     assert merged["k_alpha"] == "0.5"        # file value survives
 
 
+@pytest.mark.parametrize("line", ["kernel = l1", "sampler = grid"])
+def test_config_unknown_choice_fails_before_loading(mesh_files, tmp_path, capsys,
+                                                    monkeypatch, line):
+    d, _ = mesh_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a mesh was loaded")
+
+    monkeypatch.setattr("nrreg.cli.load_surface", no_load)
+    rc = main(["register", "--config", str(cfg), "--source", str(d / "source.obj"),
+               "--target", str(d / "target.ply"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown " + line.split()[0])
+    assert "Traceback" not in err
+
+
 def test_config_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("kernel welsch\n")

@@ -3,7 +3,7 @@ import pytest
 
 from nrreg.correspond import (RigidTransform, SpatialIndex, best_rigid,
                               find_correspondences, lift_rigid_to_state,
-                              rigid_icp_init, write_correspondence_csv)
+                              rigid_icp_init)
 from nrreg.errors import InitializationError, InvalidInputError
 from nrreg.graph import build_graph, transform_points
 from nrreg.mesh import Surface, compute_normals
@@ -135,13 +135,3 @@ def test_lift_rigid_to_state_exact(grid25):
     rt = RigidTransform(rot_z(0.2), np.array([0.05, 0.0, -0.03]))
     X = lift_rigid_to_state(rt, g)
     assert np.abs(transform_points(g, X) - rt.apply(grid25.vertices)).max() < 1e-12
-
-
-def test_write_correspondence_csv(tmp_path):
-    target = compute_normals(grid_mesh(4, 4, wavy=0.0))
-    corr = find_correspondences(target.vertices, target)
-    p = tmp_path / "corr.csv"
-    write_correspondence_csv(corr, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "source_index,target_index,distance,valid"
-    assert len(lines) == 1 + target.n_vertices

@@ -3,13 +3,13 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from nrreg.correspond import CorrespondenceSet, find_correspondences
-from nrreg.energy import (EnergyParams, assemble_surrogate, build_structure,
-                          directed_edges, energy_align, energy_reg, energy_rot,
-                          gaussian_weight, identity_state, pack_state,
-                          project_rotations, reg_residual, total_energy,
-                          unpack_state, welsch)
+from nrreg.energy import (EnergyParams, assemble_surrogate, energy_align,
+                          energy_reg, energy_rot, gaussian_weight,
+                          identity_state, pack_state, project_rotations,
+                          reg_residual, total_energy, unpack_state, welsch)
 from nrreg.errors import InvalidInputError
-from nrreg.graph import DeformationGraph, build_graph, transform_points
+from nrreg.graph import (DeformationGraph, build_graph, directed_edges,
+                         transform_points)
 from nrreg.mesh import Surface
 
 from conftest import grid_mesh, rot_z
@@ -90,7 +90,7 @@ def test_residual_dij_hand_example():
     # B X - Y has the same rows: directed edge (0, 1), then (1, 0)
     g = DeformationGraph(np.arange(2), positions, np.array([[0, 1]]), 1.0,
                          csr_matrix(np.eye(2)), positions)
-    assert np.allclose(reg_residual(build_structure(g), X), [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.allclose(reg_residual(g, X), [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def test_directed_edges_both_orientations():
@@ -105,7 +105,7 @@ def test_edge_residuals_match_scalar(grid25):
     rng = np.random.default_rng(2)
     g = build_graph(grid25)
     X = random_state(rng, g.n_nodes)
-    res = reg_residual(build_structure(g), X)
+    res = reg_residual(g, X)
     de = directed_edges(g)
     for k in (0, len(de) // 2, len(de) - 1):
         i, j = de[k]
@@ -133,28 +133,34 @@ def test_energy_rot_zero_for_rotations():
     assert energy_rot(X) < 1e-20
 
 
+def edgeless_graph(rng, r, n):
+    """A random graph with its edges removed: B and Y have no rows."""
+    g = random_graph(rng, r, n)
+    return DeformationGraph(g.node_indices, g.node_positions, np.empty((0, 2), dtype=np.int64),
+                            g.radius, g.influence, g.source_positions)
+
+
 def test_matrix_form_reproduces_pointwise(grid25):
     rng = np.random.default_rng(4)
-    g = build_graph(grid25)
-    st = build_structure(g)
-    X = random_state(rng, g.n_nodes, spread=0.2)
-    assert np.abs(st.F @ X + st.P - blend_points(g, X)).max() < 1e-12
-    de = directed_edges(g)
-    loop = np.array([residual_Dij(X, i, j, g.node_positions) for i, j in de])
-    assert np.abs(st.B @ X - st.Y - loop).max() < 1e-12
-    assert np.array_equal(transform_points(g, X), st.F @ X + st.P)
+    graphs = [build_graph(grid25), random_graph(rng, 6, 50), edgeless_graph(rng, 5, 40)]
+    for g in graphs:
+        X = random_state(rng, g.n_nodes, spread=0.2)
+        assert np.abs(g.F @ X + g.P - blend_points(g, X)).max() < 1e-12
+        de = directed_edges(g)
+        loop = np.array([residual_Dij(X, i, j, g.node_positions) for i, j in de]).reshape(-1, 3)
+        assert (g.B @ X - g.Y).shape == loop.shape
+        assert np.abs(g.B @ X - g.Y - loop).max(initial=0.0) < 1e-12
+        assert np.array_equal(transform_points(g, X), g.F @ X + g.P)
+    assert graphs[2].B.shape == (0, 4 * graphs[2].n_nodes)
 
 
-def test_structure_cached_and_deterministic(grid25):
-    g = build_graph(grid25)
-    st1 = build_structure(g)
-    assert build_structure(g) is st1
+def test_linear_map_deterministic(grid25):
+    g1 = build_graph(grid25)
     g2 = build_graph(grid25)
-    st2 = build_structure(g2)
-    assert (st1.F != st2.F).nnz == 0
-    assert (st1.B != st2.B).nnz == 0
-    assert np.array_equal(st1.P, st2.P)
-    assert np.array_equal(st1.Y, st2.Y)
+    assert (g1.F != g2.F).nnz == 0
+    assert (g1.B != g2.B).nnz == 0
+    assert np.array_equal(g1.P, g2.P)
+    assert np.array_equal(g1.Y, g2.Y)
 
 
 def test_surrogate_l2_weights_are_one():
@@ -200,10 +206,9 @@ def test_assemble_h0_matches_dense():
                              np.zeros(25), np.ones(25, dtype=bool))
     params = EnergyParams(0.3, 0.3, 0.5, 2.0)
     sys = assemble_surrogate(g, X, corr, params)
-    st = sys.structure
-    F = st.F.toarray()
-    B = st.B.toarray()
-    J = st.J.toarray()
+    F = g.F.toarray()
+    B = g.B.toarray()
+    J = np.diag(np.tile([1.0, 1.0, 1.0, 0.0], 3))    # identity on the A rows
     dense = 2.0 * (F.T @ np.diag(sys.wa) @ F
                    + params.alpha * B.T @ np.diag(sys.wr) @ B
                    + params.beta * J) + 1e-8 * np.eye(12)
@@ -219,11 +224,10 @@ def test_majorization_small():
                              np.zeros(60), np.ones(60, dtype=bool))
     params = EnergyParams(0.15, 0.2, 0.8, 1.0)
     sys = assemble_surrogate(g, Xk, corr, params)
-    st = sys.structure
 
     def frozen(X):
-        da = np.linalg.norm(st.F @ X + st.P - sys.U, axis=1)
-        dr = np.linalg.norm(st.B @ X - st.Y, axis=1)
+        da = np.linalg.norm(g.F @ X + g.P - sys.U, axis=1)
+        dr = np.linalg.norm(g.B @ X - g.Y, axis=1)
         return (float(np.sum(welsch(da, params.nu_a)))
                 + params.alpha * float(np.sum(welsch(dr, params.nu_r)))
                 + params.beta * energy_rot(X))

@@ -30,13 +30,15 @@ from scipy.spatial.transform import Rotation
 from nrreg.correspond import (CorrespondenceSet, RigidTransform,
                               lift_rigid_to_state)
 from nrreg.energy import EnergyParams, assemble_surrogate, total_energy
+from nrreg.errors import FormatError, InvalidInputError
 from nrreg.geodesic import geodesic_from
 from nrreg.graph import build_graph, transform_points
-from nrreg.mesh import Surface, edges_from_faces, load_ply, save_ply
+from nrreg.mesh import Surface, edges_from_faces, load_obj, load_ply, save_obj, save_ply
 from nrreg.solver import LbfgsHistory, two_loop_direction
 
 from conftest import grid_mesh
-from oracles import edges_unique_rows, fast_marching, load_ply_rows, save_ply_rows
+from oracles import (edges_unique_rows, fast_marching, load_obj_rows, load_ply_rows,
+                     save_obj_rows, save_ply_rows)
 from test_energy import random_graph, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -217,6 +219,60 @@ def polygon_plys(draw):
         for p in polygons:
             body.append((" ".join([str(len(p))] + [repr(i + frac) for i in p]) + "\n").encode())
     return ("\n".join(head) + "\n").encode() + b"".join(body)
+
+
+_OBJ_TAGS = ["v", "f", "vn", "vt", "#", "#v", "v#", "o", "V"]
+_OBJ_TOKENS = ["1", "2", "3", "0", "-1", "1.5", "x", "1/2", "2//3", "/3", "3/", "1e3",
+               "nan", "1_0", "99999999999999999999"]
+_OBJ_SPACE = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\u3000", "\x85"])
+
+
+@st.composite
+def obj_texts(draw):
+    """Text of an OBJ file: well-formed vertex and triangle records mixed with
+    lines of any tag and up to 5 tokens, separated by any whitespace."""
+    lines = [" ".join(["v"] + [str(c) for c in draw(st.lists(st.integers(0, 3), min_size=3,
+                                                           max_size=3))])
+             for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.booleans()):
+            tokens = draw(st.lists(st.integers(1, 6), min_size=3, max_size=5))
+            lines.append("f " + " ".join(map(str, tokens)))
+        else:
+            tokens = [draw(st.sampled_from(_OBJ_TAGS))]
+            tokens += draw(st.lists(st.sampled_from(_OBJ_TOKENS), max_size=5))
+            lines.append(draw(_OBJ_SPACE) * draw(st.integers(0, 1)) + draw(_OBJ_SPACE).join(tokens))
+    lines = draw(st.permutations(lines))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
+
+
+def _outcome(load, path):
+    """The loaded arrays, or the type of the error raised and its line (its
+    message where it has no line)."""
+    try:
+        s = load(path)
+    except (FormatError, InvalidInputError) as exc:
+        return type(exc).__name__, getattr(exc, "line", None) or str(exc)
+    return s.vertices.tobytes(), None if s.faces is None else (s.faces.shape, s.faces.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj_texts())
+def test_obj_loads_as_the_row_reader_loads_it(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.obj"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(load_obj, path) == _outcome(load_obj_rows, path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ply_surfaces())
+def test_save_obj_writes_the_row_writer_bytes(case):
+    s = case[0]
+    with tempfile.TemporaryDirectory() as d:
+        save_obj(s, Path(d) / "new.obj")
+        save_obj_rows(s, Path(d) / "old.obj")
+        assert (Path(d) / "new.obj").read_bytes() == (Path(d) / "old.obj").read_bytes()
 
 
 @st.composite

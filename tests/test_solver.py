@@ -6,9 +6,9 @@ from nrreg.energy import EnergyParams, assemble_surrogate, identity_state
 from nrreg.errors import InvalidInputError
 from nrreg.evaluate import GroundTruth, rmse
 from nrreg.graph import build_graph
-from nrreg.mesh import Surface, compute_normals, normalize_pair
+from nrreg.mesh import Surface, compute_normals, mean_edge_length, normalize_pair
 from nrreg.solver import (LbfgsHistory, RegistrationResult, SolverParams,
-                          TraceRow, anneal_stage_count, line_search, register,
+                          TraceRow, anneal_schedule, line_search, register,
                           solve_inner, two_loop_direction)
 
 from conftest import grid_mesh, rot_z
@@ -22,6 +22,14 @@ def test_params_validation():
         SolverParams(eps1=0.0)
     with pytest.raises(InvalidInputError):
         SolverParams(nu_a_max_factor=0.1, nu_a_min_factor=0.5)
+
+
+def test_params_reject_unknown_kernel_and_sampler():
+    # caught at construction, before any mesh is loaded or graph built
+    with pytest.raises(InvalidInputError, match="kernel"):
+        SolverParams(kernel="l1")
+    with pytest.raises(InvalidInputError, match="sampler"):
+        SolverParams(sampler="grid")
 
 
 def test_history_ring_buffer_and_curvature_guard():
@@ -124,11 +132,20 @@ def test_solve_inner_decreases_surrogate():
     assert np.linalg.norm(sys.gradient(X)) < 1e-2 * max(1, np.linalg.norm(sys.gradient(X0)))
 
 
-def test_anneal_stage_count():
-    assert anneal_stage_count(8.0, 1.0) == 4     # 8 -> 4 -> 2 -> 1
-    assert anneal_stage_count(1.0, 1.0) == 1
-    assert anneal_stage_count(0.5, 1.0) == 1
-    assert anneal_stage_count(10.0, 1.0) == int(np.ceil(np.log2(10))) + 1
+def test_anneal_schedule_ends_where_halving_ends():
+    # the ratio lies just above 2**6: log2 of it rounds to 6.0, yet six
+    # halvings leave nu_a above its floor and a seventh stage follows
+    nu_a_max, nu_a_min = 8.738925150313612, 0.13654570547365016
+    stages = anneal_schedule(nu_a_max, nu_a_min, 40.0)
+    assert len(stages) == 8
+    assert stages[0] == (nu_a_max, 40.0)
+    assert stages[-2][0] > nu_a_min
+    assert stages[-1] == (nu_a_min, 40.0 / 2 ** 7)
+    for (a0, r0), (a1, r1) in zip(stages, stages[1:]):
+        assert a1 == max(0.5 * a0, nu_a_min)
+        assert r1 == 0.5 * r0
+    assert anneal_schedule(8.0, 1.0, 4.0) == [(8.0, 4.0), (4.0, 2.0), (2.0, 1.0), (1.0, 0.5)]
+    assert anneal_schedule(1.0, 1.0, 4.0) == [(1.0, 4.0)]
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +196,21 @@ def test_register_fixed_nu_single_stage():
     stages = {row.stage for row in res.energy_trace}
     assert stages == {0}
     assert len(res.termination_reasons) == 1
+    # the single stage runs at the widths annealing ends with
+    last = register(s_n, t_n).energy_trace[-1]
+    assert (res.energy_trace[0].nu_a, res.energy_trace[0].nu_r) == (last.nu_a, last.nu_r)
+
+
+def test_register_leaves_graph_unchanged():
+    src = compute_normals(grid_mesh(8, 8))
+    s_n, t_n, _ = normalize_pair(src, src.copy())
+    s_n = compute_normals(s_n)
+    t_n = compute_normals(t_n)
+    g = build_graph(s_n, R=5.0 * mean_edge_length(s_n))
+    before = dict(vars(g))
+    register(s_n, t_n, graph=g)
+    assert vars(g).keys() == before.keys()
+    assert all(vars(g)[k] is v for k, v in before.items())
 
 
 def test_register_point_cloud_source():
