@@ -9,8 +9,8 @@ majorization-minimization outer loop and an L-BFGS inner solver.
 from .correspond import (CorrespondenceSet, RigidTransform, SpatialIndex,
                          best_rigid, find_correspondences, lift_rigid_to_state,
                          rigid_icp_init)
-from .energy import (EnergyParams, SurrogateSystem, assemble_surrogate,
-                     energy_align, energy_reg, energy_rot, identity_state,
+from .energy import (Deformed, EnergyParams, SurrogateSystem, assemble_surrogate,
+                     deform, energy_align, energy_reg, energy_rot, identity_state,
                      pack_state, total_energy, unpack_state, welsch)
 from .errors import (DegenerateInputError, FormatError, InitializationError,
                      InvalidInputError, NrregError, SolverError)

@@ -7,6 +7,11 @@ deformed point is a row of ``F X + P`` and every edge residual a row of
 ``B X - Y``, so the terms are ``|W_a (F X + P - U)|_F^2`` and
 ``|W_r (B X - Y)|_F^2`` and only the diagonal weights change between
 iterations.
+
+A state is evaluated once: :func:`deform` returns a :class:`Deformed` record
+holding ``F X + P``, ``B X - Y`` and each node's ``A_j - proj(A_j)``, and the
+surrogate energy and gradient, the surrogate's weights and the total energy
+all read it instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, diags, identity
 
 from .errors import InvalidInputError
-from .graph import DeformationGraph
+from .graph import DeformationGraph, transform_points
 
 SPD_JITTER = 1e-8
 KERNELS = ("welsch", "l2")
@@ -91,51 +96,78 @@ class EnergyParams:
 # ---------------------------------------------------------------------------
 # energy terms
 
+def _kernel_sum(residual, nu, kernel):
+    """Sum of kernel values over the row norms of ``residual``."""
+    return float(np.sum(_kernel(np.linalg.norm(residual, axis=1), nu, kernel)))
+
+
 def energy_align(g, X, corr, nu_a, kernel="welsch"):
     """Sum of kernel values over point-to-correspondent distances."""
-    dist = np.linalg.norm(align_residual(g, X, corr.positions), axis=1)
-    return float(np.sum(_kernel(dist, nu_a, kernel)))
+    return _kernel_sum(align_residual(g, X, corr.positions), nu_a, kernel)
 
 
 def energy_reg(g, X, nu_r, kernel="welsch"):
-    dist = np.linalg.norm(reg_residual(g, X), axis=1)
-    return float(np.sum(_kernel(dist, nu_r, kernel)))
+    return _kernel_sum(reg_residual(g, X), nu_r, kernel)
+
+
+def _det3(M):
+    """Determinants of a batch of 3x3 matrices, row 0 . (row 1 x row 2)."""
+    return np.sum(M[:, 0] * np.cross(M[:, 1], M[:, 2]), axis=1)
 
 
 def project_rotations(As):
     """Closest rotation to each 3x3 matrix in Frobenius norm, via SVD with
-    det correction."""
-    As = np.asarray(As, dtype=np.float64)
-    U, _, Vt = np.linalg.svd(As)
-    det = np.linalg.det(np.einsum("nab,nbc->nac", U, Vt))
-    D = np.broadcast_to(np.eye(3), As.shape).copy()
-    D[:, 2, 2] = np.where(det < 0, -1.0, 1.0)
-    return np.einsum("nab,nbc,ncd->nad", U, D, Vt)
+    det correction: ``U D Vt`` with ``D = diag(1, 1, det(U Vt))``."""
+    U, _, Vt = np.linalg.svd(np.asarray(As, dtype=np.float64))
+    U[_det3(U) * _det3(Vt) < 0, :, 2] *= -1.0
+    # U D Vt as the three rank-one terms added to +0.0 in column order, as a
+    # matrix product sums them (so that no entry comes out as -0.0)
+    return (0.0 + U[:, :, 0, None] * Vt[:, None, 0] + U[:, :, 1, None] * Vt[:, None, 1]
+            + U[:, :, 2, None] * Vt[:, None, 2])
+
+
+def rotation_residual(X):
+    """Each node's ``A_j - proj(A_j)``, as an (r, 3, 3) array."""
+    A, _ = unpack_state(X)
+    return A - project_rotations(A)
 
 
 def energy_rot(X):
-    A, _ = unpack_state(X)
-    if len(A) == 0:
-        return 0.0
-    P = project_rotations(A)
-    return float(np.sum((A - P) ** 2))
-
-
-def total_energy(g, X, corr, params: EnergyParams):
-    """Alignment + alpha * smoothness + beta * rotation deviation."""
-    return (energy_align(g, X, corr, params.nu_a, params.kernel)
-            + params.alpha * energy_reg(g, X, params.nu_r, params.kernel)
-            + params.beta * energy_rot(X))
+    return float(np.sum(rotation_residual(X) ** 2))
 
 
 def align_residual(g, X, U):
     """Deformed source points minus their targets, ``F X + P - U``."""
-    return g.F @ X + g.P - U
+    return transform_points(g, X) - U
 
 
 def reg_residual(g, X):
     """The D_ij residuals, one row per directed edge, ``B X - Y``."""
     return g.B @ X - g.Y
+
+
+@dataclass(frozen=True)
+class Deformed:
+    """One state evaluated on a graph: what every energy reads of it."""
+
+    X: np.ndarray          # (4r, 3) the state
+    points: np.ndarray     # (n, 3) deformed source points, F X + P
+    edges: np.ndarray      # (2e, 3) edge residuals, B X - Y
+    rot: np.ndarray        # (r, 3, 3) rotation residuals, A_j - proj(A_j)
+
+
+def deform(g, X):
+    """Evaluate state ``X`` on graph ``g``: one ``F X``, one ``B X`` and one
+    batched rotation projection."""
+    return Deformed(X, transform_points(g, X), reg_residual(g, X), rotation_residual(X))
+
+
+def total_energy(d: Deformed, corr, params: EnergyParams):
+    """Alignment + alpha * smoothness + beta * rotation deviation at the
+    evaluated state ``d``, against the correspondences ``corr``."""
+    return (_kernel_sum(d.points - corr.positions, params.nu_a, params.kernel)
+            + params.alpha * _kernel_sum(d.edges, params.nu_r, params.kernel)
+            + params.beta * float(np.sum(d.rot ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +183,19 @@ class SurrogateSystem:
     wr: np.ndarray           # (2e,) squared diagonal of W_r
     params: EnergyParams
 
-    def energy(self, X):
-        ra = align_residual(self.graph, X, self.U)
+    def energy(self, d: Deformed):
+        ra = d.points - self.U
         ea = float(np.sum(self.wa * np.sum(ra * ra, axis=1)))
-        rr = reg_residual(self.graph, X)
-        er = float(np.sum(self.wr * np.sum(rr * rr, axis=1)))
-        return ea + self.params.alpha * er + self.params.beta * energy_rot(X)
+        er = float(np.sum(self.wr * np.sum(d.edges * d.edges, axis=1)))
+        return ea + self.params.alpha * er + self.params.beta * float(np.sum(d.rot ** 2))
 
-    def gradient(self, X):
+    def gradient(self, d: Deformed):
         g = self.graph
-        Gm = (g.F.T @ (self.wa[:, None] * align_residual(g, X, self.U))
-              + self.params.alpha * (g.B.T @ (self.wr[:, None] * reg_residual(g, X))))
+        Gm = (g.F.T @ (self.wa[:, None] * (d.points - self.U))
+              + self.params.alpha * (g.B.T @ (self.wr[:, None] * d.edges)))
         if self.params.beta != 0.0:
             # the rotation term acts on the A rows only
-            A, _ = unpack_state(X)
-            Gm = Gm + self.params.beta * pack_state(A - project_rotations(A),
-                                                    np.zeros((len(A), 3)))
+            Gm = Gm + self.params.beta * pack_state(d.rot, np.zeros((len(d.rot), 3)))
         return 2.0 * Gm
 
     def assemble_H0(self):
@@ -189,8 +218,8 @@ def gaussian_weight(sq_dist, nu):
     return np.exp(-sq_dist / (2.0 * nu * nu)) / (2.0 * nu * nu)
 
 
-def assemble_surrogate(g, X_k, corr_k, params: EnergyParams) -> SurrogateSystem:
-    """Quadratic majorizer of the robust energy at ``X_k``.
+def assemble_surrogate(g, d_k: Deformed, corr_k, params: EnergyParams) -> SurrogateSystem:
+    """Quadratic majorizer of the robust energy at the evaluated state ``d_k``.
 
     Correspondence targets are frozen at ``corr_k``; the alignment and
     smoothness weights are the Gaussian factors evaluated at the current
@@ -202,8 +231,7 @@ def assemble_surrogate(g, X_k, corr_k, params: EnergyParams) -> SurrogateSystem:
         wa = np.ones(g.n_points)
         wr = np.ones(g.B.shape[0])
     else:
-        ra = align_residual(g, X_k, U)
+        ra = d_k.points - U
         wa = gaussian_weight(np.sum(ra * ra, axis=1), params.nu_a)
-        rr = reg_residual(g, X_k)
-        wr = gaussian_weight(np.sum(rr * rr, axis=1), params.nu_r)
+        wr = gaussian_weight(np.sum(d_k.edges * d_k.edges, axis=1), params.nu_r)
     return SurrogateSystem(g, U.copy(), wa, wr, params)

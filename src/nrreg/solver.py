@@ -19,9 +19,12 @@ from scipy.sparse.linalg import splu
 from .correspond import (DEFAULT_EPS_D, DEFAULT_THETA_DEG, SpatialIndex,
                          find_correspondences, lift_rigid_to_state,
                          rigid_icp_init)
-from .energy import KERNELS, EnergyParams, assemble_surrogate, total_energy
+from .energy import KERNELS, EnergyParams, assemble_surrogate, deform, total_energy
 from .errors import InvalidInputError, SolverError
-from .graph import DEFAULT_RADIUS_FACTOR, SAMPLERS, build_graph, transform_points
+from .graph import DEFAULT_RADIUS_FACTOR, SAMPLERS, build_graph
+# perfbench traces transform_points at this lookup site too; the solver itself
+# reads deformed points from the evaluated state (energy.deform)
+from .graph import transform_points  # noqa: F401
 from .mesh import Surface, mean_edge_length
 
 CURVATURE_EPS = 1e-12
@@ -62,6 +65,13 @@ class SolverParams:
             raise InvalidInputError(f"unknown kernel {self.kernel!r}")
         if self.sampler not in SAMPLERS:
             raise InvalidInputError(f"unknown sampler {self.sampler!r}")
+        # "not >=" so that NaN fails too
+        for name, low in (("m", 1), ("i_max", 1), ("icp_iters", 0),
+                          ("k_alpha", 0.0), ("k_beta", 0.0)):
+            if not getattr(self, name) >= low:
+                raise InvalidInputError(f"{name} must be at least {low}")
+        if not self.radius_factor > 0:
+            raise InvalidInputError("radius_factor must be positive")
 
 
 class LbfgsHistory:
@@ -121,8 +131,14 @@ def line_search(energy_fn, X, d, E0, g_dot_d, gamma):
     return None
 
 
-def solve_inner(sys, X_k, params: SolverParams):
-    """Minimize one surrogate with L-BFGS; H0 is factored once and reused."""
+def solve_inner(sys, start, params: SolverParams):
+    """Minimize one surrogate with L-BFGS; H0 is factored once and reused.
+
+    ``start`` is the evaluated state (:func:`nrreg.energy.deform`) to start
+    from; returns the evaluated state it stops at.  Each point is evaluated
+    once: the line search's trial evaluation serves the gradient at the
+    accepted point too.
+    """
     H0 = sys.assemble_H0()
     try:
         factor = splu(H0)
@@ -130,10 +146,18 @@ def solve_inner(sys, X_k, params: SolverParams):
         raise SolverError(f"H0 factorization failed: {exc}") from exc
     h0_solve = factor.solve     # multi-column right-hand sides solved together
 
+    trial = None
+
+    def trial_energy(X):
+        # the last point evaluated is the accepted one if the search succeeds
+        nonlocal trial
+        trial = deform(sys.graph, X)
+        return sys.energy(trial)
+
     hist = LbfgsHistory(params.m)
-    X = X_k
-    E = sys.energy(X)
-    G = sys.gradient(X)
+    cur = start
+    E = sys.energy(cur)
+    G = sys.gradient(cur)
     for _ in range(MAX_INNER_ITERS):
         d = two_loop_direction(hist, G, h0_solve)
         gd = float(np.sum(G * d))
@@ -146,22 +170,22 @@ def solve_inner(sys, X_k, params: SolverParams):
                 gd = float(np.sum(G * d))
                 if gd >= 0.0:   # zero gradient: already stationary
                     break
-        step = line_search(sys.energy, X, d, E, gd, params.gamma)
+        step = line_search(trial_energy, cur.X, d, E, gd, params.gamma)
         if step is None:
             # one steepest-descent retry, then give up on this surrogate
             d = -G
             gd = float(np.sum(G * d))
-            step = line_search(sys.energy, X, d, E, gd, params.gamma)
+            step = line_search(trial_energy, cur.X, d, E, gd, params.gamma)
             if step is None:
                 break
         _, X_new, E_new = step
-        G_new = sys.gradient(X_new)
-        hist.push(X_new - X, G_new - G)
+        G_new = sys.gradient(trial)
+        hist.push(X_new - cur.X, G_new - G)
         decrease = E - E_new
-        X, E, G = X_new, E_new, G_new
+        cur, E, G = trial, E_new, G_new
         if decrease < params.eps1:
             break
-    return X
+    return cur
 
 
 @dataclass
@@ -240,8 +264,8 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
         X = np.array(initial_state, dtype=np.float64)
 
     index = SpatialIndex(target.vertices)
-    moved = transform_points(graph, X)
-    corr0 = find_correspondences(moved, target, index)
+    cur = deform(graph, X)
+    corr0 = find_correspondences(cur.points, target, index)
     d_bar = float(np.median(corr0.distances))
 
     nu_a_min = params.nu_a_min_factor * l_bar
@@ -260,30 +284,29 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
 
     trace = []
     reasons = []
-    # the points and correspondences of the current X carry over from one
-    # outer iteration, and from one stage, to the next
+    # the evaluated state and the correspondences of the current X carry
+    # over from one outer iteration, and from one stage, to the next
     corr = corr0
     for stage, (nu_a, nu_r) in enumerate(stages):
         eparams = EnergyParams(nu_a, nu_r, alpha, beta, params.kernel)
         reason = "i_max"
         for k in range(params.i_max):
-            sys = assemble_surrogate(graph, X, corr, eparams)
-            X = solve_inner(sys, X, params)
-            moved_new = transform_points(graph, X)
-            max_disp = float(np.max(np.linalg.norm(moved_new - moved, axis=1)))
-            corr = find_correspondences(moved_new, target, index)
-            energy = total_energy(graph, X, corr, eparams)
+            sys = assemble_surrogate(graph, cur, corr, eparams)
+            new = solve_inner(sys, cur, params)
+            max_disp = float(np.max(np.linalg.norm(new.points - cur.points, axis=1)))
+            corr = find_correspondences(new.points, target, index)
+            energy = total_energy(new, corr, eparams)
             trace.append(TraceRow(stage, k, nu_a, nu_r, energy, max_disp,
                                   time.perf_counter() - t_start))
-            moved = moved_new
+            cur = new
             if max_disp < params.eps2:
                 reason = "converged"
                 break
         reasons.append(f"stage {stage}: {reason}")
 
     return RegistrationResult(
-        final_state=X,
-        transformed_source=moved,
+        final_state=cur.X,
+        transformed_source=cur.points,
         energy_trace=trace,
         termination_reasons=reasons,
         graph=graph,

@@ -15,6 +15,13 @@ block per record type; the readers and writers below go one row at a time,
 PLY through a dict per row and ``struct``.
 Edges are deduplicated here as index-pair rows, and face normals summed
 with ``np.add.at``, one corner at a time.
+
+The package evaluates each state once (``energy.deform``) and lets the
+surrogate energy, its gradient and the inner solver read that record.  The
+surrogate energy and gradient below recompute every term from the array
+``X`` on each call, the inner solver calls them separately at every point,
+and the rotations are projected with a LAPACK determinant and one
+three-operand einsum.
 """
 
 import heapq
@@ -23,7 +30,10 @@ import struct
 
 import numpy as np
 
-from nrreg.energy import unpack_state
+from scipy.sparse.linalg import splu
+
+from nrreg.energy import pack_state, unpack_state
+from nrreg.solver import MAX_INNER_ITERS, LbfgsHistory, line_search, two_loop_direction
 from nrreg.errors import FormatError, InvalidInputError
 from nrreg.mesh import _PLY_TYPES, Surface, _parse_ply_header
 
@@ -63,6 +73,80 @@ def project_rotation(A):
     if d == 0:
         d = 1.0
     return U @ np.diag([1.0, 1.0, d]) @ Vt
+
+
+def project_rotations_einsum(As):
+    """Batched closest rotations: ``U D Vt`` with ``D = diag(1, 1, sign
+    det(U Vt))`` from ``np.linalg.det`` and a three-operand einsum."""
+    As = np.asarray(As, dtype=np.float64)
+    U, _, Vt = np.linalg.svd(As)
+    det = np.linalg.det(np.einsum("nab,nbc->nac", U, Vt))
+    D = np.broadcast_to(np.eye(3), As.shape).copy()
+    D[:, 2, 2] = np.where(det < 0, -1.0, 1.0)
+    return np.einsum("nab,nbc,ncd->nad", U, D, Vt)
+
+
+def surrogate_energy(sys, X):
+    """A ``SurrogateSystem``'s energy at the array ``X``, every term from X."""
+    g, p = sys.graph, sys.params
+    ra = g.F @ X + g.P - sys.U
+    rr = g.B @ X - g.Y
+    A, _ = unpack_state(X)
+    return (float(np.sum(sys.wa * np.sum(ra * ra, axis=1)))
+            + p.alpha * float(np.sum(sys.wr * np.sum(rr * rr, axis=1)))
+            + p.beta * float(np.sum((A - project_rotations_einsum(A)) ** 2)))
+
+
+def surrogate_gradient(sys, X):
+    """A ``SurrogateSystem``'s gradient at the array ``X``, every term from X."""
+    g, p = sys.graph, sys.params
+    Gm = (g.F.T @ (sys.wa[:, None] * (g.F @ X + g.P - sys.U))
+          + p.alpha * (g.B.T @ (sys.wr[:, None] * (g.B @ X - g.Y))))
+    if p.beta != 0.0:
+        A, _ = unpack_state(X)
+        Gm = Gm + p.beta * pack_state(A - project_rotations_einsum(A), np.zeros((len(A), 3)))
+    return 2.0 * Gm
+
+
+def solve_inner_arrays(sys, X_k, params):
+    """L-BFGS on one surrogate, evaluating energy and gradient separately at
+    every point from the array state; returns the final state."""
+
+    def energy(X):
+        return surrogate_energy(sys, X)
+
+    h0_solve = splu(sys.assemble_H0()).solve
+    hist = LbfgsHistory(params.m)
+    X = X_k
+    E = energy(X)
+    G = surrogate_gradient(sys, X)
+    for _ in range(MAX_INNER_ITERS):
+        d = two_loop_direction(hist, G, h0_solve)
+        gd = float(np.sum(G * d))
+        if gd >= 0.0:
+            hist.clear()
+            d = -h0_solve(G)
+            gd = float(np.sum(G * d))
+            if gd >= 0.0:
+                d = -G
+                gd = float(np.sum(G * d))
+                if gd >= 0.0:
+                    break
+        step = line_search(energy, X, d, E, gd, params.gamma)
+        if step is None:
+            d = -G
+            gd = float(np.sum(G * d))
+            step = line_search(energy, X, d, E, gd, params.gamma)
+            if step is None:
+                break
+        _, X_new, E_new = step
+        G_new = surrogate_gradient(sys, X_new)
+        hist.push(X_new - X, G_new - G)
+        decrease = E - E_new
+        X, E, G = X_new, E_new, G_new
+        if decrease < params.eps1:
+            break
+    return X
 
 
 def triangle_update(dc_a, dc_b, p_c, p_a, p_b):

@@ -14,7 +14,7 @@ import pytest
 
 from nrreg.correspond import CorrespondenceSet
 from nrreg.energy import (EnergyParams, align_residual, assemble_surrogate,
-                          energy_align, energy_rot, identity_state, pack_state,
+                          deform, energy_align, energy_rot, identity_state, pack_state,
                           reg_residual, welsch)
 from nrreg.evaluate import (GroundTruth, add_gaussian_normal_noise,
                             remove_region, rmse, synthesize_deformation)
@@ -148,16 +148,16 @@ def test_criterion_01_gradient(capsys):
         g = random_graph(rng, r, n)
         X = random_state(rng, r)
         corr = random_correspondences(rng, n)
-        sys = assemble_surrogate(g, X, corr,
+        sys = assemble_surrogate(g, deform(g, X), corr,
                                  EnergyParams(0.2, 0.25, 0.8, 1.2))
-        G = sys.gradient(X)
+        G = sys.gradient(deform(g, X))
         h = 1e-5
         fd = np.zeros_like(X)
         for a in range(X.shape[0]):
             for b in range(3):
                 Xp = X.copy(); Xp[a, b] += h
                 Xm = X.copy(); Xm[a, b] -= h
-                fd[a, b] = (sys.energy(Xp) - sys.energy(Xm)) / (2 * h)
+                fd[a, b] = (sys.energy(deform(g, Xp)) - sys.energy(deform(g, Xm))) / (2 * h)
         rel = np.linalg.norm(G - fd) / max(np.linalg.norm(fd), 1e-12)
         ok &= rel < 1e-4
     elapsed = time.perf_counter() - t0
@@ -174,7 +174,7 @@ def test_criterion_02_majorization(capsys):
         Xk = random_state(rng, 5)
         corr = random_correspondences(rng, 80)
         params = EnergyParams(0.15, 0.2, 0.7, 1.1)
-        sys = assemble_surrogate(g, Xk, corr, params)
+        sys = assemble_surrogate(g, deform(g, Xk), corr, params)
 
         def frozen(X):
             da = np.linalg.norm(g.F @ X + g.P - sys.U, axis=1)
@@ -183,10 +183,10 @@ def test_criterion_02_majorization(capsys):
                     + params.alpha * float(np.sum(welsch(dr, params.nu_r)))
                     + params.beta * energy_rot(X))
 
-        e0s, e0f = sys.energy(Xk), frozen(Xk)
+        e0s, e0f = sys.energy(deform(g, Xk)), frozen(Xk)
         for _ in range(220):
             X = Xk + rng.normal(size=Xk.shape) * rng.uniform(0.005, 0.6)
-            if sys.energy(X) - e0s < frozen(X) - e0f - 1e-10:
+            if sys.energy(deform(g, X)) - e0s < frozen(X) - e0f - 1e-10:
                 ok = False
             checked += 1
     ok &= checked >= 1000
@@ -201,7 +201,7 @@ def test_criterion_03_matrix_form(capsys):
         X = random_state(rng, 5)
         corr = random_correspondences(rng, 120)
         params = EnergyParams(0.2, 0.3, 0.9, 1.4)
-        sys = assemble_surrogate(g, X, corr, params)
+        sys = assemble_surrogate(g, deform(g, X), corr, params)
 
         # scalar-loop alignment term: sum_i w_i^a |v~_i - u_i|^2
         from nrreg.energy import unpack_state

@@ -201,6 +201,24 @@ def test_config_unknown_choice_fails_before_loading(mesh_files, tmp_path, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [["--imax", "0"], ["--radius-factor", "0"],
+                                   ["--k-alpha", "-1"], ["--k-beta", "-1"], ["--m", "0"]])
+def test_out_of_range_param_fails_before_loading(mesh_files, tmp_path, capsys,
+                                                 monkeypatch, flags):
+    d, _ = mesh_files
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a mesh was loaded")
+
+    monkeypatch.setattr("nrreg.cli.load_surface", no_load)
+    rc = main(["register", "--source", str(d / "source.obj"),
+               "--target", str(d / "target.ply"), "--out", str(tmp_path / "out")] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err
+    assert "Traceback" not in err
+
+
 def test_config_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("kernel welsch\n")

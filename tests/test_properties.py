@@ -10,7 +10,11 @@ them from the points as it goes, to the last bit.
 The solver starts from a rigid map lifted onto the graph, so the lifted
 state must reproduce that map exactly.  Each outer iteration minimizes a
 quadratic surrogate, which lowers the robust energy only if the surrogate
-majorizes it; and each L-BFGS step needs a descent direction.
+majorizes it; and each L-BFGS step needs a descent direction.  The inner
+solver evaluates each point once and reads energy and gradient from that
+record; it must stop at the very state, to the last bit, of a solver that
+recomputes every term from the array at each call, and the rotations it
+projects must be those of an einsum over ``U D Vt``, byte for byte.
 
 Surfaces are read and written as PLY one block per element, and must load
 and save exactly as a reader and writer that go row by row do; edges are
@@ -29,16 +33,19 @@ from scipy.spatial.transform import Rotation
 
 from nrreg.correspond import (CorrespondenceSet, RigidTransform,
                               lift_rigid_to_state)
-from nrreg.energy import EnergyParams, assemble_surrogate, total_energy
+from nrreg.energy import (EnergyParams, assemble_surrogate, deform, energy_align,
+                          energy_reg, energy_rot, gaussian_weight, project_rotations,
+                          total_energy)
 from nrreg.errors import FormatError, InvalidInputError
 from nrreg.geodesic import geodesic_from
 from nrreg.graph import build_graph, transform_points
 from nrreg.mesh import Surface, edges_from_faces, load_obj, load_ply, save_obj, save_ply
-from nrreg.solver import LbfgsHistory, two_loop_direction
+from nrreg.solver import LbfgsHistory, SolverParams, solve_inner, two_loop_direction
 
 from conftest import grid_mesh
 from oracles import (edges_unique_rows, fast_marching, load_obj_rows, load_ply_rows,
-                     save_obj_rows, save_ply_rows)
+                     project_rotations_einsum, save_obj_rows, save_ply_rows,
+                     solve_inner_arrays)
 from test_energy import random_graph, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -133,11 +140,87 @@ def test_surrogate_majorizes_energy(seed, nu_a, nu_r, alpha, beta, step):
     corr = CorrespondenceSet(np.zeros(40, dtype=np.int64), rng.uniform(size=(40, 3)),
                              np.zeros(40), np.ones(40, dtype=bool))
     params = EnergyParams(nu_a, nu_r, alpha, beta)
-    sys = assemble_surrogate(g, Xk, corr, params)
+    sys = assemble_surrogate(g, deform(g, Xk), corr, params)
     X = Xk + step * rng.normal(size=Xk.shape)
-    surrogate_change = sys.energy(X) - sys.energy(Xk)
-    energy_change = total_energy(g, X, corr, params) - total_energy(g, Xk, corr, params)
+    at, at_k = deform(g, X), deform(g, Xk)
+    surrogate_change = sys.energy(at) - sys.energy(at_k)
+    energy_change = total_energy(at, corr, params) - total_energy(at_k, corr, params)
     assert surrogate_change >= energy_change - 1e-10 * max(1.0, abs(surrogate_change))
+
+
+@st.composite
+def matrix_batches(draw):
+    """1 to 30 3x3 matrices, each general, drawn entry by entry (zeros and
+    repeats included), near the identity, rank 2, rank 1, zero, a rotation,
+    or a rotation times a reflection (negative determinant)."""
+    n = draw(st.integers(1, 30))
+    kinds = draw(st.lists(st.sampled_from(["general", "drawn", "near_identity", "rank2",
+                                           "rank1", "zero", "rotation", "reflection"]),
+                          min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(seeds))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    out = []
+    for kind in kinds:
+        M = scale * rng.normal(size=(3, 3))
+        if kind == "drawn":
+            M = draw(arrays(np.float64, (3, 3), elements=st.sampled_from([0.0, -0.0, 1.0, -1.0,
+                                                                          0.5, 2.0, -3.0])))
+        elif kind == "near_identity":
+            M = np.eye(3) + 1e-7 * M
+        elif kind == "rank2":
+            M[:, 2] = M[:, 0] if draw(st.booleans()) else 0.5 * M[:, 0] - 2.0 * M[:, 1]
+        elif kind == "rank1":
+            M = np.outer(M[0], M[1])
+        elif kind == "zero":
+            M = np.zeros((3, 3))
+        elif kind in ("rotation", "reflection"):
+            M = Rotation.random(random_state=rng).as_matrix()
+            if kind == "reflection":
+                M = M @ np.diag([1.0, 1.0, -1.0])
+        out.append(M)
+    return np.array(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_batches())
+def test_project_rotations_matches_einsum_oracle_bytes(As):
+    assert project_rotations(As).tobytes() == project_rotations_einsum(As).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(2, 6), st.floats(0.05, 0.5), st.floats(0.05, 0.5),
+       st.sampled_from([0.0, 0.3, 1.0, 2.0]), st.sampled_from([0.0, 0.5, 1.5]),
+       st.sampled_from(["welsch", "l2"]), st.integers(1, 6), st.sampled_from([1e-3, 1e-9]),
+       st.floats(0.05, 1.0))
+def test_solve_inner_matches_array_oracle(seed, r, nu_a, nu_r, alpha, beta, kernel, m,
+                                          eps1, spread):
+    rng = np.random.default_rng(seed)
+    n = 10 * r
+    g = random_graph(rng, r, n)
+    Xk = random_state(rng, r, spread)
+    corr = CorrespondenceSet(np.zeros(n, dtype=np.int64), rng.uniform(size=(n, 3)),
+                             np.zeros(n), np.ones(n, dtype=bool))
+    params = EnergyParams(nu_a, nu_r, alpha, beta, kernel)
+    start = deform(g, Xk)
+    sys = assemble_surrogate(g, start, corr, params)
+    if kernel == "welsch":
+        ra = g.F @ Xk + g.P - corr.positions
+        rr = g.B @ Xk - g.Y
+        assert sys.wa.tobytes() == gaussian_weight(np.sum(ra * ra, axis=1), nu_a).tobytes()
+        assert sys.wr.tobytes() == gaussian_weight(np.sum(rr * rr, axis=1), nu_r).tobytes()
+
+    solver_params = SolverParams(m=m, eps1=eps1)
+    end = solve_inner(sys, start, solver_params)
+    assert end.X.tobytes() == solve_inner_arrays(sys, Xk, solver_params).tobytes()
+    # the record returned is the evaluation of the state it holds
+    again = deform(g, end.X)
+    for name in ("points", "edges", "rot"):
+        assert getattr(end, name).tobytes() == getattr(again, name).tobytes()
+    # the total energy on the record is the sum of the per-term energies, to the bit
+    assert total_energy(end, corr, params) == (
+        energy_align(g, end.X, corr, nu_a, kernel)
+        + alpha * energy_reg(g, end.X, nu_r, kernel)
+        + beta * energy_rot(end.X))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import nrreg.energy
+import nrreg.solver
 from nrreg.correspond import CorrespondenceSet
-from nrreg.energy import EnergyParams, assemble_surrogate, identity_state
+from nrreg.energy import EnergyParams, assemble_surrogate, deform, identity_state
 from nrreg.errors import InvalidInputError
 from nrreg.evaluate import GroundTruth, rmse
 from nrreg.graph import build_graph
@@ -22,6 +24,20 @@ def test_params_validation():
         SolverParams(eps1=0.0)
     with pytest.raises(InvalidInputError):
         SolverParams(nu_a_max_factor=0.1, nu_a_min_factor=0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("i_max", 0), ("radius_factor", 0.0), ("radius_factor", float("nan")),
+    ("k_alpha", -1.0), ("k_beta", -0.5), ("k_alpha", float("nan")),
+    ("m", 0), ("icp_iters", -1)])
+def test_params_reject_out_of_range_counts_and_factors(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        SolverParams(**{field: value})
+
+
+def test_params_accept_boundary_values():
+    p = SolverParams(icp_iters=0, k_alpha=0.0, k_beta=0.0, m=1, i_max=1)
+    assert (p.icp_iters, p.m, p.i_max) == (0, 1, 1)
 
 
 def test_params_reject_unknown_kernel_and_sampler():
@@ -125,11 +141,12 @@ def test_solve_inner_decreases_surrogate():
     corr = CorrespondenceSet(np.zeros(80, dtype=np.int64),
                              rng.uniform(size=(80, 3)),
                              np.zeros(80), np.ones(80, dtype=bool))
-    sys = assemble_surrogate(g, X0, corr, EnergyParams(0.3, 0.3, 1.0, 1.0))
+    start = deform(g, X0)
+    sys = assemble_surrogate(g, start, corr, EnergyParams(0.3, 0.3, 1.0, 1.0))
     params = SolverParams(eps1=1e-10)
-    X = solve_inner(sys, X0, params)
-    assert sys.energy(X) < sys.energy(X0)
-    assert np.linalg.norm(sys.gradient(X)) < 1e-2 * max(1, np.linalg.norm(sys.gradient(X0)))
+    end = solve_inner(sys, start, params)
+    assert sys.energy(end) < sys.energy(start)
+    assert np.linalg.norm(sys.gradient(end)) < 1e-2 * max(1, np.linalg.norm(sys.gradient(start)))
 
 
 def test_anneal_schedule_ends_where_halving_ends():
@@ -211,6 +228,42 @@ def test_register_leaves_graph_unchanged():
     register(s_n, t_n, graph=g)
     assert vars(g).keys() == before.keys()
     assert all(vars(g)[k] is v for k, v in before.items())
+
+
+def test_register_evaluates_each_point_once(monkeypatch):
+    """One rotation projection per point: each line-search trial, plus the
+    starting state.  The accepted trial's evaluation serves its gradient, the
+    outer loop's points and total energy, and the next surrogate."""
+    counts = {"projections": 0, "trials": 0}
+    searching = []
+    project, energy, search = (nrreg.energy.project_rotations,
+                               nrreg.energy.SurrogateSystem.energy, nrreg.solver.line_search)
+
+    def counted_project(As):
+        counts["projections"] += 1
+        return project(As)
+
+    def counted_energy(self, *args):
+        counts["trials"] += bool(searching)
+        return energy(self, *args)
+
+    def counted_search(*args):
+        searching.append(True)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(nrreg.energy, "project_rotations", counted_project)
+    monkeypatch.setattr(nrreg.energy.SurrogateSystem, "energy", counted_energy)
+    monkeypatch.setattr(nrreg.solver, "line_search", counted_search)
+    src = grid_mesh(10, 10)
+    target = Surface(src.vertices @ rot_z(0.3).T + [0.0, 0.0, 0.05], src.faces)
+    s_n, t_n, _ = normalize_pair(compute_normals(src), compute_normals(target))
+    res = register(compute_normals(s_n), compute_normals(t_n))
+    assert len(res.energy_trace) > 1
+    assert counts["trials"] > len(res.energy_trace)
+    assert counts["projections"] <= counts["trials"] + 1
 
 
 def test_register_point_cloud_source():
