@@ -1,24 +1,34 @@
 """Command-line pipeline: register, synth, ablate.
 
-A run can be described by flags, by a flat ``key = value`` config file, or
-both (flags override the file).  All outputs land in ``--out``; on failure,
-partially written outputs are removed.
+Each subcommand has one table of options.  An option is a ``--flag`` and a
+key of the flat ``key = value`` config file given by ``--config``: the key
+is the flag's name, with ``-`` or ``_``, and its value goes through the
+option's conversion.  The solver's options are the fields of
+:class:`SolverParams`, typed by their defaults (``i_max`` is spelled
+``imax``).  Flags override the file.  A key the subcommand has no option
+for, a boolean other than ``1/true/yes/0/false/no`` and a value that does
+not convert fail with an ``NrregError`` before any mesh is loaded.  All
+outputs land in ``--out``; on failure, partially written outputs are
+removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 import time
 import traceback
+from dataclasses import fields
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import evaluate, mesh
+from . import evaluate
 from .energy import KERNELS
-from .errors import NrregError
+from .errors import InvalidInputError, NrregError
 from .graph import SAMPLERS, build_graph
 from .mesh import (Surface, compute_normals, load_surface, mean_edge_length,
                    normalize_pair, save_ply, write_error_mesh)
@@ -27,6 +37,58 @@ from .solver import SolverParams, register
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BAD_PATH = 2
+
+
+def _bool(text):
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"{text!r} is not one of 1/true/yes/0/false/no")
+
+
+def _floats(text):
+    return [float(x) for x in text.split(",")]
+
+
+def _names(text):
+    return [x.strip() for x in text.split(",")]
+
+
+class _Option(NamedTuple):
+    key: str          # run-config and config-file key; the flag is --key, '-' for '_'
+    kind: Callable    # converts a config value, or a flag's argument
+    help: Optional[str] = None
+    choices: Optional[tuple] = None
+
+
+# one option per SolverParams field; i_max keeps its CLI spelling imax
+_SOLVER = [_Option({"i_max": "imax"}.get(f.name, f.name),
+                   _bool if isinstance(f.default, bool) else type(f.default),
+                   choices={"kernel": KERNELS, "sampler": SAMPLERS}.get(f.name))
+           for f in fields(SolverParams)]
+_SOURCE = _Option("source", str, "source surface (OBJ or PLY)")
+_TARGET = _Option("target", str, "target surface (OBJ or PLY)")
+_GT = _Option("gt", str, "ground-truth deformed positions (PLY)")
+_OUT = _Option("out", str, "output directory")
+
+_OPTIONS = {
+    "register": [_SOURCE, _TARGET, _GT, _OUT, *_SOLVER],
+    "synth": [
+        _SOURCE, _OUT, _Option("seed", int), _Option("radius_factor", float),
+        _Option("deform_angle", float, "max per-node rotation angle in degrees"),
+        _Option("deform_translation", float, "std-dev of random per-node translations"),
+        _Option("noise_fraction", float),
+        _Option("noise_sigma_factor", float,
+                "noise std-dev as a multiple of mean edge length"),
+        _Option("remove_seed", int), _Option("remove_radius", float)],
+    "ablate": [
+        _SOURCE, _TARGET, _GT, _OUT, *_SOLVER,
+        _Option("kernels", _names, "comma-separated kernel list"),
+        _Option("radius_factors", _floats, "comma-separated radius sweep"),
+        _Option("sweep_fixed_nu", _bool)],
+}
 
 
 def _read_config(path):
@@ -43,63 +105,30 @@ def _read_config(path):
     return cfg
 
 
-def _add_common_flags(p):
-    p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--source", help="source surface (OBJ or PLY)")
-    p.add_argument("--target", help="target surface (OBJ or PLY)")
-    p.add_argument("--gt", help="ground-truth deformed positions (PLY)")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--kernel", choices=KERNELS, default=None)
-    p.add_argument("--sampler", choices=SAMPLERS, default=None)
-    p.add_argument("--radius-factor", type=float, default=None)
-    p.add_argument("--k-alpha", type=float, default=None)
-    p.add_argument("--k-beta", type=float, default=None)
-    p.add_argument("--nu-a-max-factor", type=float, default=None)
-    p.add_argument("--nu-a-min-factor", type=float, default=None)
-    p.add_argument("--nu-r-max-factor", type=float, default=None)
-    p.add_argument("--fixed-nu", action="store_true", default=None)
-    p.add_argument("--eps-d", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--eps1", type=float, default=None)
-    p.add_argument("--eps2", type=float, default=None)
-    p.add_argument("--imax", type=int, default=None)
-
-
-_PARAM_FIELDS = {
-    "kernel": str, "sampler": str, "radius_factor": float,
-    "k_alpha": float, "k_beta": float,
-    "nu_a_max_factor": float, "nu_a_min_factor": float,
-    "nu_r_max_factor": float, "fixed_nu": lambda v: str(v).lower() in ("1", "true", "yes"),
-    "eps_d": float, "theta": float,
-    "m": int, "gamma": float, "eps1": float, "eps2": float, "imax": int,
-}
-
-_PARAM_TO_SOLVER = {"imax": "i_max"}
-
-
 def _merge_config(args):
-    """File values first, then command-line overrides; returns a flat dict."""
+    """The run config of parsed ``args``: the config file's values, typed by
+    their options, then the flags given over them; keyed by option key."""
+    options = {opt.key: opt for opt in _OPTIONS[args.command]}
     merged = {}
-    if getattr(args, "config", None):
+    if args.config:
         if not os.path.exists(args.config):
             raise FileNotFoundError(args.config)
-        merged.update(_read_config(args.config))
-    for key in vars(args):
-        val = getattr(args, key)
-        if val is not None and key not in ("config", "func"):
-            merged[key] = val
+        for key, text in _read_config(args.config).items():
+            if key not in options:
+                raise NrregError(f"unknown {key} in {args.config}: "
+                                 f"nrreg {args.command} has no such option")
+            try:
+                merged[key] = options[key].kind(text)
+            except ValueError as exc:
+                raise NrregError(f"{args.config}: {key}: {exc}") from None
+    merged.update((key, getattr(args, key)) for key in options
+                  if getattr(args, key) is not None)
     return merged
 
 
 def _solver_params(cfg):
-    kwargs = {}
-    for key, conv in _PARAM_FIELDS.items():
-        if key in cfg:
-            kwargs[_PARAM_TO_SOLVER.get(key, key)] = conv(cfg[key])
-    return SolverParams(**kwargs)
+    return SolverParams(**{f.name: cfg[opt.key] for f, opt in zip(fields(SolverParams), _SOLVER)
+                           if opt.key in cfg})
 
 
 def _require_path(cfg, key):
@@ -130,17 +159,22 @@ class _OutputSet:
                 os.remove(p)
 
 
-def cmd_register(args):
-    cfg = _merge_config(args)
+def _register(cfg):
+    """Register the source to the target and write the outputs; returns the
+    RMSE against the ground truth, or None without one."""
     src_path = _require_path(cfg, "source")
     tgt_path = _require_path(cfg, "target")
-    gt_path = cfg.get("gt")
-    if gt_path and not os.path.exists(gt_path):
-        raise FileNotFoundError(gt_path)
+    gt_path = _require_path(cfg, "gt") if cfg.get("gt") else None
     params = _solver_params(cfg)
 
     source = load_surface(src_path)
     target = load_surface(tgt_path)
+    if gt_path:
+        gt = evaluate.GroundTruth(load_surface(gt_path).vertices)
+        if len(gt.gt_positions) != source.n_vertices:
+            raise InvalidInputError(
+                f"{gt_path}: {len(gt.gt_positions)} ground-truth positions "
+                f"for {source.n_vertices} source vertices")
     src_n, tgt_n, rec = normalize_pair(source, target)
     src_n = compute_normals(src_n)
     tgt_n = compute_normals(tgt_n)
@@ -161,39 +195,38 @@ def cmd_register(args):
         print(f"registered {src_path} -> {tgt_path} in {elapsed:.2f}s "
               f"({len(result.energy_trace)} outer iterations)")
 
-        if gt_path:
-            gt = evaluate.GroundTruth(load_surface(gt_path).vertices)
-            err = np.linalg.norm(deformed - gt.gt_positions, axis=1)
-            value = evaluate.rmse(deformed, gt)
-            print(f"RMSE {value:.9g}")
-            write_error_mesh(out_surface, err, out.path("error.ply"))
-        return EXIT_OK
+        if not gt_path:
+            return None
+        err = np.linalg.norm(deformed - gt.gt_positions, axis=1)
+        value = evaluate.rmse(deformed, gt)
+        print(f"RMSE {value:.9g}")
+        write_error_mesh(out_surface, err, out.path("error.ply"))
+        return value
     except Exception:
         out.cleanup()
         raise
 
 
-def cmd_synth(args):
-    cfg = _merge_config(args)
+def _synth(cfg):
     src_path = _require_path(cfg, "source")
     source = compute_normals(load_surface(src_path))
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     out = _OutputSet(cfg.get("out", "."))
     try:
         target = source
         gt = evaluate.GroundTruth(source.vertices.copy())
 
-        max_angle = float(cfg.get("deform_angle", 0.0))
+        max_angle = cfg.get("deform_angle", 0.0)
         if max_angle > 0.0:
             l_bar = mean_edge_length(source)
-            g = build_graph(source, R=float(cfg.get("radius_factor", 5.0)) * l_bar)
+            g = build_graph(source, R=cfg.get("radius_factor", SolverParams.radius_factor) * l_bar)
             rots, trans = evaluate.random_node_rotations(
                 g, max_angle, rng_seed=seed,
-                translation_scale=float(cfg.get("deform_translation", 0.0)))
+                translation_scale=cfg.get("deform_translation", 0.0))
             target, gt = evaluate.synthesize_deformation(source, g, rots, trans)
 
-        frac = float(cfg.get("noise_fraction", 0.0))
-        sigma_factor = float(cfg.get("noise_sigma_factor", 0.0))
+        frac = cfg.get("noise_fraction", 0.0)
+        sigma_factor = cfg.get("noise_sigma_factor", 0.0)
         if frac > 0.0 and sigma_factor > 0.0:
             if target.normals is None:
                 target = compute_normals(target)
@@ -201,58 +234,42 @@ def cmd_synth(args):
             target = evaluate.add_gaussian_normal_noise(target, frac, sigma,
                                                         rng_seed=seed)
 
-        radius = float(cfg.get("remove_radius", 0.0))
+        radius = cfg.get("remove_radius", 0.0)
         if radius > 0.0:
-            target, _ = evaluate.remove_region(
-                target, int(cfg.get("remove_seed", 0)), radius)
+            target, _ = evaluate.remove_region(target, cfg.get("remove_seed", 0), radius)
 
         save_ply(target, out.path("target.ply"))
         gt.save_ply(out.path("gt.ply"))
         print(f"wrote synthetic target ({target.n_vertices} vertices) and ground truth")
-        return EXIT_OK
     except Exception:
         out.cleanup()
         raise
 
 
-def cmd_ablate(args):
-    cfg = _merge_config(args)
+def _ablate(cfg):
     _require_path(cfg, "source")
     _require_path(cfg, "target")
-    gt_path = cfg.get("gt")
+    kernels = cfg.get("kernels", [cfg.get("kernel", SolverParams.kernel)])
+    radii = cfg.get("radius_factors", [cfg.get("radius_factor", SolverParams.radius_factor)])
+    nu_modes = [False, True] if cfg.get("sweep_fixed_nu") else [cfg.get("fixed_nu", False)]
 
-    kernels = str(cfg.get("kernels", cfg.get("kernel", "welsch"))).split(",")
-    radii = [float(x) for x in str(cfg.get("radius_factors",
-                                           cfg.get("radius_factor", "5"))).split(",")]
-    nu_modes = [False, True] if cfg.get("sweep_fixed_nu") else [bool(cfg.get("fixed_nu", False))]
-
-    out = _OutputSet(cfg.get("out", "."))
+    out_dir = cfg.get("out", ".")
+    out = _OutputSet(out_dir)
     rows = []
-    for kernel in kernels:
-        for rf in radii:
-            for fixed in nu_modes:
-                cell = dict(cfg)
-                cell["kernel"] = kernel.strip()
-                cell["radius_factor"] = rf
-                cell["fixed_nu"] = fixed
-                cell["out"] = os.path.join(
-                    cfg.get("out", "."),
-                    f"cell_{kernel.strip()}_r{rf:g}_{'fixed' if fixed else 'anneal'}")
-                row = {"kernel": kernel.strip(), "radius_factor": rf,
-                       "fixed_nu": int(fixed)}
-                try:
-                    t0 = time.perf_counter()
-                    ns = argparse.Namespace(**{**{k: None for k in vars(args)}, **cell})
-                    ns.config = None
-                    cmd_register(ns)
-                    row["seconds"] = round(time.perf_counter() - t0, 3)
-                    row["rmse"] = _cell_rmse(cell, gt_path)
-                    row["status"] = "ok"
-                except Exception as exc:   # record the failed cell, keep going
-                    row["seconds"] = ""
-                    row["rmse"] = ""
-                    row["status"] = f"failed: {exc}"
-                rows.append(row)
+    for kernel, rf, fixed in itertools.product(kernels, radii, nu_modes):
+        cell = f"cell_{kernel}_r{rf:g}_{'fixed' if fixed else 'anneal'}"
+        row = {"kernel": kernel, "radius_factor": rf, "fixed_nu": int(fixed),
+               "rmse": "", "seconds": ""}
+        try:
+            t0 = time.perf_counter()
+            rmse = _register({**cfg, "kernel": kernel, "radius_factor": rf,
+                              "fixed_nu": fixed, "out": os.path.join(out_dir, cell)})
+            row["seconds"] = round(time.perf_counter() - t0, 3)
+            row["rmse"] = "" if rmse is None else f"{rmse:.9g}"
+            row["status"] = "ok"
+        except Exception as exc:   # record the failed cell, keep going
+            row["status"] = f"failed: {exc}"
+        rows.append(row)
 
     with open(out.path("ablation.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["kernel", "radius_factor",
@@ -261,15 +278,6 @@ def cmd_ablate(args):
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} ablation cells")
-    return EXIT_OK
-
-
-def _cell_rmse(cell, gt_path):
-    if not gt_path:
-        return ""
-    result = load_surface(os.path.join(cell["out"], "result.ply"))
-    gt = evaluate.GroundTruth(load_surface(gt_path).vertices)
-    return f"{evaluate.rmse(result.vertices, gt):.9g}"
 
 
 def build_parser():
@@ -277,38 +285,25 @@ def build_parser():
         prog="nrreg",
         description="Robust non-rigid surface registration")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_reg = sub.add_parser("register", help="align a source surface to a target")
-    _add_common_flags(p_reg)
-    p_reg.set_defaults(func=cmd_register)
-
-    p_syn = sub.add_parser("synth", help="generate corrupted targets + ground truth")
-    _add_common_flags(p_syn)
-    p_syn.add_argument("--deform-angle", type=float, default=None,
-                       help="max per-node rotation angle in degrees")
-    p_syn.add_argument("--deform-translation", type=float, default=None,
-                       help="std-dev of random per-node translations")
-    p_syn.add_argument("--noise-fraction", type=float, default=None)
-    p_syn.add_argument("--noise-sigma-factor", type=float, default=None,
-                       help="noise std-dev as a multiple of mean edge length")
-    p_syn.add_argument("--remove-seed", type=int, default=None)
-    p_syn.add_argument("--remove-radius", type=float, default=None)
-    p_syn.set_defaults(func=cmd_synth)
-
-    p_abl = sub.add_parser("ablate", help="run a matrix of configurations")
-    _add_common_flags(p_abl)
-    p_abl.add_argument("--kernels", help="comma-separated kernel list")
-    p_abl.add_argument("--radius-factors", help="comma-separated radius sweep")
-    p_abl.add_argument("--sweep-fixed-nu", action="store_true", default=None)
-    p_abl.set_defaults(func=cmd_ablate)
+    for command, func, text in (
+            ("register", _register, "align a source surface to a target"),
+            ("synth", _synth, "generate corrupted targets + ground truth"),
+            ("ablate", _ablate, "run a matrix of configurations")):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="flat key=value config file; flags override")
+        for opt in _OPTIONS[command]:
+            kind = (dict(action="store_true", default=None) if opt.kind is _bool
+                    else dict(type=opt.kind, choices=opt.choices))
+            p.add_argument("--" + opt.key.replace("_", "-"), help=opt.help, **kind)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(_merge_config(args))
+        return EXIT_OK
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc}", file=sys.stderr)
         return EXIT_BAD_PATH

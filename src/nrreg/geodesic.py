@@ -205,22 +205,3 @@ def multi_source_geodesic(s: Surface, seeds, cap=None):
     if not seeds:
         raise InvalidInputError("seed set must be non-empty")
     return reduce(np.minimum, (geodesic_from(s, seed, cap=cap).distances for seed in seeds))
-
-
-def nearest_seed_labels(s: Surface, seeds):
-    """Geodesically nearest seed for every vertex (distance ties: first seed).
-
-    Runs one single-source field per seed; vertices unreachable from every
-    seed get label -1.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        raise InvalidInputError("seed set must be non-empty")
-    best = np.full(s.n_vertices, np.inf)
-    label = np.full(s.n_vertices, -1, dtype=np.int64)
-    for si, seed in enumerate(seeds):
-        d = geodesic_from(s, seed).distances
-        better = d < best
-        best[better] = d[better]
-        label[better] = si
-    return label, best

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import DegenerateInputError, InvalidInputError
-from .geodesic import geodesic_from, nearest_seed_labels
+from .geodesic import geodesic_from
 from .mesh import Surface, mean_edge_length, save_ply
 
 DEFAULT_RADIUS_FACTOR = 5.0
@@ -167,8 +167,11 @@ def influence_weights(s: Surface, node_indices, fields, R):
     """Per-point influence sets and normalized weights from the node fields.
 
     Points farther than ``R`` from every node get full weight on their
-    geodesically nearest node (Euclidean nearest if unreachable); those
-    fallbacks are reported separately."""
+    Euclidean nearest node; those fallbacks are reported separately.  In a
+    graph the samplers built, no node reaches a fallback point: the PCA
+    scan makes a node of every point not within ``R`` of an earlier node,
+    and farthest-point sampling stops only with every reachable point
+    within ``R/2`` of a node."""
     n = s.n_vertices
     node, vert, dist = _stack(fields)
     inside = dist < R
@@ -177,12 +180,8 @@ def influence_weights(s: Surface, node_indices, fields, R):
 
     fallback = np.flatnonzero(np.bincount(vert, minlength=n) == 0)
     if len(fallback) > 0:
-        labels, _ = nearest_seed_labels(s, [int(v) for v in node_indices])
-        extra = labels[fallback]
-        for k in np.flatnonzero(extra < 0):
-            # disconnected from every node: Euclidean nearest
-            d2 = np.linalg.norm(s.vertices[node_indices] - s.vertices[fallback[k]], axis=1)
-            extra[k] = int(np.argmin(d2))
+        extra = [np.argmin(np.linalg.norm(s.vertices[node_indices] - s.vertices[v], axis=1))
+                 for v in fallback]
         node = np.concatenate([node, extra])
         vert = np.concatenate([vert, fallback])
         raw = np.concatenate([raw, np.ones(len(fallback))])

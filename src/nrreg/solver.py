@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -55,6 +55,10 @@ class SolverParams:
     icp_iters: int = 15
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise InvalidInputError(f"{f.name} must be finite")
         if not (0.0 < self.gamma < 1.0):
             raise InvalidInputError("gamma must lie in (0, 1)")
         if self.eps1 <= 0 or self.eps2 <= 0:
@@ -65,13 +69,13 @@ class SolverParams:
             raise InvalidInputError(f"unknown kernel {self.kernel!r}")
         if self.sampler not in SAMPLERS:
             raise InvalidInputError(f"unknown sampler {self.sampler!r}")
-        # "not >=" so that NaN fails too
         for name, low in (("m", 1), ("i_max", 1), ("icp_iters", 0),
                           ("k_alpha", 0.0), ("k_beta", 0.0)):
             if not getattr(self, name) >= low:
                 raise InvalidInputError(f"{name} must be at least {low}")
-        if not self.radius_factor > 0:
-            raise InvalidInputError("radius_factor must be positive")
+        for name in ("radius_factor", "nu_r_max_factor"):
+            if not getattr(self, name) > 0:
+                raise InvalidInputError(f"{name} must be positive")
 
 
 class LbfgsHistory:

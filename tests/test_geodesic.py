@@ -3,8 +3,7 @@ import pytest
 
 from nrreg.errors import InvalidInputError
 from nrreg.evaluate import add_gaussian_normal_noise
-from nrreg.geodesic import (geodesic_from, multi_source_geodesic,
-                            nearest_seed_labels)
+from nrreg.geodesic import geodesic_from, multi_source_geodesic
 from nrreg.mesh import Surface, compute_normals, normalize_pair
 
 from conftest import grid_mesh, polyline_surface
@@ -55,13 +54,6 @@ def test_multi_source_is_pointwise_min():
     singles = np.stack([geodesic_from(s, v).distances for v in seeds])
     multi = multi_source_geodesic(s, seeds)
     assert np.allclose(multi, singles.min(axis=0))
-
-
-def test_nearest_seed_labels():
-    s = polyline_surface(5)
-    labels, best = nearest_seed_labels(s, [0, 4])
-    assert labels.tolist() == [0, 0, 0, 1, 1]  # distance tie at 2 -> first seed
-    assert np.allclose(best, [0, 1, 2, 1, 0])
 
 
 def test_disconnected_vertices_are_inf():

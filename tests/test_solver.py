@@ -29,7 +29,10 @@ def test_params_validation():
 @pytest.mark.parametrize("field, value", [
     ("i_max", 0), ("radius_factor", 0.0), ("radius_factor", float("nan")),
     ("k_alpha", -1.0), ("k_beta", -0.5), ("k_alpha", float("nan")),
-    ("m", 0), ("icp_iters", -1)])
+    ("m", 0), ("icp_iters", -1), ("k_beta", float("inf")), ("k_alpha", float("inf")),
+    ("eps1", float("nan")), ("eps2", float("nan")), ("nu_a_max_factor", float("nan")),
+    ("nu_r_max_factor", float("nan")), ("nu_r_max_factor", 0.0),
+    ("radius_factor", float("inf"))])
 def test_params_reject_out_of_range_counts_and_factors(field, value):
     with pytest.raises(InvalidInputError, match=field):
         SolverParams(**{field: value})
