@@ -208,6 +208,11 @@ def _register(cfg):
 
 
 def _synth(cfg):
+    # written so that NaN fails it too; the graph radius is checked by build_graph
+    for key in ("deform_angle", "deform_translation", "noise_fraction",
+                "noise_sigma_factor", "remove_radius"):
+        if not 0.0 <= cfg.get(key, 0.0) < np.inf:
+            raise InvalidInputError(f"{key} must be finite and non-negative")
     src_path = _require_path(cfg, "source")
     source = compute_normals(load_surface(src_path))
     seed = cfg.get("seed", 0)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, diags, identity
 
 from .errors import InvalidInputError
 from .graph import DeformationGraph, transform_points
@@ -191,8 +190,8 @@ class SurrogateSystem:
 
     def gradient(self, d: Deformed):
         g = self.graph
-        Gm = (g.F.T @ (self.wa[:, None] * (d.points - self.U))
-              + self.params.alpha * (g.B.T @ (self.wr[:, None] * d.edges)))
+        Gm = (g.FT @ (self.wa[:, None] * (d.points - self.U))
+              + self.params.alpha * (g.BT @ (self.wr[:, None] * d.edges)))
         if self.params.beta != 0.0:
             # the rotation term acts on the A rows only
             Gm = Gm + self.params.beta * pack_state(d.rot, np.zeros((len(d.rot), 3)))
@@ -201,16 +200,12 @@ class SurrogateSystem:
     def assemble_H0(self):
         """2 (F^T W_a^2 F + alpha B^T W_r^2 B + beta I_A), with I_A the
         identity on the A rows, diagonally jittered so the factorization
-        never hits an exactly singular translation row."""
-        g = self.graph
-        H = (g.F.T @ diags(self.wa) @ g.F
-             + self.params.alpha * (g.B.T @ diags(self.wr) @ g.B))
-        # beta I_A, built in H's CSC format so that the sum converts nothing
-        n = H.shape[0]
-        beta_A = np.tile([self.params.beta] * 3 + [0.0], g.n_nodes)
-        H = 2.0 * (H + csc_matrix((beta_A, np.arange(n), np.arange(n + 1)), shape=(n, n)))
-        H = H + SPD_JITTER * identity(n)
-        return H.tocsc()
+        never hits an exactly singular translation row; filled into the
+        graph's fixed pattern by its :class:`nrreg.graph.H0Plan`."""
+        p = self.params
+        # doubling every weight is exact, so this is the doubled sum
+        diagonal = np.tile([2.0 * p.beta] * 3 + [0.0], self.graph.n_nodes) + SPD_JITTER
+        return self.graph.h0_plan.assemble(2.0 * self.wa, 2.0 * p.alpha * self.wr, diagonal)
 
 
 def gaussian_weight(sq_dist, nu):

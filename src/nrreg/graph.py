@@ -8,7 +8,9 @@ sum to one.
 The graph carries the linear map of its deformation.  With the node
 transforms stacked into the (4r, 3) state X (block rows ``[A_j^T; t_j^T]``),
 every deformed point is a row of ``F X + P`` and every edge residual a row of
-``B X - Y``.
+``B X - Y``.  It also carries the plan that fills the surrogate's quadratic
+form ``F^T W_a F + alpha B^T W_r B + ...`` into a fixed sparse pattern
+(:class:`H0Plan`), since only the diagonal weights change between MM steps.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .errors import DegenerateInputError, InvalidInputError
 from .geodesic import geodesic_from
@@ -24,6 +26,58 @@ from .mesh import Surface, mean_edge_length, save_ply
 
 DEFAULT_RADIUS_FACTOR = 5.0
 SAMPLERS = ("pca", "farthest")
+
+
+# a node pair's 4x4 block from its ten moments of [d; 1] [d; 1]^T, in the
+# order xx, xy, xz, yy, yz, zz, x, y, z, 1
+_BLOCK_MOMENTS = np.array([0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9])
+
+
+@dataclass(frozen=True)
+class H0Plan:
+    """How ``F^T diag(wa) F + B^T diag(wr) B + diag(c)`` fills the graph's
+    fixed CSC pattern; the surrogate's H0 is of this form.
+
+    Row i of F is ``w_ij [v_i - p_j, 1]`` on node j's four columns, so block
+    (j, l) of ``F^T diag(wa) F`` is ``sum_i wa_i w_ij w_il [d; 1] [d + p_j - p_l; 1]^T``
+    with ``d = v_i - p_j``: ten weighted moments of the offsets d, one sparse
+    product ``K @ monomials`` for every node pair j <= l that shares a point,
+    then a shift by ``p_j - p_l``.  Taking d from the point's own node keeps
+    the moments free of cancellation wherever the graph lies.  Blocks with
+    j < l are mirrored, so the matrix is exactly symmetric.  Each edge row of
+    B has five nonzeros and adds its 25 products.  The pattern ``(indptr,
+    indices)`` holds a full 4x4 block at every node pair that shares a point
+    or an edge and on the diagonal; ``slots`` sends every term, in the order
+    pair blocks, mirrored blocks, edge products, diagonal, to its entry of
+    it."""
+
+    indptr: np.ndarray          # (4r + 1,) CSC column pointers
+    indices: np.ndarray         # (nnz,) CSC row indices, sorted per column
+    K: csr_matrix               # (p, m) w_ij w_il per node pair and influence entry (i, j)
+    point: np.ndarray           # (m,) source point i of each influence entry
+    offsets: np.ndarray         # (3, m) v_i - p_j of each influence entry, by coordinate
+    shift: np.ndarray           # (p, 3) p_j - p_l of each node pair
+    mirror: np.ndarray          # (q,) the node pairs with j < l
+    edge_products: np.ndarray   # (2e, 25) products of each edge row's five entries
+    slots: np.ndarray           # pattern entry of each term
+
+    def assemble(self, wa, wr, c):
+        """The (4r, 4r) CSC matrix ``F^T diag(wa) F + B^T diag(wr) B + diag(c)``."""
+        # the ten monomials of [d; 1] [d; 1]^T weighted by wa of the point,
+        # one contiguous row each; K turns them into every node pair's moments
+        d = self.offsets
+        mono = np.empty((10, d.shape[1]))
+        q = np.take(wa, self.point, out=mono[9])
+        np.multiply(q, d, out=mono[6:9])
+        for row, (a, b) in enumerate(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))):
+            np.multiply(mono[6 + a], d[b], out=mono[row])
+        blocks = (self.K @ mono.T)[:, _BLOCK_MOMENTS].reshape(-1, 4, 4)
+        blocks[:, :, :3] += blocks[:, :, 3:] * self.shift[:, None, :]
+        terms = np.concatenate([blocks.ravel(), blocks[self.mirror].transpose(0, 2, 1).ravel(),
+                                (wr[:, None] * self.edge_products).ravel(), c])
+        n = len(self.indptr) - 1
+        return csc_matrix((np.bincount(self.slots, terms, minlength=len(self.indices)),
+                           self.indices, self.indptr), shape=(n, n))
 
 
 @dataclass
@@ -38,10 +92,14 @@ class DeformationGraph:
     influence: csr_matrix           # (n, r) normalized weights w_ij
     source_positions: np.ndarray    # (n, 3) the points the weights refer to
     fallback_points: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    F: csr_matrix = field(init=False, repr=False)   # (n, 4r)
+    # F and B are CSC views of the CSR transposes the gradient multiplies by
+    F: csc_matrix = field(init=False, repr=False)   # (n, 4r)
+    FT: csr_matrix = field(init=False, repr=False)  # (4r, n)
     P: np.ndarray = field(init=False, repr=False)   # (n, 3)
-    B: csr_matrix = field(init=False, repr=False)   # (2e, 4r), one row per directed edge
+    B: csc_matrix = field(init=False, repr=False)   # (2e, 4r), one row per directed edge
+    BT: csr_matrix = field(init=False, repr=False)  # (4r, 2e)
     Y: np.ndarray = field(init=False, repr=False)   # (2e, 3)
+    h0_plan: H0Plan = field(init=False, repr=False)
 
     def __post_init__(self):
         shape = (self.n_points, 4 * self.n_nodes)
@@ -51,7 +109,9 @@ class DeformationGraph:
         offsets = self.source_positions[W.row] - Pn[W.col]
         vals = np.column_stack([offsets, np.ones(W.nnz)]) * W.data[:, None]
         cols = 4 * W.col[:, None] + np.arange(4)
-        self.F = csr_matrix((vals.ravel(), (np.repeat(W.row, 4), cols.ravel())), shape=shape)
+        self.FT = csr_matrix((vals.ravel(), (cols.ravel(), np.repeat(W.row, 4))),
+                             shape=shape[::-1])
+        self.F = self.FT.T
         self.P = np.asarray(self.influence @ Pn)
         # D_ij = A_j (p_i - p_j) + p_j + t_j - (p_i + t_i): [p_i - p_j, 1] on
         # node j's columns and -1 on node i's translation column
@@ -61,7 +121,69 @@ class DeformationGraph:
         vals = np.concatenate([np.column_stack([self.Y, ones]).ravel(), -ones])
         rows = np.concatenate([np.repeat(k, 4), k])
         cols = np.concatenate([(4 * j[:, None] + np.arange(4)).ravel(), 4 * i + 3])
-        self.B = csr_matrix((vals, (rows, cols)), shape=(len(k), shape[1]))
+        self.BT = csr_matrix((vals, (cols, rows)), shape=(shape[1], len(k)))
+        self.B = self.BT.T
+        self.h0_plan = self._h0_plan()
+
+    def _h0_plan(self):
+        r, Pn = self.n_nodes, self.node_positions
+        W = self.influence.tocoo()
+        order = np.lexsort((W.col, W.row))
+        point = W.row[order].astype(np.int32)
+        node = W.col[order].astype(np.int32)
+        w = W.data[order]
+        # each influence entry pairs with itself and every later entry of its
+        # point, whose node is higher
+        m = len(point)
+        later = (np.searchsorted(point, point, side="right") - np.arange(m)).astype(np.int32)
+        first = np.repeat(np.arange(m, dtype=np.int32), later)
+        start = np.repeat((np.cumsum(later) - later).astype(np.int32), later)
+        second = first + (np.arange(len(first), dtype=np.int32) - start)
+        keys, pair = np.unique(node[first].astype(np.int64) * r + node[second],
+                               return_inverse=True)
+        K = csr_matrix((w[first] * w[second], (pair.astype(np.int32), first)),
+                       shape=(len(keys), m))
+        pj, pl = (keys // r).astype(np.int32), (keys % r).astype(np.int32)
+        mirror = np.flatnonzero(pj != pl).astype(np.int32)
+
+        # the pattern: a full 4x4 block at every node pair that shares a point
+        # or an edge, and on the diagonal; in CSC order, block column by block
+        # column, each column's blocks by block row
+        i, j = directed_edges(self).T
+        nodes = np.arange(r)
+        blocks = np.unique(np.concatenate([pl, pj, i, nodes]) * np.int64(r)
+                           + np.concatenate([pj, pl, j, nodes]))
+        count = np.bincount(blocks // r, minlength=r)       # blocks per block column
+        before = np.cumsum(count) - count                   # blocks in earlier ones
+
+        def slot(J, L, a, b):
+            """Where entry (4J + a, 4L + b) of the pattern is stored."""
+            k = np.searchsorted(blocks, L * np.int64(r) + J)
+            return (12 * before[L] + 4 * k + 4 * count[L] * b + a).astype(np.int32)
+
+        a16, b16 = np.divmod(np.arange(16), 4)
+        a25, b25 = np.divmod(np.arange(25), 5)
+        col_node, col_b = np.divmod(np.arange(4 * r), 4)
+        bj, bl = (blocks % r)[:, None], (blocks // r)[:, None]
+        indices = np.empty(16 * len(blocks), dtype=np.int32)
+        indices[slot(bj, bl, a16, b16)] = 4 * bj + a16
+        # row k of B (directed edge (i, j)) has [p_i - p_j, 1] on node j's
+        # columns and -1 on node i's translation column: entries 0-3 and 4
+        v5 = np.column_stack([self.Y, np.ones(len(i)), -np.ones(len(i))])
+        i, j = i[:, None], j[:, None]
+        return H0Plan(
+            indptr=np.append(16 * before[col_node] + 4 * count[col_node] * col_b,
+                             16 * len(blocks)).astype(np.int32),
+            indices=indices,
+            K=K, point=point, offsets=(self.source_positions[point] - Pn[node]).T.copy(),
+            shift=Pn[pj] - Pn[pl], mirror=mirror,
+            edge_products=v5[:, a25] * v5[:, b25],
+            slots=np.concatenate([
+                slot(pj[:, None], pl[:, None], a16, b16).ravel(),
+                slot(pl[mirror, None], pj[mirror, None], a16, b16).ravel(),
+                slot(np.where(a25 < 4, j, i), np.where(b25 < 4, j, i),
+                     np.minimum(a25, 3), np.minimum(b25, 3)).ravel(),
+                slot(col_node, col_node, col_b, col_b)]))
 
     @property
     def n_nodes(self):
@@ -111,7 +233,7 @@ def sample_nodes_pca(s: Surface, R):
     Returns the nodes and their fields (see :func:`node_field`).  Each field
     is marched once, capped at 2R; the cap leaves every distance at or below
     it unchanged, so the test against ``R`` is that of a cap-R scan."""
-    if R <= 0:
+    if not R > 0:
         raise InvalidInputError("R must be positive")
     n = s.n_vertices
     if n == 0:
@@ -138,7 +260,7 @@ def sample_nodes_farthest(s: Surface, R):
     than the PCA scan at the same ``R``.  Returns the nodes and their fields
     (see :func:`node_field`); the farthest-point test needs the uncapped
     fields."""
-    if R <= 0:
+    if not R > 0:
         raise InvalidInputError("R must be positive")
     if s.n_vertices == 0:
         raise DegenerateInputError("empty surface")
@@ -201,7 +323,7 @@ def build_graph(s: Surface, R=None, sampler="pca"):
     """
     if R is None:
         R = DEFAULT_RADIUS_FACTOR * mean_edge_length(s)
-    if R <= 0:
+    if not R > 0:
         raise InvalidInputError("R must be positive")
     if sampler == "pca":
         nodes, fields = sample_nodes_pca(s, R)

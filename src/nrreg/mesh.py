@@ -194,16 +194,16 @@ def _pca_normals(points, k=10):
     if n < 3:
         raise DegenerateInputError("need at least 3 points for PCA normals")
     k = min(k, n - 1)
-    tree = cKDTree(points)
-    _, idx = tree.query(points, k=k + 1)
+    dist, idx = cKDTree(points).query(points, k=k + 1)
     nbrs = points[idx]                       # (n, k+1, 3)
     nbrs = nbrs - nbrs.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", nbrs, nbrs)
     _, vecs = np.linalg.eigh(cov)
     normals = vecs[:, :, 0]                  # smallest-eigenvalue direction
 
-    # Orient consistently: propagate sign over a Euclidean MST.
-    d, j = tree.query(points, k=min(7, n))
+    # Orient consistently: propagate sign over a Euclidean MST of the
+    # nearest (at most 7, the point itself included) neighbours of each point.
+    d, j = dist[:, :7], idx[:, :7]
     rows = np.repeat(np.arange(n), j.shape[1])
     graph = coo_matrix((d.ravel() + 1e-12, (rows, j.ravel())), shape=(n, n))
     mst = minimum_spanning_tree(graph)

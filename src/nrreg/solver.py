@@ -135,6 +135,17 @@ def line_search(energy_fn, X, d, E0, g_dot_d, gamma):
     return None
 
 
+def factor_h0(H0):
+    """Sparse LU of the symmetric positive definite H0 in SuperLU's symmetric
+    mode: a minimum-degree ordering of ``H0 + H0^T`` and diagonal pivots.
+    Raises ``SolverError`` if the factorization fails."""
+    try:
+        return splu(H0, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolverError(f"H0 factorization failed: {exc}") from exc
+
+
 def solve_inner(sys, start, params: SolverParams):
     """Minimize one surrogate with L-BFGS; H0 is factored once and reused.
 
@@ -143,12 +154,7 @@ def solve_inner(sys, start, params: SolverParams):
     once: the line search's trial evaluation serves the gradient at the
     accepted point too.
     """
-    H0 = sys.assemble_H0()
-    try:
-        factor = splu(H0)
-    except RuntimeError as exc:
-        raise SolverError(f"H0 factorization failed: {exc}") from exc
-    h0_solve = factor.solve     # multi-column right-hand sides solved together
+    h0_solve = factor_h0(sys.assemble_H0()).solve   # multi-column right-hand sides at once
 
     trial = None
 

@@ -8,13 +8,18 @@ can check the matrix forms against something other than themselves.
 The same goes for fast marching, which the package runs on lengths and dots
 precomputed per surface, and for the orientation of PCA normals, which it
 propagates along the spanning tree by pointer jumping: the loops below take
-every quantity from the points or normals at the moment it is needed.
+every quantity from the points or normals at the moment it is needed.  The
+package also slices that tree's neighbour graph from the k-nearest-neighbour
+query of the PCA fit; the version below queries the tree a second time.
 
 The package reads and writes PLY one numpy block per element, and OBJ one
 block per record type; the readers and writers below go one row at a time,
 PLY through a dict per row and ``struct``.
 Edges are deduplicated here as index-pair rows, and face normals summed
 with ``np.add.at``, one corner at a time.
+
+The inner solver below factors H0 through the package's own
+``factor_h0``: it checks the two-loop recursion, not the factorization.
 
 The package evaluates each state once (``energy.deform``) and lets the
 surrogate energy, its gradient and the inner solver read that record.  The
@@ -29,13 +34,15 @@ import math
 import struct
 
 import numpy as np
-
-from scipy.sparse.linalg import splu
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+from scipy.spatial import cKDTree
 
 from nrreg.energy import pack_state, unpack_state
-from nrreg.solver import MAX_INNER_ITERS, LbfgsHistory, line_search, two_loop_direction
+from nrreg.solver import (MAX_INNER_ITERS, LbfgsHistory, factor_h0, line_search,
+                          two_loop_direction)
 from nrreg.errors import FormatError, InvalidInputError
-from nrreg.mesh import _PLY_TYPES, Surface, _parse_ply_header
+from nrreg.mesh import _PLY_TYPES, Surface, _orient_along_tree, _parse_ply_header
 
 
 def influence_list(g, i):
@@ -115,7 +122,7 @@ def solve_inner_arrays(sys, X_k, params):
     def energy(X):
         return surrogate_energy(sys, X)
 
-    h0_solve = splu(sys.assemble_H0()).solve
+    h0_solve = factor_h0(sys.assemble_H0()).solve
     hist = LbfgsHistory(params.m)
     X = X_k
     E = energy(X)
@@ -231,6 +238,26 @@ def orient_along_tree(normals, order, preds):
         p = preds[v]
         if p >= 0 and np.dot(normals[v], normals[p]) < 0:
             normals[v] = -normals[v]
+
+
+def pca_normals_two_queries(points, k=10):
+    """PCA normals over the k+1 nearest neighbours, oriented along a spanning
+    tree of a second, 7-nearest-neighbour query of the same tree."""
+    n = len(points)
+    k = min(k, n - 1)
+    tree = cKDTree(points)
+    _, idx = tree.query(points, k=k + 1)
+    nbrs = points[idx]
+    nbrs = nbrs - nbrs.mean(axis=1, keepdims=True)
+    _, vecs = np.linalg.eigh(np.einsum("nki,nkj->nij", nbrs, nbrs))
+    normals = vecs[:, :, 0]
+    d, j = tree.query(points, k=min(7, n))
+    rows = np.repeat(np.arange(n), j.shape[1])
+    mst = minimum_spanning_tree(coo_matrix((d.ravel() + 1e-12, (rows, j.ravel())),
+                                           shape=(n, n)))
+    order, preds = breadth_first_order(mst + mst.T, 0, directed=False)
+    _orient_along_tree(normals, order, preds)
+    return normals
 
 
 def edges_unique_rows(faces):

@@ -41,6 +41,22 @@ def test_register_self(mesh_files, tmp_path, capsys):
     assert (tmp_path / "error.ply").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--deform-angle", "8", "--radius-factor", "nan"],
+    ["--deform-angle", "8", "--deform-translation", "-1"],
+    ["--deform-angle", "nan"],
+    ["--noise-fraction", "0.5", "--noise-sigma-factor", "nan"]])
+def test_synth_malformed_number_is_typed_error(mesh_files, tmp_path, capsys, flags):
+    d, _ = mesh_files
+    out = tmp_path / "out"
+    rc = main(["synth", "--source", str(d / "source.obj"), "--out", str(out)] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err
+    assert "Traceback" not in err
+    assert not (out / "target.ply").exists()
+
+
 def test_register_missing_path_exit_2(tmp_path):
     rc = main(["register", "--source", str(tmp_path / "none.obj"),
                "--target", str(tmp_path / "none.ply")])

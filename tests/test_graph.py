@@ -113,8 +113,9 @@ def test_build_graph_defaults(grid25):
 
 
 def test_build_graph_bad_args(grid25):
-    with pytest.raises(InvalidInputError):
-        build_graph(grid25, R=-1.0)
+    for R in (-1.0, 0.0, float("nan")):
+        with pytest.raises(InvalidInputError):
+            build_graph(grid25, R=R)
     with pytest.raises(InvalidInputError):
         build_graph(grid25, sampler="random")
 

@@ -9,7 +9,7 @@ from nrreg.mesh import (NormalizationRecord, Surface, compute_normals,
                         save_obj, save_ply, surface_edges, write_error_mesh)
 
 from conftest import grid_mesh
-from oracles import face_vertex_normals, orient_along_tree
+from oracles import face_vertex_normals, orient_along_tree, pca_normals_two_queries
 
 
 def test_edges_from_faces_unique_sorted():
@@ -143,6 +143,19 @@ def test_pca_normal_orientation_matches_bfs_loop(seed, monkeypatch):
     fast = mesh._pca_normals(pts)
     monkeypatch.setattr(mesh, "_orient_along_tree", orient_along_tree)
     assert np.array_equal(fast, mesh._pca_normals(pts))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pca_normals_reuse_the_neighbour_query(seed):
+    """The orientation graph sliced from the k+1 neighbour query is the graph
+    of a second 7-neighbour query when no two distances of a point tie, so
+    the normals are those of a pass that queries twice."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 1500))
+    xy = rng.uniform(size=(n, 2))
+    pts = np.column_stack([xy, 0.1 * np.sin(4.0 * xy[:, 0]) + rng.normal(0.0, 0.02, size=n)])
+    for k in (6, 10):
+        assert np.array_equal(mesh._pca_normals(pts, k=k), pca_normals_two_queries(pts, k=k))
 
 
 def test_orient_along_tree_zero_dot_never_flips():

@@ -10,9 +10,14 @@ them from the points as it goes, to the last bit.
 The solver starts from a rigid map lifted onto the graph, so the lifted
 state must reproduce that map exactly.  Each outer iteration minimizes a
 quadratic surrogate, which lowers the robust energy only if the surrogate
-majorizes it; and each L-BFGS step needs a descent direction.  The inner
-solver evaluates each point once and reads energy and gradient from that
-record; it must stop at the very state, to the last bit, of a solver that
+majorizes it; and each L-BFGS step needs a descent direction.  L-BFGS is
+seeded with the surrogate's quadratic form H0, which the graph's plan fills
+from pair moments of the influence offsets: it must be the dense
+``2 (F^T W_a F + alpha B^T W_r B + beta I_A) + jitter I`` on any graph (no
+edges, points on one node, fallback points, coordinates far from the
+origin), exactly symmetric, and the symmetric-mode factor must solve it.
+The inner solver evaluates each point once and reads energy and gradient from
+that record; it must stop at the very state, to the last bit, of a solver that
 recomputes every term from the array at each call, and the rotations it
 projects must be those of an einsum over ``U D Vt``, byte for byte.
 
@@ -29,18 +34,20 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import csr_matrix
 from scipy.spatial.transform import Rotation
 
 from nrreg.correspond import (CorrespondenceSet, RigidTransform,
                               lift_rigid_to_state)
-from nrreg.energy import (EnergyParams, assemble_surrogate, deform, energy_align,
-                          energy_reg, energy_rot, gaussian_weight, project_rotations,
-                          total_energy)
+from nrreg.energy import (SPD_JITTER, EnergyParams, SurrogateSystem, assemble_surrogate,
+                          deform, energy_align, energy_reg, energy_rot, gaussian_weight,
+                          project_rotations, total_energy)
 from nrreg.errors import FormatError, InvalidInputError
 from nrreg.geodesic import geodesic_from
-from nrreg.graph import build_graph, transform_points
+from nrreg.graph import DeformationGraph, build_graph, transform_points
 from nrreg.mesh import Surface, edges_from_faces, load_obj, load_ply, save_obj, save_ply
-from nrreg.solver import LbfgsHistory, SolverParams, solve_inner, two_loop_direction
+from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
+                          two_loop_direction)
 
 from conftest import grid_mesh
 from oracles import (edges_unique_rows, fast_marching, load_obj_rows, load_ply_rows,
@@ -146,6 +153,61 @@ def test_surrogate_majorizes_energy(seed, nu_a, nu_r, alpha, beta, step):
     surrogate_change = sys.energy(at) - sys.energy(at_k)
     energy_change = total_energy(at, corr, params) - total_energy(at_k, corr, params)
     assert surrogate_change >= energy_change - 1e-10 * max(1.0, abs(surrogate_change))
+
+
+@st.composite
+def odd_graphs(draw):
+    """A deformation graph of 1 to 6 nodes over 1 to 30 points.  Every node
+    influences a point; each point's weights sit on 1 to 4 nodes, a drawn
+    share of points on one node only, and these may be listed as fallback
+    points; the edge set may be empty; the whole geometry may sit 1e3 away
+    from the origin, where raw moments of the points would cancel."""
+    rng = np.random.default_rng(draw(seeds))
+    r = draw(st.integers(1, 6))
+    n = draw(st.integers(r, 30))
+    one_node = draw(st.floats(0.0, 1.0))
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        k = 1 if rng.uniform() < one_node else int(rng.integers(1, min(r, 4) + 1))
+        js = rng.choice(r, size=k, replace=False)
+        if i < r and i not in js:
+            js[0] = i
+        w = rng.uniform(0.1, 1.0, size=k)
+        rows += [i] * k
+        cols += list(js)
+        vals += list(w / w.sum())
+    W = csr_matrix((vals, (rows, cols)), shape=(n, r))
+    single = np.flatnonzero(np.diff(W.indptr) == 1)
+    fallback = single if draw(st.booleans()) else np.empty(0, dtype=np.int64)
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    keep = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    edges = np.array([e for e in pairs if rng.uniform() < keep], dtype=np.int64).reshape(-1, 2)
+    offset = draw(st.sampled_from([0.0, 1e3]))
+    return DeformationGraph(np.arange(r), rng.uniform(size=(r, 3)) + offset, edges, 1.0, W,
+                            rng.uniform(size=(n, 3)) + offset, fallback_points=fallback)
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_graphs(), seeds, st.floats(0.0, 3.0), st.floats(0.05, 5.0),
+       st.sampled_from([1e-3, 1.0, 1e2]))
+def test_assembled_h0_is_the_dense_form_and_factors(g, seed, alpha, beta, scale):
+    rng = np.random.default_rng(seed)
+    wa = scale * rng.uniform(size=g.n_points)
+    wr = scale * rng.uniform(size=g.B.shape[0])
+    sys = SurrogateSystem(g, np.zeros((g.n_points, 3)), wa, wr,
+                          EnergyParams(1.0, 1.0, alpha, beta))
+    H = sys.assemble_H0().toarray()
+    F, B = g.F.toarray(), g.B.toarray()
+    J = np.diag(np.tile([1.0, 1.0, 1.0, 0.0], g.n_nodes))     # identity on the A rows
+    dense = (2.0 * (F.T @ np.diag(wa) @ F + alpha * B.T @ np.diag(wr) @ B + beta * J)
+             + SPD_JITTER * np.eye(4 * g.n_nodes))
+    assert np.abs(H - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.array_equal(H, H.T)
+    rhs = rng.normal(size=(4 * g.n_nodes, 3))
+    x = factor_h0(sys.assemble_H0()).solve(rhs)
+    ref = np.linalg.solve(H, rhs)
+    # both solvers are backward stable: each is within a few n eps cond(H)
+    assert np.abs(x - ref).max() <= 1e-13 * np.linalg.cond(H) * np.abs(ref).max()
 
 
 @st.composite
