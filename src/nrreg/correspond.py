@@ -119,16 +119,19 @@ def best_rigid(src_pts, dst_pts):
 
 
 def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
-                   eps_d=DEFAULT_EPS_D, theta=DEFAULT_THETA_DEG, seed_pairs=None):
+                   eps_d=DEFAULT_EPS_D, theta=DEFAULT_THETA_DEG, seed_pairs=None,
+                   index: SpatialIndex | None = None):
     """Point-to-point ICP with distance/normal pair rejection.
 
     ``seed_pairs`` is an optional (k, 2) array of (source index, target index)
     pairs whose closed-form alignment seeds the iterations; otherwise the
-    iterations start from the identity.
+    iterations start from the identity.  ``index`` is a
+    :class:`SpatialIndex` over the target's vertices, built here if omitted.
     """
     if source.normals is None or target.normals is None:
         raise InvalidInputError("rigid ICP needs normals on both surfaces")
-    index = SpatialIndex(target.vertices)
+    if index is None:
+        index = SpatialIndex(target.vertices)
     if seed_pairs is not None:
         seed_pairs = np.asarray(seed_pairs, dtype=np.int64)
         rt = best_rigid(source.vertices[seed_pairs[:, 0]],

@@ -93,6 +93,10 @@ def synthesize_deformation(s: Surface, g, node_rotations, node_translations):
 def random_node_rotations(g, max_angle_deg, rng_seed=0, translation_scale=0.0):
     """Small random rotations (angle <= max_angle_deg) plus optional random
     translations, one per graph node."""
+    for name, value in (("max_angle_deg", max_angle_deg),
+                        ("translation_scale", translation_scale)):
+        if not (np.isfinite(value) and value >= 0.0):
+            raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
     rng = np.random.default_rng(rng_seed)
     r = g.n_nodes
     axes = rng.normal(size=(r, 3))

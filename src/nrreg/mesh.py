@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree, breadth_first_order
 from scipy.spatial import cKDTree
 
@@ -190,27 +190,72 @@ def _face_vertex_normals(vertices, faces):
 
 
 def _pca_normals(points, k=10):
+    """Unit normals of a point cloud: the smallest-eigenvalue direction of the
+    centred covariance of each point's k+1 nearest neighbours (itself
+    included), oriented along a spanning tree of the neighbour graph."""
     n = len(points)
     if n < 3:
         raise DegenerateInputError("need at least 3 points for PCA normals")
     k = min(k, n - 1)
     dist, idx = cKDTree(points).query(points, k=k + 1)
-    nbrs = points[idx]                       # (n, k+1, 3)
-    nbrs = nbrs - nbrs.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", nbrs, nbrs)
-    _, vecs = np.linalg.eigh(cov)
-    normals = vecs[:, :, 0]                  # smallest-eigenvalue direction
+    x, y, z = nbrs = points.T[:, idx]        # (3, n, k+1) coordinate planes
+    nbrs -= nbrs.mean(axis=2, keepdims=True)
+    normals = _smallest_eigenvectors([np.einsum("nk,nk->n", u, v) for u, v in
+                                      ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))])
 
     # Orient consistently: propagate sign over a Euclidean MST of the
     # nearest (at most 7, the point itself included) neighbours of each point.
-    d, j = dist[:, :7], idx[:, :7]
-    rows = np.repeat(np.arange(n), j.shape[1])
-    graph = coo_matrix((d.ravel() + 1e-12, (rows, j.ravel())), shape=(n, n))
-    mst = minimum_spanning_tree(graph)
-    sym = mst + mst.T
-    order, preds = breadth_first_order(sym, 0, directed=False)
+    w = min(7, k + 1)
+    graph = csr_matrix((dist[:, :w].ravel() + 1e-12, idx[:, :w].ravel(),
+                        np.arange(0, w * n + 1, w)), shape=(n, n))
+    order, preds = breadth_first_order(minimum_spanning_tree(graph), 0, directed=False)
     _orient_along_tree(normals, order, preds)
     return normals
+
+
+EIGEN_FALLBACK_TOL = 1e-5
+
+
+def _smallest_eigenvectors(upper):
+    """Unit eigenvectors of the smallest eigenvalue of symmetric positive
+    semi-definite 3x3 matrices, given as their six distinct entries
+    ``(c00, c01, c02, c11, c12, c22)``, each an (n,) array.
+
+    The eigenvalue comes in closed form (O. K. Smith, CACM 1961); the vector
+    is the longest cross product of two rows of ``C - lambda I``, which is
+    orthogonal to both.  Its error grows as ``|C|^2`` over that length, so
+    rows where it is shorter than ``EIGEN_FALLBACK_TOL |C|^2`` go to
+    ``np.linalg.eigh``: those where ``C - lambda I`` has rank <= 1 or nearly
+    so, because the two smallest eigenvalues are close together or both far
+    below the largest (an isotropic or a line-like neighbourhood).
+    """
+    a, b, c, d, e, f = upper
+    m = (a + d + f) / 3.0
+    a0, d0, f0 = a - m, d - m, f - m
+    p = (a0 * a0 + d0 * d0 + f0 * f0 + 2.0 * (b * b + c * c + e * e)) / 6.0
+    q = 0.5 * (a0 * (d0 * f0 - e * e) - b * (b * f0 - c * e) + c * (b * e - c * d0))
+    # p = 0 (C = m I) gives NaN here, and its rows go to the fallback
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.arccos(np.clip(q / (p * np.sqrt(p)), -1.0, 1.0)) / 3.0
+    lam = m + 2.0 * np.sqrt(p) * np.cos(phi + 2.0 * np.pi / 3.0)
+    a1, d1, f1 = a - lam, d - lam, f - lam
+    # rows (a1, b, c), (b, d1, e), (c, e, f1): cross products 01, 02, 12
+    cross = np.array([[b * e - c * d1, c * b - a1 * e, a1 * d1 - b * b],
+                      [b * f1 - c * e, c * c - a1 * f1, a1 * e - b * c],
+                      [d1 * f1 - e * e, c * e - b * f1, b * e - c * d1]])
+    len2 = np.einsum("ijn,ijn->in", cross, cross)
+    pick = np.argmax(len2, axis=0)
+    batch = np.arange(len(a))
+    vec = cross[pick, :, batch]              # (n, 3)
+    len2 = len2[pick, batch]
+    norm2 = a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)
+    # written so that NaN lands in the fallback
+    weak = ~(len2 > (EIGEN_FALLBACK_TOL * norm2) ** 2)
+    vec /= np.sqrt(np.where(weak, 1.0, len2))[:, None]
+    if weak.any():
+        cov = np.stack([u[weak] for u in (a, b, c, b, d, e, c, e, f)], axis=-1)
+        vec[weak] = np.linalg.eigh(cov.reshape(-1, 3, 3))[1][:, :, 0]
+    return vec
 
 
 def _orient_along_tree(normals, order, preds):

@@ -265,15 +265,15 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
     if graph.n_nodes == 0:
         raise InvalidInputError("empty deformation graph")
 
+    index = SpatialIndex(target.vertices)
     rigid = None
     if initial_state is None:
         rigid = rigid_icp_init(source, target, iters=params.icp_iters,
-                               eps_d=params.eps_d, theta=params.theta)
+                               eps_d=params.eps_d, theta=params.theta, index=index)
         X = lift_rigid_to_state(rigid, graph)
     else:
         X = np.array(initial_state, dtype=np.float64)
 
-    index = SpatialIndex(target.vertices)
     cur = deform(graph, X)
     corr0 = find_correspondences(cur.points, target, index)
     d_bar = float(np.median(corr0.distances))

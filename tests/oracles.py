@@ -10,7 +10,9 @@ precomputed per surface, and for the orientation of PCA normals, which it
 propagates along the spanning tree by pointer jumping: the loops below take
 every quantity from the points or normals at the moment it is needed.  The
 package also slices that tree's neighbour graph from the k-nearest-neighbour
-query of the PCA fit; the version below queries the tree a second time.
+query of the PCA fit, straight into CSR; the version below queries the tree a
+second time and symmetrizes a COO graph.  The package's PCA eigenvectors come
+in closed form; a further version takes them from LAPACK's ``eigh``.
 
 The package reads and writes PLY one numpy block per element, and OBJ one
 block per record type; the readers and writers below go one row at a time,
@@ -42,7 +44,8 @@ from nrreg.energy import pack_state, unpack_state
 from nrreg.solver import (MAX_INNER_ITERS, LbfgsHistory, factor_h0, line_search,
                           two_loop_direction)
 from nrreg.errors import FormatError, InvalidInputError
-from nrreg.mesh import _PLY_TYPES, Surface, _orient_along_tree, _parse_ply_header
+from nrreg.mesh import (_PLY_TYPES, Surface, _orient_along_tree, _parse_ply_header,
+                        _smallest_eigenvectors)
 
 
 def influence_list(g, i):
@@ -242,22 +245,52 @@ def orient_along_tree(normals, order, preds):
 
 def pca_normals_two_queries(points, k=10):
     """PCA normals over the k+1 nearest neighbours, oriented along a spanning
-    tree of a second, 7-nearest-neighbour query of the same tree."""
+    tree of a second, 7-nearest-neighbour query of the same tree.  The eigen
+    step is the package's own."""
     n = len(points)
     k = min(k, n - 1)
     tree = cKDTree(points)
     _, idx = tree.query(points, k=k + 1)
-    nbrs = points[idx]
-    nbrs = nbrs - nbrs.mean(axis=1, keepdims=True)
-    _, vecs = np.linalg.eigh(np.einsum("nki,nkj->nij", nbrs, nbrs))
+    normals = _smallest_eigenvectors(upper_entries(_neighbour_covariances(points, idx)))
+    _orient_on_coo_mst(normals, *tree.query(points, k=min(7, n)))
+    return normals
+
+
+def pca_normals_eigh(points, k=10):
+    """PCA normals with the eigenvectors from LAPACK (``np.linalg.eigh``),
+    oriented along the spanning tree of the 7 nearest neighbours sliced
+    from the same query."""
+    n = len(points)
+    k = min(k, n - 1)
+    dist, idx = cKDTree(points).query(points, k=k + 1)
+    _, vecs = np.linalg.eigh(_neighbour_covariances(points, idx))
     normals = vecs[:, :, 0]
-    d, j = tree.query(points, k=min(7, n))
+    _orient_on_coo_mst(normals, dist[:, :7], idx[:, :7])
+    return normals
+
+
+def _orient_on_coo_mst(normals, d, j):
+    """Orient normals in place along the spanning tree of the graph with an
+    edge from each point i to each j[i], of length d[i] + 1e-12, built as a
+    COO matrix and symmetrized before the breadth-first pass."""
+    n = len(normals)
     rows = np.repeat(np.arange(n), j.shape[1])
     mst = minimum_spanning_tree(coo_matrix((d.ravel() + 1e-12, (rows, j.ravel())),
                                            shape=(n, n)))
     order, preds = breadth_first_order(mst + mst.T, 0, directed=False)
     _orient_along_tree(normals, order, preds)
-    return normals
+
+
+def _neighbour_covariances(points, idx):
+    """(n, 3, 3) scatter matrices of the centred neighbourhoods ``idx``."""
+    nbrs = points[idx]
+    nbrs = nbrs - nbrs.mean(axis=1, keepdims=True)
+    return np.einsum("nki,nkj->nij", nbrs, nbrs)
+
+
+def upper_entries(cov):
+    """The six distinct entries of symmetric (n, 3, 3) matrices, row by row."""
+    return [cov[:, i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
 
 
 def edges_unique_rows(faces):

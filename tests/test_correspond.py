@@ -115,6 +115,21 @@ def test_rigid_icp_with_outliers():
     assert np.abs(rt.translation - t).max() < 5e-2
 
 
+def test_rigid_icp_with_a_given_index_builds_none(monkeypatch):
+    src = compute_normals(grid_mesh(10, 10, wavy=0.1))
+    tgt = compute_normals(Surface(src.vertices @ rot_z(0.1).T, src.faces.copy()))
+    index = SpatialIndex(tgt.vertices)
+    expected = rigid_icp_init(src, tgt)
+
+    def no_build(self, points):
+        raise AssertionError("rigid ICP built its own index")
+
+    monkeypatch.setattr(SpatialIndex, "__init__", no_build)
+    rt = rigid_icp_init(src, tgt, index=index)
+    assert np.array_equal(rt.rotation, expected.rotation)
+    assert np.array_equal(rt.translation, expected.translation)
+
+
 def test_rigid_icp_requires_normals():
     s = grid_mesh(5, 5)
     with pytest.raises(InvalidInputError):

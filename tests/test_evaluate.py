@@ -91,6 +91,16 @@ def test_random_node_rotations_are_rotations(grid25):
     assert np.array_equal(rots, r2) and np.array_equal(trans, t2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_angle_deg", float("nan")), ("max_angle_deg", float("inf")), ("max_angle_deg", -1.0),
+    ("translation_scale", float("nan")), ("translation_scale", float("inf")),
+    ("translation_scale", -1.0)])
+def test_random_node_rotations_reject_malformed_magnitudes(grid25, field, value):
+    args = {"max_angle_deg": 10.0, "translation_scale": 0.01, field: value}
+    with pytest.raises(InvalidInputError, match=field):
+        random_node_rotations(build_graph(grid25), **args)
+
+
 def test_ground_truth_save(tmp_path):
     gt = GroundTruth(np.random.default_rng(0).uniform(size=(10, 3)))
     p = tmp_path / "gt.ply"

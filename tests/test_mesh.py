@@ -9,7 +9,8 @@ from nrreg.mesh import (NormalizationRecord, Surface, compute_normals,
                         save_obj, save_ply, surface_edges, write_error_mesh)
 
 from conftest import grid_mesh
-from oracles import face_vertex_normals, orient_along_tree, pca_normals_two_queries
+from oracles import (face_vertex_normals, orient_along_tree, pca_normals_eigh,
+                     pca_normals_two_queries)
 
 
 def test_edges_from_faces_unique_sorted():
@@ -156,6 +157,21 @@ def test_pca_normals_reuse_the_neighbour_query(seed):
     pts = np.column_stack([xy, 0.1 * np.sin(4.0 * xy[:, 0]) + rng.normal(0.0, 0.02, size=n)])
     for k in (6, 10):
         assert np.array_equal(mesh._pca_normals(pts, k=k), pca_normals_two_queries(pts, k=k))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pca_normals_match_eigh_up_to_one_sign(seed):
+    """The closed-form eigenvectors are LAPACK's to 1e-9 rad, so the oriented
+    fields agree up to the one global sign that neither solver fixes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 1500))
+    xy = rng.uniform(size=(n, 2))
+    pts = np.column_stack([xy, 0.1 * np.sin(4.0 * xy[:, 0]) + rng.normal(0.0, 0.02, size=n)])
+    for k in (6, 10):
+        fast, ref = mesh._pca_normals(pts, k=k), pca_normals_eigh(pts, k=k)
+        sign = np.sign(fast[0] @ ref[0])
+        # the chord, not arccos of the dot, resolves angles below 1e-8 rad
+        assert np.linalg.norm(fast - sign * ref, axis=1).max() < 1e-9
 
 
 def test_orient_along_tree_zero_dot_never_flips():

@@ -21,6 +21,12 @@ that record; it must stop at the very state, to the last bit, of a solver that
 recomputes every term from the array at each call, and the rotations it
 projects must be those of an einsum over ``U D Vt``, byte for byte.
 
+PCA normals take the smallest eigenvector of each neighbourhood covariance in
+closed form, falling back to LAPACK where the closed form loses accuracy: on
+any positive semi-definite 3x3 matrix (rank 0 to 3, repeated eigenvalues,
+scales from 1e-12 to 1e12) the vector must be a unit eigenvector to the
+working precision, and LAPACK's own vector wherever it is unique.
+
 Surfaces are read and written as PLY one block per element, and must load
 and save exactly as a reader and writer that go row by row do; edges are
 deduplicated through one integer key per index pair, and must come out as
@@ -45,14 +51,15 @@ from nrreg.energy import (SPD_JITTER, EnergyParams, SurrogateSystem, assemble_su
 from nrreg.errors import FormatError, InvalidInputError
 from nrreg.geodesic import geodesic_from
 from nrreg.graph import DeformationGraph, build_graph, transform_points
-from nrreg.mesh import Surface, edges_from_faces, load_obj, load_ply, save_obj, save_ply
+from nrreg.mesh import (Surface, _smallest_eigenvectors, edges_from_faces, load_obj,
+                        load_ply, save_obj, save_ply)
 from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
                           two_loop_direction)
 
 from conftest import grid_mesh
 from oracles import (edges_unique_rows, fast_marching, load_obj_rows, load_ply_rows,
                      project_rotations_einsum, save_obj_rows, save_ply_rows,
-                     solve_inner_arrays)
+                     solve_inner_arrays, upper_entries)
 from test_energy import random_graph, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -247,6 +254,45 @@ def matrix_batches(draw):
 @given(matrix_batches())
 def test_project_rotations_matches_einsum_oracle_bytes(As):
     assert project_rotations(As).tobytes() == project_rotations_einsum(As).tobytes()
+
+
+@st.composite
+def psd_batches(draw):
+    """1 to 20 symmetric positive semi-definite 3x3 matrices ``U diag(lam) U^T``
+    of rank 0 to 3, some eigenvalues repeated, at one scale from 1e-12 to
+    1e12, with their drawn spectra (largest first, before scaling)."""
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(seeds))
+    scale = 10.0 ** draw(st.floats(-12.0, 12.0))
+    values = st.sampled_from([1.0, 1e-3]) | st.floats(1e-8, 1.0)
+    spectra = []
+    for _ in range(n):
+        rank = draw(st.integers(0, 3))
+        lam = draw(st.lists(values, min_size=rank, max_size=rank)) + [0.0] * (3 - rank)
+        spectra.append(sorted(lam, reverse=True))
+    spectra = np.array(spectra)
+    U = Rotation.random(n, random_state=rng).as_matrix()
+    C = scale * np.einsum("nij,nj,nkj->nik", U, spectra, U)
+    return 0.5 * (C + C.transpose(0, 2, 1)), spectra
+
+
+@settings(max_examples=300, deadline=None)
+@given(psd_batches())
+def test_smallest_eigenvectors_solve_the_eigenproblem(case):
+    C, spectra = case
+    vec = _smallest_eigenvectors(upper_entries(C))
+    assert np.isfinite(vec).all()
+    assert np.abs(np.linalg.norm(vec, axis=1) - 1.0).max() <= 1e-12
+    # holds for any vector of the eigenspace, unique or not
+    lam = np.linalg.eigvalsh(C)
+    resid = np.linalg.norm(np.einsum("nij,nj->ni", C, vec) - lam[:, :1] * vec, axis=1)
+    assert np.all(resid <= 1e-10 * np.abs(lam).max(axis=1))
+    # a well-separated smallest eigenvalue fixes the vector up to sign
+    sep = spectra[:, 1] - spectra[:, 2] > 1e-3 * spectra[:, 0]
+    ref = np.linalg.eigh(C[sep])[1][:, :, 0]
+    sign = np.sign(np.einsum("ij,ij->i", vec[sep], ref))[:, None]
+    # the chord, not arccos of the dot, resolves angles below 1e-8 rad
+    assert np.all(np.linalg.norm(vec[sep] - sign * ref, axis=1) <= 1e-9)
 
 
 @settings(max_examples=60, deadline=None)

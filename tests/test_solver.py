@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nrreg.correspond
 import nrreg.energy
 import nrreg.solver
 from nrreg.correspond import CorrespondenceSet
@@ -267,6 +268,23 @@ def test_register_evaluates_each_point_once(monkeypatch):
     assert len(res.energy_trace) > 1
     assert counts["trials"] > len(res.energy_trace)
     assert counts["projections"] <= counts["trials"] + 1
+
+
+def test_register_builds_one_target_index(monkeypatch):
+    """Rigid ICP queries the index the outer loop then uses."""
+    built = []
+    init = nrreg.correspond.SpatialIndex.__init__
+
+    def counted_init(self, points):
+        built.append(len(points))
+        init(self, points)
+
+    monkeypatch.setattr(nrreg.correspond.SpatialIndex, "__init__", counted_init)
+    src = compute_normals(grid_mesh(8, 8))
+    s_n, t_n, _ = normalize_pair(src, src.copy())
+    res = register(compute_normals(s_n), compute_normals(t_n))
+    assert res.rigid_init is not None
+    assert built == [t_n.n_vertices]
 
 
 def test_register_point_cloud_source():
