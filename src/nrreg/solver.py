@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .correspond import (DEFAULT_EPS_D, DEFAULT_THETA_DEG, SpatialIndex,
-                         find_correspondences, lift_rigid_to_state,
+from .correspond import (DEFAULT_EPS_D, DEFAULT_ICP_ITERS, DEFAULT_THETA_DEG,
+                         SpatialIndex, find_correspondences, lift_rigid_to_state,
                          rigid_icp_init)
 from .energy import KERNELS, EnergyParams, assemble_surrogate, deform, total_energy
 from .errors import InvalidInputError, SolverError
@@ -52,7 +52,7 @@ class SolverParams:
     kernel: str = "welsch"
     eps_d: float = DEFAULT_EPS_D
     theta: float = DEFAULT_THETA_DEG
-    icp_iters: int = 15
+    icp_iters: int = DEFAULT_ICP_ITERS
 
     def __post_init__(self):
         for f in fields(self):

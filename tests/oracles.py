@@ -27,8 +27,10 @@ The package evaluates each state once (``energy.deform``) and lets the
 surrogate energy, its gradient and the inner solver read that record.  The
 surrogate energy and gradient below recompute every term from the array
 ``X`` on each call, the inner solver calls them separately at every point,
-and the rotations are projected with a LAPACK determinant and one
-three-operand einsum.
+and the rotations are projected one matrix at a time: the package's Newton
+polar iteration restated on nine Python floats, with its cofactors written
+out from the definition, and the SVD fallback as a LAPACK determinant and
+one three-operand einsum.
 """
 
 import heapq
@@ -40,7 +42,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
-from nrreg.energy import pack_state, unpack_state
+from nrreg.energy import POLAR_ITERS, POLAR_TOL, pack_state, unpack_state
 from nrreg.solver import (MAX_INNER_ITERS, LbfgsHistory, factor_h0, line_search,
                           two_loop_direction)
 from nrreg.errors import FormatError, InvalidInputError
@@ -96,6 +98,40 @@ def project_rotations_einsum(As):
     return np.einsum("nab,nbc,ncd->nad", U, D, Vt)
 
 
+def project_rotation_newton(A):
+    """Closest rotation to one 3x3 matrix, one float at a time: the unscaled
+    Newton polar iteration ``X <- (X + cof(X) / det(X)) / 2`` from ``X = A``
+    for ``POLAR_ITERS`` steps, kept only for a finite ``A`` with
+    ``det(A) > 0`` whose last step moved no entry by more than
+    ``POLAR_TOL``; any other matrix takes the SVD projection."""
+    x = [float(v) for v in np.asarray(A, dtype=np.float64).ravel()]
+    if all(math.isfinite(v) for v in x):
+        try:
+            for k in range(POLAR_ITERS):
+                cof = []
+                for i in range(3):
+                    i1, i2 = (i + 1) % 3, (i + 2) % 3
+                    for j in range(3):
+                        j1, j2 = (j + 1) % 3, (j + 2) % 3
+                        cof.append(x[3 * i1 + j1] * x[3 * i2 + j2]
+                                   - x[3 * i1 + j2] * x[3 * i2 + j1])
+                det = x[0] * cof[0] + x[1] * cof[1] + x[2] * cof[2]
+                if k == 0 and not det > 0:
+                    break
+                x_prev, x = x, [0.5 * (v + c / det) for v, c in zip(x, cof)]
+            else:
+                if all(abs(v - w) <= POLAR_TOL for v, w in zip(x, x_prev)):
+                    return np.array(x).reshape(3, 3)
+        except ZeroDivisionError:
+            pass
+    return project_rotations_einsum(np.asarray(A, dtype=np.float64)[None])[0]
+
+
+def project_rotations_newton(As):
+    """``project_rotation_newton`` of each matrix of a batch."""
+    return np.array([project_rotation_newton(A) for A in As]).reshape(np.shape(As))
+
+
 def surrogate_energy(sys, X):
     """A ``SurrogateSystem``'s energy at the array ``X``, every term from X."""
     g, p = sys.graph, sys.params
@@ -104,7 +140,7 @@ def surrogate_energy(sys, X):
     A, _ = unpack_state(X)
     return (float(np.sum(sys.wa * np.sum(ra * ra, axis=1)))
             + p.alpha * float(np.sum(sys.wr * np.sum(rr * rr, axis=1)))
-            + p.beta * float(np.sum((A - project_rotations_einsum(A)) ** 2)))
+            + p.beta * float(np.sum((A - project_rotations_newton(A)) ** 2)))
 
 
 def surrogate_gradient(sys, X):
@@ -114,7 +150,7 @@ def surrogate_gradient(sys, X):
           + p.alpha * (g.B.T @ (sys.wr[:, None] * (g.B @ X - g.Y))))
     if p.beta != 0.0:
         A, _ = unpack_state(X)
-        Gm = Gm + p.beta * pack_state(A - project_rotations_einsum(A), np.zeros((len(A), 3)))
+        Gm = Gm + p.beta * pack_state(A - project_rotations_newton(A), np.zeros((len(A), 3)))
     return 2.0 * Gm
 
 

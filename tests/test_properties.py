@@ -18,8 +18,14 @@ edges, points on one node, fallback points, coordinates far from the
 origin), exactly symmetric, and the symmetric-mode factor must solve it.
 The inner solver evaluates each point once and reads energy and gradient from
 that record; it must stop at the very state, to the last bit, of a solver that
-recomputes every term from the array at each call, and the rotations it
-projects must be those of an einsum over ``U D Vt``, byte for byte.
+recomputes every term from the array at each call.
+
+Rotations are projected by a Newton polar iteration on the batch's entry
+planes, with an SVD fallback: on any batch (general, singular, reflected,
+zero) every row must be a rotation, the SVD's own rotation wherever that is
+well determined, and byte for byte the SVD's on the rows that must take the
+fallback.  Each row must come out as it does alone, and as the same
+iteration run one matrix at a time on Python floats.
 
 PCA normals take the smallest eigenvector of each neighbourhood covariance in
 closed form, falling back to LAPACK where the closed form loses accuracy: on
@@ -58,8 +64,8 @@ from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
 
 from conftest import grid_mesh
 from oracles import (edges_unique_rows, fast_marching, load_obj_rows, load_ply_rows,
-                     project_rotations_einsum, save_obj_rows, save_ply_rows,
-                     solve_inner_arrays, upper_entries)
+                     project_rotations_einsum, project_rotations_newton, save_obj_rows,
+                     save_ply_rows, solve_inner_arrays, upper_entries)
 from test_energy import random_graph, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -221,7 +227,8 @@ def test_assembled_h0_is_the_dense_form_and_factors(g, seed, alpha, beta, scale)
 def matrix_batches(draw):
     """1 to 30 3x3 matrices, each general, drawn entry by entry (zeros and
     repeats included), near the identity, rank 2, rank 1, zero, a rotation,
-    or a rotation times a reflection (negative determinant)."""
+    or a rotation times a reflection (negative determinant); with each
+    matrix's kind."""
     n = draw(st.integers(1, 30))
     kinds = draw(st.lists(st.sampled_from(["general", "drawn", "near_identity", "rank2",
                                            "rank1", "zero", "rotation", "reflection"]),
@@ -247,13 +254,36 @@ def matrix_batches(draw):
             if kind == "reflection":
                 M = M @ np.diag([1.0, 1.0, -1.0])
         out.append(M)
-    return np.array(out)
+    return np.array(out), kinds
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrix_batches())
-def test_project_rotations_matches_einsum_oracle_bytes(As):
-    assert project_rotations(As).tobytes() == project_rotations_einsum(As).tobytes()
+def test_project_rotations_are_the_svd_rotations(case):
+    As, kinds = case
+    P = project_rotations(As)
+    ref = project_rotations_einsum(As)
+    # every row, by whichever route, is a rotation
+    assert np.abs(np.einsum("nji,njk->nik", P, P) - np.eye(3)).max() <= 1e-14
+    assert np.abs(np.linalg.det(P) - 1.0).max() <= 1e-14
+    # where the rotation is well determined (condition number at most 100),
+    # it is the SVD's
+    s = np.linalg.svd(As, compute_uv=False)
+    well = (np.linalg.det(As) > 0) & (s[:, 2] >= 1e-2 * s[:, 0])
+    assert np.abs(P[well] - ref[well]).max(initial=0.0) <= 1e-12
+    # reflections and singular matrices take the SVD itself
+    fallback = np.isin(kinds, ["reflection", "rank2", "rank1", "zero"])
+    assert P[fallback].tobytes() == ref[fallback].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_batches())
+def test_project_rotations_row_by_row_is_the_scalar_oracle(case):
+    As, _ = case
+    P = project_rotations(As)
+    assert P.tobytes() == project_rotations_newton(As).tobytes()
+    for k in range(len(As)):
+        assert project_rotations(As[k:k + 1]).tobytes() == P[k].tobytes()
 
 
 @st.composite
