@@ -50,6 +50,10 @@ class SpatialIndex:
         return best.astype(np.int64), dist
 
 
+def _has_faces(s: Surface):
+    return s.faces is not None and len(s.faces) > 0
+
+
 @dataclass
 class CorrespondenceSet:
     """Per-query nearest target point plus a validity mask."""
@@ -66,7 +70,10 @@ def find_correspondences(queries, target: Surface, index: SpatialIndex | None = 
 
     ``reject``, when given, is a dict with ``eps_d`` (max distance) and
     ``theta`` (max normal deviation in degrees); it requires both
-    ``query_normals`` and target normals.
+    ``query_normals`` and target normals.  Its ``signed`` key says whether
+    normals must point the same way (``n . m >= cos theta``) or only lie
+    along the same line (``|n . m| >= cos theta``).  It defaults to whether
+    the target has faces: PCA normals of a point cloud have no sign.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if index is None:
@@ -81,6 +88,8 @@ def find_correspondences(queries, target: Surface, index: SpatialIndex | None = 
         valid &= dist <= eps_d
         cos_lim = np.cos(np.deg2rad(theta))
         dots = np.einsum("ij,ij->i", query_normals, target.normals[idx])
+        if not reject.get("signed", _has_faces(target)):
+            dots = np.abs(dots)
         valid &= dots >= cos_lim
     return CorrespondenceSet(idx, target.vertices[idx].copy(), dist, valid)
 
@@ -123,6 +132,11 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
                    index: SpatialIndex | None = None):
     """Point-to-point ICP with distance/normal pair rejection.
 
+    Between two meshes a pair's normals must point the same way, which
+    rejects back-facing pairs on folded or thin sheets.  When either surface
+    is a point cloud, whose PCA normals have no sign, they need only lie
+    within ``theta`` of the same line.
+
     ``seed_pairs`` is an optional (k, 2) array of (source index, target index)
     pairs whose closed-form alignment seeds the iterations; otherwise the
     iterations start from the identity.  ``index`` is a
@@ -139,7 +153,8 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     else:
         rt = RigidTransform.identity()
 
-    reject = {"eps_d": eps_d, "theta": theta}
+    reject = {"eps_d": eps_d, "theta": theta,
+              "signed": _has_faces(source) and _has_faces(target)}
     for it in range(iters):
         moved = rt.apply(source.vertices)
         moved_normals = source.normals @ rt.rotation.T

@@ -12,8 +12,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree, breadth_first_order
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateInputError, FormatError, InvalidInputError
@@ -192,25 +190,17 @@ def _face_vertex_normals(vertices, faces):
 def _pca_normals(points, k=10):
     """Unit normals of a point cloud: the smallest-eigenvalue direction of the
     centred covariance of each point's k+1 nearest neighbours (itself
-    included), oriented along a spanning tree of the neighbour graph."""
+    included).  They are unoriented: each point's sign is whatever the
+    eigenvector solver gives."""
     n = len(points)
     if n < 3:
         raise DegenerateInputError("need at least 3 points for PCA normals")
     k = min(k, n - 1)
-    dist, idx = cKDTree(points).query(points, k=k + 1)
+    _, idx = cKDTree(points).query(points, k=k + 1)
     x, y, z = nbrs = points.T[:, idx]        # (3, n, k+1) coordinate planes
     nbrs -= nbrs.mean(axis=2, keepdims=True)
-    normals = _smallest_eigenvectors([np.einsum("nk,nk->n", u, v) for u, v in
-                                      ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))])
-
-    # Orient consistently: propagate sign over a Euclidean MST of the
-    # nearest (at most 7, the point itself included) neighbours of each point.
-    w = min(7, k + 1)
-    graph = csr_matrix((dist[:, :w].ravel() + 1e-12, idx[:, :w].ravel(),
-                        np.arange(0, w * n + 1, w)), shape=(n, n))
-    order, preds = breadth_first_order(minimum_spanning_tree(graph), 0, directed=False)
-    _orient_along_tree(normals, order, preds)
-    return normals
+    return _smallest_eigenvectors([np.einsum("nk,nk->n", u, v) for u, v in
+                                   ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))])
 
 
 EIGEN_FALLBACK_TOL = 1e-5
@@ -258,39 +248,13 @@ def _smallest_eigenvectors(upper):
     return vec
 
 
-def _orient_along_tree(normals, order, preds):
-    """Orient normals in place as a pass in BFS order would: a vertex turns
-    iff its dot with its parent's already oriented normal is negative, so a
-    dot of exactly 0 never turns it.
-
-    Turning a normal negates its dots exactly, so a vertex's final sign is the
-    product of the signs of the unoriented dots on its way up to the nearest
-    vertex that keeps its own: the root, an unreached vertex, or one whose dot
-    is 0.  Pointer jumping composes those products.  A dot small enough for a
-    vectorised sum to get its sign wrong is recomputed with the pass's own
-    3-vector dot."""
-    child = order[1:]
-    parent = preds[child]
-    dots = np.einsum("ij,ij->i", normals[child], normals[parent])
-    for k in np.flatnonzero(np.abs(dots) < 1e-9):
-        dots[k] = np.dot(normals[child[k]], normals[parent[k]])
-    linked = dots != 0
-    up = np.arange(len(normals))
-    up[child[linked]] = parent[linked]
-    sign = np.ones(len(normals))
-    sign[child[dots < 0]] = -1.0
-    while not np.array_equal(up[up], up):
-        sign *= sign[up]
-        up = up[up]
-    normals *= sign[:, None]
-
-
 def compute_normals(s: Surface, k=10):
     """Return a copy of ``s`` with unit per-vertex normals.
 
     Meshes get the normalized sum of incident unit face normals; raw point
-    clouds fall back to PCA over k-nearest neighbors with the orientation
-    made globally consistent by propagation along a spanning tree.
+    clouds fall back to PCA over k-nearest neighbors, unoriented: a point
+    cloud's normals lie along the surface normal, each with an arbitrary
+    sign.
     """
     out = s.copy()
     if s.faces is not None and len(s.faces) > 0:

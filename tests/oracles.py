@@ -6,13 +6,9 @@ one node or one edge at a time, straight from the definitions, so the tests
 can check the matrix forms against something other than themselves.
 
 The same goes for fast marching, which the package runs on lengths and dots
-precomputed per surface, and for the orientation of PCA normals, which it
-propagates along the spanning tree by pointer jumping: the loops below take
-every quantity from the points or normals at the moment it is needed.  The
-package also slices that tree's neighbour graph from the k-nearest-neighbour
-query of the PCA fit, straight into CSR; the version below queries the tree a
-second time and symmetrizes a COO graph.  The package's PCA eigenvectors come
-in closed form; a further version takes them from LAPACK's ``eigh``.
+precomputed per surface: the loop below takes every quantity from the points
+at the moment it is needed.  The package's PCA eigenvectors come in closed
+form; the version below takes them from LAPACK's ``eigh``.
 
 The package reads and writes PLY one numpy block per element, and OBJ one
 block per record type; the readers and writers below go one row at a time,
@@ -38,16 +34,13 @@ import math
 import struct
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
 from nrreg.energy import POLAR_ITERS, POLAR_TOL, pack_state, unpack_state
 from nrreg.solver import (MAX_INNER_ITERS, LbfgsHistory, factor_h0, line_search,
                           two_loop_direction)
 from nrreg.errors import FormatError, InvalidInputError
-from nrreg.mesh import (_PLY_TYPES, Surface, _orient_along_tree, _parse_ply_header,
-                        _smallest_eigenvectors)
+from nrreg.mesh import _PLY_TYPES, Surface, _parse_ply_header
 
 
 def influence_list(g, i):
@@ -270,54 +263,15 @@ def fast_marching(points, faces, seed, cap):
     return dist
 
 
-def orient_along_tree(normals, order, preds):
-    """Visit vertices in BFS order and flip each normal whose dot with its
-    parent's (already oriented) normal is negative."""
-    for v in order:
-        p = preds[v]
-        if p >= 0 and np.dot(normals[v], normals[p]) < 0:
-            normals[v] = -normals[v]
-
-
-def pca_normals_two_queries(points, k=10):
-    """PCA normals over the k+1 nearest neighbours, oriented along a spanning
-    tree of a second, 7-nearest-neighbour query of the same tree.  The eigen
-    step is the package's own."""
-    n = len(points)
-    k = min(k, n - 1)
-    tree = cKDTree(points)
-    _, idx = tree.query(points, k=k + 1)
-    normals = _smallest_eigenvectors(upper_entries(_neighbour_covariances(points, idx)))
-    _orient_on_coo_mst(normals, *tree.query(points, k=min(7, n)))
-    return normals
-
-
 def pca_normals_eigh(points, k=10):
-    """PCA normals with the eigenvectors from LAPACK (``np.linalg.eigh``),
-    oriented along the spanning tree of the 7 nearest neighbours sliced
-    from the same query."""
-    n = len(points)
-    k = min(k, n - 1)
-    dist, idx = cKDTree(points).query(points, k=k + 1)
-    _, vecs = np.linalg.eigh(_neighbour_covariances(points, idx))
-    normals = vecs[:, :, 0]
-    _orient_on_coo_mst(normals, dist[:, :7], idx[:, :7])
-    return normals
+    """Unoriented PCA normals with the eigenvectors from LAPACK
+    (``np.linalg.eigh``)."""
+    k = min(k, len(points) - 1)
+    _, idx = cKDTree(points).query(points, k=k + 1)
+    return np.linalg.eigh(neighbour_covariances(points, idx))[1][:, :, 0]
 
 
-def _orient_on_coo_mst(normals, d, j):
-    """Orient normals in place along the spanning tree of the graph with an
-    edge from each point i to each j[i], of length d[i] + 1e-12, built as a
-    COO matrix and symmetrized before the breadth-first pass."""
-    n = len(normals)
-    rows = np.repeat(np.arange(n), j.shape[1])
-    mst = minimum_spanning_tree(coo_matrix((d.ravel() + 1e-12, (rows, j.ravel())),
-                                           shape=(n, n)))
-    order, preds = breadth_first_order(mst + mst.T, 0, directed=False)
-    _orient_along_tree(normals, order, preds)
-
-
-def _neighbour_covariances(points, idx):
+def neighbour_covariances(points, idx):
     """(n, 3, 3) scatter matrices of the centred neighbourhoods ``idx``."""
     nbrs = points[idx]
     nbrs = nbrs - nbrs.mean(axis=1, keepdims=True)

@@ -57,6 +57,34 @@ def test_find_correspondences_rejection():
         find_correspondences(q, target, reject={"eps_d": 0.1})
 
 
+def test_find_correspondences_point_cloud_target_ignores_sign():
+    """PCA normals of a faceless target have no sign: anti-parallel normals
+    lie along the same line and pass, unless the test is asked to be signed."""
+    grid = grid_mesh(5, 5, wavy=0.0)
+    q = grid.vertices + [0.0, 0.0, 0.05]
+    qn = np.tile([0.0, 0.0, -1.0], (len(q), 1))
+    cloud = compute_normals(Surface(grid.vertices))
+    corr = find_correspondences(q, cloud, reject={"eps_d": 0.1, "theta": 60},
+                                query_normals=qn)
+    assert corr.valid.all()
+    corr = find_correspondences(q, cloud, reject={"eps_d": 0.1, "theta": 60},
+                                query_normals=-qn)
+    assert corr.valid.all()
+    corr = find_correspondences(q, cloud, reject={"eps_d": 0.1, "theta": 60, "signed": True},
+                                query_normals=-cloud.normals)
+    assert not corr.valid.any()
+    # tilted by more than theta from the line, a pair fails either way
+    tilted = np.tile([np.sin(1.2), 0.0, np.cos(1.2)], (len(q), 1))
+    corr = find_correspondences(q, cloud, reject={"eps_d": 0.1, "theta": 60},
+                                query_normals=tilted)
+    assert not corr.valid.any()
+    # a mesh target's normals are signed, unless the test is asked not to be
+    mesh = compute_normals(grid)
+    corr = find_correspondences(q, mesh, reject={"eps_d": 0.1, "theta": 60, "signed": False},
+                                query_normals=-mesh.normals)
+    assert corr.valid.all()
+
+
 def test_best_rigid_recovers_exact():
     rng = np.random.default_rng(1)
     src = rng.normal(size=(50, 3))

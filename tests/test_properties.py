@@ -31,7 +31,10 @@ PCA normals take the smallest eigenvector of each neighbourhood covariance in
 closed form, falling back to LAPACK where the closed form loses accuracy: on
 any positive semi-definite 3x3 matrix (rank 0 to 3, repeated eigenvalues,
 scales from 1e-12 to 1e12) the vector must be a unit eigenvector to the
-working precision, and LAPACK's own vector wherever it is unique.
+working precision, and LAPACK's own vector wherever it is unique.  The
+normals have no sign, so a rigidly moved, reordered cloud must get the moved
+normals, each up to its sign, wherever the neighbourhood's smallest
+eigenvalue is well separated.
 
 Surfaces are read and written as PLY one block per element, and must load
 and save exactly as a reader and writer that go row by row do; edges are
@@ -47,6 +50,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from nrreg.correspond import (CorrespondenceSet, RigidTransform,
@@ -57,15 +61,16 @@ from nrreg.energy import (SPD_JITTER, EnergyParams, SurrogateSystem, assemble_su
 from nrreg.errors import FormatError, InvalidInputError
 from nrreg.geodesic import geodesic_from
 from nrreg.graph import DeformationGraph, build_graph, transform_points
-from nrreg.mesh import (Surface, _smallest_eigenvectors, edges_from_faces, load_obj,
-                        load_ply, save_obj, save_ply)
+from nrreg.mesh import (Surface, _pca_normals, _smallest_eigenvectors, edges_from_faces,
+                        load_obj, load_ply, save_obj, save_ply)
 from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
                           two_loop_direction)
 
 from conftest import grid_mesh
 from oracles import (edges_unique_rows, fast_marching, load_obj_rows, load_ply_rows,
-                     project_rotations_einsum, project_rotations_newton, save_obj_rows,
-                     save_ply_rows, solve_inner_arrays, upper_entries)
+                     neighbour_covariances, project_rotations_einsum,
+                     project_rotations_newton, save_obj_rows, save_ply_rows,
+                     solve_inner_arrays, upper_entries)
 from test_energy import random_graph, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -323,6 +328,29 @@ def test_smallest_eigenvectors_solve_the_eigenproblem(case):
     sign = np.sign(np.einsum("ij,ij->i", vec[sep], ref))[:, None]
     # the chord, not arccos of the dot, resolves angles below 1e-8 rad
     assert np.all(np.linalg.norm(vec[sep] - sign * ref, axis=1) <= 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(12, 400), st.floats(0.0, 0.05), st.sampled_from([6, 10]),
+       st.floats(-10.0, 10.0))
+def test_pca_normals_move_with_the_cloud(seed, n, noise, k, shift):
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(size=(n, 2))
+    pts = np.column_stack([xy, 0.1 * np.sin(4.0 * xy[:, 0]) + rng.normal(0.0, noise, size=n)])
+    R = Rotation.random(random_state=rng).as_matrix()
+    perm = rng.permutation(n)
+    moved = (pts @ R.T + shift * rng.uniform(-1.0, 1.0, size=3))[perm]
+    expected = _pca_normals(pts, k=k) @ R.T
+    got = np.empty_like(expected)
+    got[perm] = _pca_normals(moved, k=k)
+    # the eigenvector is determined where the smallest eigenvalue is clear
+    # of the middle one
+    _, idx = cKDTree(pts).query(pts, k=min(k, n - 1) + 1)
+    lam = np.linalg.eigvalsh(neighbour_covariances(pts, idx))
+    clear = lam[:, 1] - lam[:, 0] > 1e-2 * lam[:, 2]
+    sign = np.sign(np.einsum("ij,ij->i", got, expected))[:, None]
+    # the chord, not arccos of the dot, resolves angles below 1e-8 rad
+    assert np.all(np.linalg.norm(got - sign * expected, axis=1)[clear] <= 1e-9)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 import nrreg.correspond
 import nrreg.energy
@@ -297,6 +298,38 @@ def test_register_point_cloud_source():
     assert res.graph.n_nodes > 1 and len(res.graph.node_edges) > 0
     assert all(r.endswith("converged") for r in res.termination_reasons)
     assert rmse(res.transformed_source, GroundTruth(t_n.vertices)) < 1e-6
+
+
+def _twist(p, deg=10.0, lift=0.02):
+    """Turn the unit-square sheet about the line (y, z) = (0.5, 0) by an angle
+    growing linearly with x up to ``deg``, and lift it linearly with x."""
+    a = np.deg2rad(deg) * p[:, 0]
+    c, s = np.cos(a), np.sin(a)
+    y, z = p[:, 1] - 0.5, p[:, 2]
+    return np.column_stack([p[:, 0], c * y - s * z + 0.5, s * y + c * z + lift * p[:, 0]])
+
+
+def test_register_mesh_to_cloud_in_any_pose():
+    """A point cloud's PCA normals have no sign, and their raw signs follow
+    the coordinate frame.  A mesh source registers to a cloud target in
+    every rigid pose of the pair, as well as unmoved."""
+    source = grid_mesh(20, 20)
+    cloud = _twist(grid_mesh(100, 100).vertices)
+    gt = _twist(source.vertices)
+
+    def registered_rmse(R, t):
+        s_n, t_n, rec = normalize_pair(Surface(source.vertices @ R.T + t, source.faces),
+                                       Surface(cloud @ R.T + t))
+        res = register(compute_normals(s_n), compute_normals(t_n),
+                       SolverParams(nu_a_min_factor=0.25))
+        return rmse(rec.denormalize(res.transformed_source, "target"),
+                    GroundTruth(gt @ R.T + t))
+
+    unmoved = registered_rmse(np.eye(3), np.zeros(3))
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        R = Rotation.random(random_state=rng).as_matrix()
+        assert registered_rmse(R, rng.normal(size=3)) <= 1.5 * unmoved, seed
 
 
 def test_register_empty_raises():
