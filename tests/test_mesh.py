@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from nrreg import mesh
 from nrreg.errors import DegenerateInputError, FormatError, InvalidInputError
@@ -9,7 +10,8 @@ from nrreg.mesh import (NormalizationRecord, Surface, compute_normals,
                         save_obj, save_ply, surface_edges, write_error_mesh)
 
 from conftest import grid_mesh
-from oracles import face_vertex_normals, pca_normals_eigh
+from oracles import (face_vertex_normals, neighbour_covariances, pca_normals_eigh,
+                     upper_entries)
 
 
 def test_edges_from_faces_unique_sorted():
@@ -128,6 +130,33 @@ def test_face_normals_match_add_at_oracle():
     v = rng.normal(size=(60, 3))
     f = rng.integers(0, 60, size=(300, 3))
     assert np.array_equal(mesh._face_vertex_normals(v, f), face_vertex_normals(v, f))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pca_normals_reuse_the_neighbour_query(seed, monkeypatch):
+    """One k+1 nearest-neighbour query serves the whole fit: the tree is
+    queried once, and the normals are the package's eigenvectors of the
+    covariances of exactly the neighbourhoods that query returns."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 1500))
+    xy = rng.uniform(size=(n, 2))
+    pts = np.column_stack([xy, 0.1 * np.sin(4.0 * xy[:, 0]) + rng.normal(0.0, 0.02, size=n)])
+    queries = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            queries.append(k)
+            return super().query(x, k=k, **kwargs)
+
+    monkeypatch.setattr(mesh, "cKDTree", CountingTree)
+    for k in (6, 10):
+        queries.clear()
+        fast = mesh._pca_normals(pts, k=k)
+        assert queries == [k + 1]
+        _, idx = cKDTree(pts).query(pts, k=k + 1)
+        ref = mesh._smallest_eigenvectors(upper_entries(neighbour_covariances(pts, idx)))
+        sign = np.sign(np.einsum("ij,ij->i", fast, ref))[:, None]
+        assert np.linalg.norm(fast - sign * ref, axis=1).max() < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(4))
