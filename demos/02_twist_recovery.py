@@ -17,7 +17,7 @@ import numpy as np
 
 from nrreg.evaluate import rmse, synthesize_deformation
 from nrreg.graph import build_graph
-from nrreg.mesh import compute_normals, normalize_pair, write_error_mesh
+from nrreg.mesh import Surface, compute_normals, normalize_pair, write_error_mesh
 from nrreg.solver import SolverParams, register
 
 from importlib import import_module
@@ -69,9 +69,8 @@ def main(out_dir="demo_out"):
           f"(before registration: {init_err:.3e})")
 
     res.write_trace_csv(out / "twist_trace.csv")
-    result = src.copy()
-    result.vertices = denorm
-    write_error_mesh(result, np.linalg.norm(denorm - gt.gt_positions, axis=1),
+    write_error_mesh(Surface(denorm, src.faces),
+                     np.linalg.norm(denorm - gt.gt_positions, axis=1),
                      out / "twist_result_error.ply")
     print(f"wrote {out / 'twist_trace.csv'} and "
           f"{out / 'twist_result_error.ply'} (blue = accurate, red = off)")

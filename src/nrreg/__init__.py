@@ -16,7 +16,7 @@ from .errors import (DegenerateInputError, FormatError, InitializationError,
                      InvalidInputError, NrregError, SolverError)
 from .evaluate import (GroundTruth, add_gaussian_normal_noise, remove_region,
                        rmse, synthesize_deformation)
-from .geodesic import GeodesicField, geodesic_from, multi_source_geodesic
+from .geodesic import GeodesicField, geodesic_from
 from .graph import (DeformationGraph, build_graph, sample_nodes_farthest,
                     sample_nodes_pca, transform_points)
 from .mesh import (NormalizationRecord, Surface, compute_normals, load_surface,

@@ -186,8 +186,7 @@ def _register(cfg):
         elapsed = time.perf_counter() - t0
 
         deformed = rec.denormalize(result.transformed_source, "target")
-        out_surface = Surface(deformed,
-                              None if source.faces is None else source.faces.copy())
+        out_surface = Surface(deformed, source.faces)
         save_ply(out_surface, out.path("result.ply"))
         result.write_trace_csv(out.path("trace.csv"))
         result.write_trace_csv(out.path("timing.csv"), include_timing=True)
@@ -219,7 +218,7 @@ def _synth(cfg):
     out = _OutputSet(cfg.get("out", "."))
     try:
         target = source
-        gt = evaluate.GroundTruth(source.vertices.copy())
+        gt = evaluate.GroundTruth(source.vertices)
 
         max_angle = cfg.get("deform_angle", 0.0)
         if max_angle > 0.0:

@@ -50,10 +50,6 @@ class SpatialIndex:
         return best.astype(np.int64), dist
 
 
-def _has_faces(s: Surface):
-    return s.faces is not None and len(s.faces) > 0
-
-
 @dataclass
 class CorrespondenceSet:
     """Per-query nearest target point plus a validity mask."""
@@ -88,10 +84,10 @@ def find_correspondences(queries, target: Surface, index: SpatialIndex | None = 
         valid &= dist <= eps_d
         cos_lim = np.cos(np.deg2rad(theta))
         dots = np.einsum("ij,ij->i", query_normals, target.normals[idx])
-        if not reject.get("signed", _has_faces(target)):
+        if not reject.get("signed", target.has_faces):
             dots = np.abs(dots)
         valid &= dots >= cos_lim
-    return CorrespondenceSet(idx, target.vertices[idx].copy(), dist, valid)
+    return CorrespondenceSet(idx, target.vertices[idx], dist, valid)
 
 
 @dataclass
@@ -154,7 +150,7 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
         rt = RigidTransform.identity()
 
     reject = {"eps_d": eps_d, "theta": theta,
-              "signed": _has_faces(source) and _has_faces(target)}
+              "signed": source.has_faces and target.has_faces}
     for it in range(iters):
         moved = rt.apply(source.vertices)
         moved_normals = source.normals @ rt.rotation.T

@@ -281,4 +281,4 @@ def assemble_surrogate(g, d_k: Deformed, corr_k, params: EnergyParams) -> Surrog
         ra = d_k.points - U
         wa = gaussian_weight(np.sum(ra * ra, axis=1), params.nu_a)
         wr = gaussian_weight(np.sum(d_k.edges * d_k.edges, axis=1), params.nu_r)
-    return SurrogateSystem(g, U.copy(), wa, wr, params)
+    return SurrogateSystem(g, U, wa, wr, params)

@@ -7,7 +7,7 @@ truth deformations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,15 +43,15 @@ def add_gaussian_normal_noise(s: Surface, fraction, sigma, rng_seed=0):
         raise InvalidInputError("noise generator needs normals")
     if sigma < 0 or not (0.0 <= fraction <= 1.0):
         raise InvalidInputError("need sigma >= 0 and fraction in [0, 1]")
-    out = s.copy()
     count = int(np.floor(fraction * s.n_vertices))
     if count == 0 or sigma == 0.0:
-        return out
+        return s
     rng = np.random.default_rng(rng_seed)
     chosen = rng.choice(s.n_vertices, size=count, replace=False)
     delta = rng.normal(0.0, sigma, size=count)
-    out.vertices[chosen] += s.normals[chosen] * delta[:, None]
-    return out
+    v = s.vertices.copy()
+    v[chosen] += s.normals[chosen] * delta[:, None]
+    return replace(s, vertices=v)
 
 
 def remove_region(s: Surface, seed_vertex, geodesic_radius):
@@ -70,9 +70,9 @@ def remove_region(s: Surface, seed_vertex, geodesic_radius):
         mask = keep[s.faces].all(axis=1)
         faces = new_index[s.faces[mask]]
     return Surface(
-        s.vertices[keep].copy(),
+        s.vertices[keep],
         faces,
-        normals=None if s.normals is None else s.normals[keep].copy(),
+        normals=None if s.normals is None else s.normals[keep],
     ), keep
 
 
@@ -84,7 +84,7 @@ def synthesize_deformation(s: Surface, g, node_rotations, node_translations):
     X = pack_state(np.asarray(node_rotations, dtype=np.float64),
                    np.asarray(node_translations, dtype=np.float64))
     deformed = transform_points(g, X)
-    target = Surface(deformed, None if s.faces is None else s.faces.copy())
+    target = Surface(deformed, s.faces)
     if target.faces is not None:
         target = compute_normals(target)
     return target, GroundTruth(deformed.copy())

@@ -6,8 +6,9 @@ triangle update; every update is clamped from above by the corresponding edge
 Surfaces without faces fall back to Dijkstra, either on their explicit edges
 or on a k-nearest-neighbor graph for raw point clouds.
 
-What a surface is marched on is built once per surface and kept on it: for
-fast marching, each vertex's incident triangles with their edge lengths and
+What a surface is marched on is built on first use and kept with the
+surface, which never changes (:meth:`nrreg.mesh.Surface.derived`): for fast
+marching, each vertex's incident triangles with their edge lengths and
 corner dot products as plain floats, so the marching loop makes no numpy
 call; for Dijkstra, the CSR matrix of the surface graph.  Each length and
 dot comes from numpy's 3-vector dot (BLAS ``ddot``), as when the loop took
@@ -21,7 +22,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -41,13 +41,14 @@ class GeodesicField:
 
 
 def _edge_graph(points, edges):
-    w = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
+    """Each undirected edge once, at its length; Dijkstra reads it both
+    ways.  A point cloud's k-NN edges hold both (i, j) and (j, i) for mutual
+    neighbors, and a matrix holding an edge twice sums the two lengths."""
     n = len(points)
-    m = coo_matrix((np.concatenate([w, w]),
-                    (np.concatenate([edges[:, 0], edges[:, 1]]),
-                     np.concatenate([edges[:, 1], edges[:, 0]]))),
-                   shape=(n, n))
-    return m.tocsr()
+    key = np.unique(np.sort(edges, axis=1) @ [n, 1])
+    i, j = key // n, key % n
+    w = np.linalg.norm(points[i] - points[j], axis=1)
+    return coo_matrix((w, (i, j)), shape=(n, n)).tocsr()
 
 
 def _dots(a, b):
@@ -79,22 +80,11 @@ def _incident_triangles(points, faces):
 
 def _geometry(s: Surface, method):
     """What ``method`` marches on: the :func:`_incident_triangles` table for
-    ``fmm``, the surface graph's CSR matrix of edge lengths for ``dijkstra``.
-
-    Built on first use and kept on the surface, so it is freed with it.  A
-    surface whose vertices, faces or edges were rebound since (as
-    ``normalize_pair`` does on its copies) gets it built afresh; the arrays
-    themselves are not to be changed in place after a geodesic call.
-    """
-    arrays = (s.vertices, s.faces, s.edges)
-    cached = getattr(s, "_geodesic_geometry", None)
-    if cached is None or any(a is not b for a, b in zip(cached[0], arrays)):
-        cached = s._geodesic_geometry = (arrays, {})
-    built = cached[1]
-    if method not in built:
-        built[method] = (_incident_triangles(s.vertices, s.faces) if method == "fmm"
-                         else _edge_graph(s.vertices, surface_edges(s)))
-    return built[method]
+    ``fmm``, the surface graph's CSR matrix of edge lengths for ``dijkstra``,
+    built once per surface."""
+    if method == "fmm":
+        return s.derived("fmm", lambda s: _incident_triangles(s.vertices, s.faces))
+    return s.derived("dijkstra", lambda s: _edge_graph(s.vertices, surface_edges(s)))
 
 
 def _dijkstra(graph, seed, cap):
@@ -185,11 +175,10 @@ def geodesic_from(s: Surface, seed, cap=None, method="auto"):
     n = s.n_vertices
     if not (0 <= seed < n):
         raise InvalidInputError(f"seed {seed} out of range")
-    has_faces = s.faces is not None and len(s.faces) > 0
     if method == "auto":
-        method = "fmm" if has_faces else "dijkstra"
+        method = "fmm" if s.has_faces else "dijkstra"
     if method == "fmm":
-        if not has_faces:
+        if not s.has_faces:
             raise InvalidInputError("fast marching requires triangle faces")
         d = _fast_marching(_geometry(s, method), seed, cap)
     elif method == "dijkstra":
@@ -198,10 +187,3 @@ def geodesic_from(s: Surface, seed, cap=None, method="auto"):
         raise InvalidInputError(f"unknown method {method!r}")
     return GeodesicField(seed, d, cap)
 
-
-def multi_source_geodesic(s: Surface, seeds, cap=None):
-    """Minimum geodesic distance from every vertex to any seed."""
-    seeds = list(seeds)
-    if not seeds:
-        raise InvalidInputError("seed set must be non-empty")
-    return reduce(np.minimum, (geodesic_from(s, seed, cap=cap).distances for seed in seeds))

@@ -348,11 +348,11 @@ def build_graph(s: Surface, R=None, sampler="pca"):
 
     return DeformationGraph(
         node_indices=nodes,
-        node_positions=s.vertices[nodes].copy(),
+        node_positions=s.vertices[nodes],
         node_edges=edges,
         radius=float(R),
         influence=weights,
-        source_positions=s.vertices.copy(),
+        source_positions=s.vertices,
         fallback_points=fallback,
     )
 

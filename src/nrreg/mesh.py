@@ -2,14 +2,16 @@
 
 Supported formats are OBJ (``v``/``f`` records, 1-based indices) and PLY
 (ascii and binary_little_endian).  A surface is a vertex array with optional
-triangle faces; edges are always derived from the faces when present.
+triangle faces; edges are always derived from the faces when present.  A
+surface never changes, so what is derived from it (a point cloud's k-NN
+graph, the geodesic tables) is built once and kept with it.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -33,62 +35,72 @@ def edges_from_faces(faces):
     return np.column_stack([key // n, key % n])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Surface:
-    """A sampled surface: points, optional triangles, derived edges, normals."""
+    """A sampled surface: points, optional triangles, derived edges, normals.
+
+    A surface does not change: its fields cannot be reassigned, and its
+    arrays are read-only views (the caller's own arrays keep their flags).
+    What is derived from it is built on first use and kept with it, see
+    :meth:`derived`.
+    """
 
     vertices: np.ndarray                    # (n, 3) float64
     faces: np.ndarray | None = None         # (f, 3) int64 or None
-    edges: np.ndarray = field(default=None)  # (e, 2) int64, derived if None
+    edges: np.ndarray = None                # (e, 2) int64, derived if None
     normals: np.ndarray | None = None       # (n, 3) unit vectors or None
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+        def freeze(name, value, dtype):
+            value = np.ascontiguousarray(value, dtype=dtype).view()
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+            return value
+
+        v = freeze("vertices", self.vertices, np.float64)
+        if v.ndim != 2 or v.shape[1] != 3:
             raise InvalidInputError("vertices must be an (n, 3) array")
-        if not np.isfinite(self.vertices).all():
+        if not np.isfinite(v).all():
             raise InvalidInputError("vertices must be finite")
-        n = len(self.vertices)
+        n = len(v)
         if self.faces is not None:
-            self.faces = np.ascontiguousarray(self.faces, dtype=np.int64)
-            if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= n):
+            f = freeze("faces", self.faces, np.int64)
+            if f.size and (f.min() < 0 or f.max() >= n):
                 raise InvalidInputError("face index out of range")
         if self.edges is None:
-            if self.faces is not None:
-                self.edges = edges_from_faces(self.faces)
-            else:
-                self.edges = np.empty((0, 2), dtype=np.int64)
+            freeze("edges", np.empty((0, 2)) if self.faces is None
+                   else edges_from_faces(self.faces), np.int64)
         else:
-            self.edges = np.ascontiguousarray(self.edges, dtype=np.int64)
-            if self.edges.size:
-                if self.edges.min() < 0 or self.edges.max() >= n:
+            e = freeze("edges", self.edges, np.int64)
+            if e.size:
+                if e.min() < 0 or e.max() >= n:
                     raise InvalidInputError("edge index out of range")
-                if np.any(self.edges[:, 0] == self.edges[:, 1]):
+                if np.any(e[:, 0] == e[:, 1]):
                     raise InvalidInputError("self-loop edge")
         if self.normals is not None:
-            self.normals = np.ascontiguousarray(self.normals, dtype=np.float64)
-            if not np.isfinite(self.normals).all():
+            if not np.isfinite(freeze("normals", self.normals, np.float64)).all():
                 raise InvalidInputError("normals must be finite")
 
     @property
     def n_vertices(self):
         return len(self.vertices)
 
-    def copy(self):
-        return Surface(
-            self.vertices.copy(),
-            None if self.faces is None else self.faces.copy(),
-            self.edges.copy(),
-            None if self.normals is None else self.normals.copy(),
-        )
+    @property
+    def has_faces(self):
+        return self.faces is not None and len(self.faces) > 0
+
+    def derived(self, key, build):
+        """``build(self)``, built on the first call with ``key`` and kept with
+        the surface, which never changes; it is freed with the surface."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
 
-def surface_edges(s: Surface):
-    """The surface graph that geodesics and mesh scale are measured on: the
-    surface's own edges, or for a raw point cloud the directed edges from
-    each point to its ``KNN_GRAPH_K`` nearest neighbors."""
-    if len(s.edges) > 0:
-        return s.edges
+def _knn_edges(s: Surface):
+    """The directed edges from each point to its ``KNN_GRAPH_K`` nearest
+    neighbors."""
     n = s.n_vertices
     if n < 2:
         raise DegenerateInputError("need at least 2 points for a k-NN graph")
@@ -98,7 +110,19 @@ def surface_edges(s: Surface):
     # own index, or its last neighbor where the point is absent
     own = idx == np.arange(n)[:, None]
     own[~own.any(axis=1), -1] = True
-    return np.column_stack([np.repeat(np.arange(n), k - 1), idx[~own]])
+    edges = np.column_stack([np.repeat(np.arange(n), k - 1), idx[~own]])
+    edges.flags.writeable = False
+    return edges
+
+
+def surface_edges(s: Surface):
+    """The surface graph that geodesics and mesh scale are measured on: the
+    surface's own edges, or for a raw point cloud the directed edges from
+    each point to its ``KNN_GRAPH_K`` nearest neighbors, built once per
+    surface."""
+    if len(s.edges) > 0:
+        return s.edges
+    return s.derived("knn_edges", _knn_edges)
 
 
 def mean_edge_length(s: Surface):
@@ -159,11 +183,7 @@ def normalize_pair(source: Surface, target: Surface):
         raise DegenerateInputError("all points coincident; zero bounding-box diagonal")
     scale = 1.0 / diag
     rec = NormalizationRecord(cs, ct, scale)
-    out_s = source.copy()
-    out_s.vertices = vs * scale
-    out_t = target.copy()
-    out_t.vertices = vt * scale
-    return out_s, out_t, rec
+    return replace(source, vertices=vs * scale), replace(target, vertices=vt * scale), rec
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +269,16 @@ def _smallest_eigenvectors(upper):
 
 
 def compute_normals(s: Surface, k=10):
-    """Return a copy of ``s`` with unit per-vertex normals.
+    """``s`` with unit per-vertex normals, as a new surface.
 
     Meshes get the normalized sum of incident unit face normals; raw point
     clouds fall back to PCA over k-nearest neighbors, unoriented: a point
     cloud's normals lie along the surface normal, each with an arbitrary
     sign.
     """
-    out = s.copy()
-    if s.faces is not None and len(s.faces) > 0:
-        out.normals = _face_vertex_normals(s.vertices, s.faces)
-    else:
-        out.normals = _pca_normals(s.vertices, k=k)
-    return out
+    if s.has_faces:
+        return replace(s, normals=_face_vertex_normals(s.vertices, s.faces))
+    return replace(s, normals=_pca_normals(s.vertices, k=k))
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +326,6 @@ def load_obj(path):
         if faces.max() >= len(verts):
             raise FormatError("face index out of range", path)
     return Surface(verts, faces)
-
-
-def save_obj(s: Surface, path):
-    text = "v %.9g %.9g %.9g\n" * s.n_vertices % tuple(s.vertices.ravel().tolist())
-    if s.faces is not None:
-        text += "f %d %d %d\n" * len(s.faces) % tuple((s.faces + 1).ravel().tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +437,17 @@ class _BinaryBody:
     def block(self, pos, types, count):
         row = np.dtype([(f"v{k}", "<" + _PLY_TYPES[t]) for k, t in enumerate(types)])
         rows = np.frombuffer(self.data, row, count, pos)
-        return rows.astype([(f, np.float64) for f in row.names]).view(np.float64).reshape(count, -1)
+        # a float32 signalling NaN, in the file or in bytes read across rows
+        # whose list lengths differ, warns as the cast quiets it
+        with np.errstate(invalid="ignore"):
+            rows = rows.astype([(f, np.float64) for f in row.names])
+        return rows.view(np.float64).reshape(count, -1)
 
     def take(self, offsets, ptype):
         code = "<" + _PLY_TYPES[ptype]
         spans = np.add.outer(np.asarray(offsets, dtype=np.int64), np.arange(struct.calcsize(code)))
-        return np.frombuffer(self.data, np.uint8)[spans].view(code)[:, 0].astype(np.float64)
+        with np.errstate(invalid="ignore"):      # as in block
+            return np.frombuffer(self.data, np.uint8)[spans].view(code)[:, 0].astype(np.float64)
 
 
 def _walk(body, pos, count, props):

@@ -7,8 +7,10 @@ can check the matrix forms against something other than themselves.
 
 The same goes for fast marching, which the package runs on lengths and dots
 precomputed per surface: the loop below takes every quantity from the points
-at the moment it is needed.  The package's PCA eigenvectors come in closed
-form; the version below takes them from LAPACK's ``eigh``.
+at the moment it is needed.  A point cloud's geodesics are restated as
+Dijkstra on a dense matrix of its symmetric k-NN graph, with neighbours found
+by sorting every pairwise distance.  The package's PCA eigenvectors come in
+closed form; the version below takes them from LAPACK's ``eigh``.
 
 The package reads and writes PLY one numpy block per element, and OBJ one
 block per record type; the readers and writers below go one row at a time,
@@ -34,13 +36,14 @@ import math
 import struct
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from nrreg.energy import POLAR_ITERS, POLAR_TOL, pack_state, unpack_state
 from nrreg.solver import (MAX_INNER_ITERS, LbfgsHistory, factor_h0, line_search,
                           two_loop_direction)
 from nrreg.errors import FormatError, InvalidInputError
-from nrreg.mesh import _PLY_TYPES, Surface, _parse_ply_header
+from nrreg.mesh import _PLY_TYPES, KNN_GRAPH_K, Surface, _parse_ply_header
 
 
 def influence_list(g, i):
@@ -465,3 +468,15 @@ def save_obj_rows(s: Surface, path):
         if s.faces is not None:
             for f in s.faces:
                 fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+
+
+def knn_geodesics(points, seed, k=KNN_GRAPH_K):
+    """Dijkstra from ``seed`` over the symmetric k-NN graph, each edge once
+    at its Euclidean length."""
+    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    np.fill_diagonal(d, np.inf)
+    rows = np.repeat(np.arange(len(points)), k)
+    cols = np.argsort(d, axis=1, kind="stable")[:, :k].ravel()
+    w = np.zeros_like(d)
+    w[rows, cols] = d[rows, cols]
+    return dijkstra(np.maximum(w, w.T), indices=seed)

@@ -92,8 +92,8 @@ def recovery_registration(twist_setup):
 @pytest.fixture(scope="module")
 def self_registration():
     src = compute_normals(grid_mesh(40, 40))   # 1600 vertices
-    res, _, _, elapsed = run_registration(src, src.copy())
-    s_n, t_n, _ = normalize_pair(src, src.copy())
+    res, _, _, elapsed = run_registration(src, src)
+    s_n, t_n, _ = normalize_pair(src, src)
     err = rmse(res.transformed_source, GroundTruth(t_n.vertices))
     return res, err, elapsed
 

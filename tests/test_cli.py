@@ -7,17 +7,18 @@ from nrreg import mesh
 from nrreg.cli import (EXIT_BAD_PATH, EXIT_OK, _merge_config, _read_config,
                        _solver_params, build_parser, main)
 from nrreg.mesh import (Surface, compute_normals, load_ply, load_surface,
-                        normalize_pair, save_obj, save_ply)
+                        normalize_pair, save_ply)
 from nrreg.solver import SolverParams, register
 
 from conftest import grid_mesh
+from oracles import save_obj_rows
 
 
 @pytest.fixture(scope="module")
 def mesh_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("meshes")
     s = grid_mesh(12, 12)
-    save_obj(s, d / "source.obj")
+    save_obj_rows(s, d / "source.obj")
     save_ply(s, d / "target.ply")
     save_ply(s, d / "gt.ply")
     return d, s

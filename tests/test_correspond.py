@@ -161,7 +161,7 @@ def test_rigid_icp_with_a_given_index_builds_none(monkeypatch):
 def test_rigid_icp_requires_normals():
     s = grid_mesh(5, 5)
     with pytest.raises(InvalidInputError):
-        rigid_icp_init(s, s.copy())
+        rigid_icp_init(s, s)
 
 
 def test_rigid_icp_seed_pairs():

@@ -3,11 +3,11 @@ import pytest
 
 from nrreg.errors import InvalidInputError
 from nrreg.evaluate import add_gaussian_normal_noise
-from nrreg.geodesic import geodesic_from, multi_source_geodesic
+from nrreg.geodesic import geodesic_from
 from nrreg.mesh import Surface, compute_normals, normalize_pair
 
 from conftest import grid_mesh, polyline_surface
-from oracles import fast_marching
+from oracles import fast_marching, knn_geodesics
 
 
 def test_polyline_distances():
@@ -48,12 +48,10 @@ def test_cap_semantics():
     assert np.all(np.isinf(capped.distances[full > 0.5 + 1e-9]))
 
 
-def test_multi_source_is_pointwise_min():
-    s = grid_mesh(7, 7)
-    seeds = [0, 24, 48]
-    singles = np.stack([geodesic_from(s, v).distances for v in seeds])
-    multi = multi_source_geodesic(s, seeds)
-    assert np.allclose(multi, singles.min(axis=0))
+def test_repeated_edges_count_once():
+    s = polyline_surface(4, spacing=2.0)
+    twice = Surface(s.vertices, edges=np.vstack([s.edges, s.edges[:, ::-1], s.edges]))
+    assert np.array_equal(geodesic_from(twice, 0).distances, [0.0, 2.0, 4.0, 6.0])
 
 
 def test_disconnected_vertices_are_inf():
@@ -72,8 +70,6 @@ def test_bad_arguments():
         geodesic_from(s, 0, method="wavefront")
     with pytest.raises(InvalidInputError):
         geodesic_from(polyline_surface(3), 0, method="fmm")
-    with pytest.raises(InvalidInputError):
-        multi_source_geodesic(s, [])
 
 
 def test_point_cloud_falls_back_to_knn():
@@ -82,6 +78,34 @@ def test_point_cloud_falls_back_to_knn():
     d = geodesic_from(Surface(pts), 0).distances
     assert d[0] == 0.0
     assert np.isfinite(d).all()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_point_cloud_geodesics_match_dijkstra_on_the_knn_graph(seed):
+    """Mutual neighbours share one edge at its length, not two summed."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(150, 3)) * [1.0, 1.0, 0.1]
+    for v in (0, 77):
+        assert np.allclose(geodesic_from(Surface(pts), v).distances,
+                           knn_geodesics(pts, v), rtol=1e-12, atol=0.0)
+
+
+def test_flat_grid_cloud_geodesics_are_path_lengths():
+    xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0), indexing="ij")
+    cloud = Surface(np.column_stack([xs.ravel(), ys.ravel(), np.zeros(400)]))
+    d = geodesic_from(cloud, 0).distances
+    assert d[1] == 1.0
+    # the diagonal steps, the straight line to the far corner
+    assert d[-1] == pytest.approx(19.0 * np.sqrt(2.0), rel=1e-12)
+
+
+def test_derived_surfaces_march_their_own_geometry():
+    """What a surface is marched on is kept with it; a surface made from it
+    by normalizing or adding noise gets its own."""
+    s = compute_normals(grid_mesh(9, 9))
+    for t in (s, normalize_pair(s, s)[0], add_gaussian_normal_noise(s, 0.5, 0.05, 1)):
+        assert np.array_equal(geodesic_from(t, 3).distances,
+                              fast_marching(t.vertices, t.faces, 3, None))
 
 
 @pytest.mark.parametrize("n", [9, 25])
@@ -93,31 +117,3 @@ def test_fmm_matches_pointwise_oracle_on_test_grids(n):
                                   fast_marching(s.vertices, s.faces, seed, cap))
 
 
-def test_rebound_surfaces_march_their_own_geometry():
-    """What a surface is marched on is kept on it; a copy, or the surface
-    itself after its vertices or faces are rebound, must not reuse it."""
-    s = compute_normals(grid_mesh(9, 9))
-
-    def expect_fresh(t):
-        assert np.array_equal(geodesic_from(t, 3).distances,
-                              fast_marching(t.vertices, t.faces, 3, None))
-
-    expect_fresh(s)
-    scaled = s.copy()
-    scaled.vertices = 2.0 * scaled.vertices
-    expect_fresh(scaled)
-    expect_fresh(normalize_pair(s, s)[0])
-    expect_fresh(add_gaussian_normal_noise(s, 0.5, 0.05, 1))
-    s.vertices = 3.0 * s.vertices
-    expect_fresh(s)
-    s.faces = s.faces[::-1].copy()
-    expect_fresh(s)
-
-
-def test_rebound_point_cloud_gets_a_fresh_knn_graph():
-    rng = np.random.default_rng(4)
-    cloud = Surface(rng.uniform(size=(80, 3)))
-    geodesic_from(cloud, 0)
-    cloud.vertices = rng.uniform(size=(80, 3))
-    assert np.array_equal(geodesic_from(cloud, 0).distances,
-                          geodesic_from(Surface(cloud.vertices), 0).distances)

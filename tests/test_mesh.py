@@ -1,17 +1,20 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from nrreg import mesh
 from nrreg.errors import DegenerateInputError, FormatError, InvalidInputError
+from nrreg.evaluate import add_gaussian_normal_noise
 from nrreg.mesh import (NormalizationRecord, Surface, compute_normals,
                         edges_from_faces, error_colors, load_obj, load_ply,
                         load_surface, mean_edge_length, normalize_pair,
-                        save_obj, save_ply, surface_edges, write_error_mesh)
+                        save_ply, surface_edges, write_error_mesh)
 
 from conftest import grid_mesh
 from oracles import (face_vertex_normals, neighbour_covariances, pca_normals_eigh,
-                     upper_entries)
+                     save_obj_rows, upper_entries)
 
 
 def test_edges_from_faces_unique_sorted():
@@ -40,6 +43,40 @@ def test_surface_rejects_non_finite():
     normals[0, 0] = np.inf
     with pytest.raises(InvalidInputError):
         Surface(np.zeros((3, 3)), normals=normals)
+
+
+def test_surface_is_immutable():
+    mesh_ = compute_normals(grid_mesh(3, 3))
+    cloud = Surface(np.eye(3), edges=np.array([[0, 1], [1, 2]]), normals=np.eye(3))
+    for s in (mesh_, cloud):
+        for name in ("vertices", "faces", "edges", "normals"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(s, name, getattr(s, name))
+            if getattr(s, name) is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(s, name)[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        surface_edges(Surface(np.eye(3)))[0, 0] = 2
+
+
+def test_surface_leaves_the_callers_arrays_writable():
+    v, f, n = np.eye(3), np.array([[0, 1, 2]], dtype=np.int64), np.ones((3, 3))
+    e = np.array([[0, 1]], dtype=np.int64)
+    Surface(v, f, normals=n)
+    Surface(v, edges=e)
+    for a in (v, f, n, e):
+        assert a.flags.writeable
+        a[0, 0] = 0
+
+
+def test_derived_surfaces_get_their_own_knn_graph():
+    rng = np.random.default_rng(4)
+    cloud = compute_normals(Surface(rng.uniform(size=(80, 3))))
+    kept = surface_edges(cloud)
+    assert surface_edges(cloud) is kept
+    for s in (normalize_pair(cloud, cloud)[0], add_gaussian_normal_noise(cloud, 0.5, 0.05, 1)):
+        assert surface_edges(s) is not kept
+        assert np.array_equal(surface_edges(s), surface_edges(Surface(s.vertices)))
 
 
 def test_point_cloud_surface_graph_is_knn():
@@ -101,7 +138,7 @@ def test_normalize_pair_unit_diagonal_and_roundtrip():
 def test_normalize_pair_degenerate():
     s = Surface(np.zeros((4, 3)))
     with pytest.raises(DegenerateInputError):
-        normalize_pair(s, s.copy())
+        normalize_pair(s, s)
 
 
 def test_mesh_normals_flat_grid():
@@ -177,7 +214,7 @@ def test_pca_normals_match_eigh_up_to_one_sign(seed):
 def test_obj_roundtrip(tmp_path):
     s = grid_mesh(4, 3)
     p = tmp_path / "m.obj"
-    save_obj(s, p)
+    save_obj_rows(s, p)
     back = load_obj(p)
     assert np.allclose(back.vertices, s.vertices, atol=1e-8)
     assert np.array_equal(back.faces, s.faces)
@@ -281,6 +318,25 @@ def test_ply_face_list_named_vertex_index(tmp_path):
     assert load_ply(p).faces.tolist() == [[0, 1, 2]]
 
 
+
+def test_binary_ply_rows_of_differing_length_load_without_a_warning(tmp_path):
+    """The block read takes row 1 at row 0's list length, so its four bytes
+    past the end, 01 00 80 7f, read as a float32 signalling NaN; loading
+    must not warn of it (the test run turns RuntimeWarnings into errors)."""
+    head = (b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"property list uchar float w\nend_header\n")
+    rows = (np.array([1, 2, 3], "<f4").tobytes() + bytes([1]) + np.array([0.5], "<f4").tobytes()
+            + np.array([4, 5, 6], "<f4").tobytes() + bytes([0]))
+    p = tmp_path / "w.ply"
+    p.write_bytes(head + rows + bytes([0x01, 0x00, 0x80, 0x7F]))
+    assert load_ply(p).vertices.tolist() == [[1, 2, 3], [4, 5, 6]]
+    # the same bytes as a coordinate are a non-finite vertex
+    p.write_bytes(head.replace(b"vertex 2", b"vertex 1") + rows[:8]
+                  + bytes([0x01, 0x00, 0x80, 0x7F, 0]))
+    with pytest.raises(InvalidInputError):
+        load_ply(p)
+
 def test_ply_mixed_polygons_fan_triangulate(tmp_path):
     p = tmp_path / "mixed.ply"
     p.write_bytes(_PLY_XYZ.replace(b"vertex 3", b"vertex 5")
@@ -292,7 +348,7 @@ def test_ply_mixed_polygons_fan_triangulate(tmp_path):
 
 def test_load_surface_dispatch(tmp_path):
     s = grid_mesh(3, 3)
-    save_obj(s, tmp_path / "m.obj")
+    save_obj_rows(s, tmp_path / "m.obj")
     save_ply(s, tmp_path / "m.ply")
     assert load_surface(tmp_path / "m.obj").n_vertices == 9
     assert load_surface(tmp_path / "m.ply").n_vertices == 9

@@ -62,14 +62,14 @@ from nrreg.errors import FormatError, InvalidInputError
 from nrreg.geodesic import geodesic_from
 from nrreg.graph import DeformationGraph, build_graph, transform_points
 from nrreg.mesh import (Surface, _pca_normals, _smallest_eigenvectors, edges_from_faces,
-                        load_obj, load_ply, save_obj, save_ply)
+                        load_obj, load_ply, save_ply)
 from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
                           two_loop_direction)
 
 from conftest import grid_mesh
 from oracles import (edges_unique_rows, fast_marching, load_obj_rows, load_ply_rows,
                      neighbour_covariances, project_rotations_einsum,
-                     project_rotations_newton, save_obj_rows, save_ply_rows,
+                     project_rotations_newton, save_ply_rows,
                      solve_inner_arrays, upper_entries)
 from test_energy import random_graph, random_state
 
@@ -512,16 +512,6 @@ def test_obj_loads_as_the_row_reader_loads_it(text):
         path = Path(d) / "s.obj"
         path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(load_obj, path) == _outcome(load_obj_rows, path)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ply_surfaces())
-def test_save_obj_writes_the_row_writer_bytes(case):
-    s = case[0]
-    with tempfile.TemporaryDirectory() as d:
-        save_obj(s, Path(d) / "new.obj")
-        save_obj_rows(s, Path(d) / "old.obj")
-        assert (Path(d) / "new.obj").read_bytes() == (Path(d) / "old.obj").read_bytes()
 
 
 @st.composite

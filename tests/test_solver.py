@@ -4,6 +4,7 @@ from scipy.spatial.transform import Rotation
 
 import nrreg.correspond
 import nrreg.energy
+import nrreg.mesh
 import nrreg.solver
 from nrreg.correspond import CorrespondenceSet
 from nrreg.energy import EnergyParams, assemble_surrogate, deform, identity_state
@@ -173,7 +174,7 @@ def test_anneal_schedule_ends_where_halving_ends():
 @pytest.fixture(scope="module")
 def small_self_registration():
     src = compute_normals(grid_mesh(12, 12))
-    s_n, t_n, rec = normalize_pair(src, src.copy())
+    s_n, t_n, rec = normalize_pair(src, src)
     s_n = compute_normals(s_n)
     t_n = compute_normals(t_n)
     res = register(s_n, t_n)
@@ -201,7 +202,7 @@ def test_register_monotone_within_stage(small_self_registration):
 
 def test_register_l2_single_stage():
     src = compute_normals(grid_mesh(10, 10))
-    s_n, t_n, _ = normalize_pair(src, src.copy())
+    s_n, t_n, _ = normalize_pair(src, src)
     s_n = compute_normals(s_n)
     t_n = compute_normals(t_n)
     res = register(s_n, t_n, SolverParams(kernel="l2"))
@@ -225,7 +226,7 @@ def test_register_fixed_nu_single_stage():
 
 def test_register_leaves_graph_unchanged():
     src = compute_normals(grid_mesh(8, 8))
-    s_n, t_n, _ = normalize_pair(src, src.copy())
+    s_n, t_n, _ = normalize_pair(src, src)
     s_n = compute_normals(s_n)
     t_n = compute_normals(t_n)
     g = build_graph(s_n, R=5.0 * mean_edge_length(s_n))
@@ -282,7 +283,7 @@ def test_register_builds_one_target_index(monkeypatch):
 
     monkeypatch.setattr(nrreg.correspond.SpatialIndex, "__init__", counted_init)
     src = compute_normals(grid_mesh(8, 8))
-    s_n, t_n, _ = normalize_pair(src, src.copy())
+    s_n, t_n, _ = normalize_pair(src, src)
     res = register(compute_normals(s_n), compute_normals(t_n))
     assert res.rigid_init is not None
     assert built == [t_n.n_vertices]
@@ -299,6 +300,24 @@ def test_register_point_cloud_source():
     assert all(r.endswith("converged") for r in res.termination_reasons)
     assert rmse(res.transformed_source, GroundTruth(t_n.vertices)) < 1e-6
 
+
+
+def test_register_point_cloud_source_builds_its_knn_graph_once(monkeypatch):
+    """Mesh scale and geodesics read one k-NN graph of a faceless source."""
+    grid = grid_mesh(20, 20)
+    target = Surface(grid.vertices @ rot_z(0.1).T, grid.faces)
+    s_n, t_n, _ = normalize_pair(compute_normals(Surface(grid.vertices)),
+                                 compute_normals(target))
+    trees = []
+    tree = nrreg.mesh.cKDTree
+
+    def counted_tree(points, *args, **kwargs):
+        trees.append(len(points))
+        return tree(points, *args, **kwargs)
+
+    monkeypatch.setattr(nrreg.mesh, "cKDTree", counted_tree)
+    register(s_n, t_n)
+    assert trees == [400]
 
 def _twist(p, deg=10.0, lift=0.02):
     """Turn the unit-square sheet about the line (y, z) = (0.5, 0) by an angle
