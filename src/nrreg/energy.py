@@ -13,6 +13,16 @@ holding ``F X + P``, ``B X - Y`` and each node's ``A_j - proj(A_j)``, and the
 surrogate energy and gradient, the surrogate's weights and the total energy
 all read it instead of recomputing them.
 
+Within one majorization step the weights and targets are frozen, so the
+surrogate is a fixed quadratic form plus the rotation term.  An inner solve
+expands the quadratic part once around its start ``X0``
+(:meth:`SurrogateSystem.expand`, from the start's residuals) and evaluates
+every trial ``X = X0 + S`` in the 4r-dimensional state space: energy
+``E0 + <G0, S> + <S, 2 M S> / 2`` and gradient ``G0 + 2 M S``, where
+``2 M S = H0 S - c S`` is one product with the assembled H0 and ``c`` is the
+diagonal H0 adds to ``2 M``.  A :class:`Trial` holds ``S``, ``2 M S`` and the
+exact rotation residuals; only the state the solve stops at is deformed.
+
 ``proj(A_j)``, the closest rotation to a node's affine block, comes from the
 unscaled Newton polar iteration ``X <- (X + cof(X) / det(X)) / 2`` from
 ``X = A_j``, run for a fixed ``POLAR_ITERS`` steps on the nine entry planes of
@@ -207,10 +217,43 @@ class Deformed:
     rot: np.ndarray        # (r, 3, 3) rotation residuals, A_j - proj(A_j)
 
 
-def deform(g, X):
+def deform(g, X, rot=None):
     """Evaluate state ``X`` on graph ``g``: one ``F X``, one ``B X`` and one
-    batched rotation projection."""
-    return Deformed(X, transform_points(g, X), reg_residual(g, X), rotation_residual(X))
+    batched rotation projection, unless the rotation residuals ``rot`` of
+    ``X`` are given."""
+    rot = rotation_residual(X) if rot is None else rot
+    return Deformed(X, transform_points(g, X), reg_residual(g, X), rot)
+
+
+@dataclass(frozen=True)
+class Expansion:
+    """The quadratic part of a surrogate around a start state ``X0``: its
+    energy and gradient at ``X0``, and its Hessian ``2 M = H0 - diag(c)``."""
+
+    X0: np.ndarray           # (4r, 3) the start state
+    energy: float            # the quadratic part at X0
+    gradient: np.ndarray     # (4r, 3) its gradient at X0
+    H0: object               # (4r, 4r) sparse, the assembled H0
+    diagonal: np.ndarray     # (4r,) c, what H0 adds to 2 M
+
+    def trial(self, X, rot=None):
+        """Evaluate state ``X`` in state space: one product with H0 and one
+        batched rotation projection, unless the rotation residuals ``rot``
+        of ``X`` are given."""
+        step = X - self.X0
+        curv = self.H0 @ step - self.diagonal[:, None] * step
+        return Trial(X, step, curv, rotation_residual(X) if rot is None else rot, self)
+
+
+@dataclass(frozen=True)
+class Trial:
+    """One state of an inner solve, evaluated around the solve's start."""
+
+    X: np.ndarray              # (4r, 3) the state, X0 + step
+    step: np.ndarray           # (4r, 3) X - X0
+    curv: np.ndarray           # (4r, 3) 2 M step
+    rot: np.ndarray            # (r, 3, 3) rotation residuals, A_j - proj(A_j)
+    expansion: Expansion
 
 
 def total_energy(d: Deformed, corr, params: EnergyParams):
@@ -226,7 +269,12 @@ def total_energy(d: Deformed, corr, params: EnergyParams):
 
 @dataclass
 class SurrogateSystem:
-    """Frozen targets and Gaussian weights of one majorization step."""
+    """Frozen targets and Gaussian weights of one majorization step.
+
+    The energy and gradient read an evaluated state: a :class:`Deformed`
+    record through its residuals, or a :class:`Trial` through its
+    :class:`Expansion`, in state space.  The rotation term is exact either
+    way."""
 
     graph: DeformationGraph
     U: np.ndarray            # (n, 3) frozen correspondence targets
@@ -234,30 +282,52 @@ class SurrogateSystem:
     wr: np.ndarray           # (2e,) squared diagonal of W_r
     params: EnergyParams
 
-    def energy(self, d: Deformed):
+    def _quadratic_energy(self, d):
+        if isinstance(d, Trial):
+            q = d.expansion
+            return (q.energy + float(np.sum(q.gradient * d.step))
+                    + 0.5 * float(np.sum(d.step * d.curv)))
         ra = d.points - self.U
         ea = float(np.sum(self.wa * np.sum(ra * ra, axis=1)))
         er = float(np.sum(self.wr * np.sum(d.edges * d.edges, axis=1)))
-        return ea + self.params.alpha * er + self.params.beta * float(np.sum(d.rot ** 2))
+        return ea + self.params.alpha * er
 
-    def gradient(self, d: Deformed):
+    def _quadratic_gradient(self, d):
+        if isinstance(d, Trial):
+            return d.expansion.gradient + d.curv
         g = self.graph
-        Gm = (g.FT @ (self.wa[:, None] * (d.points - self.U))
-              + self.params.alpha * (g.BT @ (self.wr[:, None] * d.edges)))
+        return 2.0 * (g.FT @ (self.wa[:, None] * (d.points - self.U))
+                      + self.params.alpha * (g.BT @ (self.wr[:, None] * d.edges)))
+
+    def energy(self, d):
+        return self._quadratic_energy(d) + self.params.beta * float(np.sum(d.rot ** 2))
+
+    def gradient(self, d):
+        G = self._quadratic_gradient(d)
         if self.params.beta != 0.0:
             # the rotation term acts on the A rows only
-            Gm = Gm + self.params.beta * pack_state(d.rot, np.zeros((len(d.rot), 3)))
-        return 2.0 * Gm
+            G = G + 2.0 * self.params.beta * pack_state(d.rot, np.zeros((len(d.rot), 3)))
+        return G
+
+    def h0_diagonal(self):
+        """The diagonal H0 adds to the quadratic part's Hessian ``2 M``: 2 beta
+        on the A rows, plus ``SPD_JITTER`` everywhere."""
+        return np.tile([2.0 * self.params.beta] * 3 + [0.0], self.graph.n_nodes) + SPD_JITTER
 
     def assemble_H0(self):
         """2 (F^T W_a^2 F + alpha B^T W_r^2 B + beta I_A), with I_A the
         identity on the A rows, diagonally jittered so the factorization
         never hits an exactly singular translation row; filled into the
         graph's fixed pattern by its :class:`nrreg.graph.H0Plan`."""
-        p = self.params
         # doubling every weight is exact, so this is the doubled sum
-        diagonal = np.tile([2.0 * p.beta] * 3 + [0.0], self.graph.n_nodes) + SPD_JITTER
-        return self.graph.h0_plan.assemble(2.0 * self.wa, 2.0 * p.alpha * self.wr, diagonal)
+        return self.graph.h0_plan.assemble(2.0 * self.wa, 2.0 * self.params.alpha * self.wr,
+                                           self.h0_diagonal())
+
+    def expand(self, d0: Deformed, H0):
+        """The quadratic part around the evaluated state ``d0``, from its
+        residuals; ``H0`` is this system's :meth:`assemble_H0`."""
+        return Expansion(d0.X, self._quadratic_energy(d0), self._quadratic_gradient(d0), H0,
+                         self.h0_diagonal())
 
 
 def gaussian_weight(sq_dist, nu):

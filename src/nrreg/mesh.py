@@ -31,7 +31,12 @@ def edges_from_faces(faces):
     i, j = np.minimum(a, b), np.maximum(a, b)
     # one integer key per pair, ordered as the pairs are
     n = j.max() + 1
-    key = np.unique(i * n + j)
+    key = np.sort(i * n + j)
+    # sorted, a key is new where it differs from its predecessor
+    new = np.empty(len(key), dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    key = key[new]
     return np.column_stack([key // n, key % n])
 
 
@@ -89,6 +94,10 @@ class Surface:
     @property
     def has_faces(self):
         return self.faces is not None and len(self.faces) > 0
+
+    def __reduce__(self):
+        # a copy is built anew: read-only arrays, and nothing derived yet
+        return Surface, (self.vertices, self.faces, self.edges, self.normals)
 
     def derived(self, key, build):
         """``build(self)``, built on the first call with ``key`` and kept with

@@ -150,24 +150,36 @@ def solve_inner(sys, start, params: SolverParams):
     """Minimize one surrogate with L-BFGS; H0 is factored once and reused.
 
     ``start`` is the evaluated state (:func:`nrreg.energy.deform`) to start
-    from; returns the evaluated state it stops at.  Each point is evaluated
-    once: the line search's trial evaluation serves the gradient at the
-    accepted point too.
+    from.  The surrogate's quadratic part is expanded once around it
+    (:meth:`nrreg.energy.SurrogateSystem.expand`), and every line-search
+    trial is evaluated in state space: one product with H0 and one batched
+    rotation projection, with no pass over the source points.  The trial
+    evaluation serves the gradient at the accepted point too.  Only the
+    state the solve stops at is deformed.
+
+    Returns ``(end, reason)``: the evaluated state it stops at and why it
+    stopped: ``tolerance`` (the energy decrease fell below ``eps1``),
+    ``line_search`` (no step passed the line search), ``iteration_cap``
+    (``MAX_INNER_ITERS`` ran out) or ``stationary`` (no descent direction
+    remained).
     """
-    h0_solve = factor_h0(sys.assemble_H0()).solve   # multi-column right-hand sides at once
+    H0 = sys.assemble_H0()
+    h0_solve = factor_h0(H0).solve   # multi-column right-hand sides at once
+    quad = sys.expand(start, H0)
 
     trial = None
 
     def trial_energy(X):
         # the last point evaluated is the accepted one if the search succeeds
         nonlocal trial
-        trial = deform(sys.graph, X)
+        trial = quad.trial(X)
         return sys.energy(trial)
 
     hist = LbfgsHistory(params.m)
-    cur = start
+    first = cur = quad.trial(start.X, start.rot)
     E = sys.energy(cur)
     G = sys.gradient(cur)
+    reason = "iteration_cap"
     for _ in range(MAX_INNER_ITERS):
         d = two_loop_direction(hist, G, h0_solve)
         gd = float(np.sum(G * d))
@@ -179,6 +191,7 @@ def solve_inner(sys, start, params: SolverParams):
                 d = -G
                 gd = float(np.sum(G * d))
                 if gd >= 0.0:   # zero gradient: already stationary
+                    reason = "stationary"
                     break
         step = line_search(trial_energy, cur.X, d, E, gd, params.gamma)
         if step is None:
@@ -187,6 +200,7 @@ def solve_inner(sys, start, params: SolverParams):
             gd = float(np.sum(G * d))
             step = line_search(trial_energy, cur.X, d, E, gd, params.gamma)
             if step is None:
+                reason = "line_search"
                 break
         _, X_new, E_new = step
         G_new = sys.gradient(trial)
@@ -194,8 +208,11 @@ def solve_inner(sys, start, params: SolverParams):
         decrease = E - E_new
         cur, E, G = trial, E_new, G_new
         if decrease < params.eps1:
+            reason = "tolerance"
             break
-    return cur
+    if cur is first:
+        return start, reason
+    return deform(sys.graph, cur.X, cur.rot), reason
 
 
 @dataclass
@@ -214,7 +231,8 @@ class RegistrationResult:
     final_state: np.ndarray
     transformed_source: np.ndarray
     energy_trace: list[TraceRow]
-    termination_reasons: list[str]
+    termination_reasons: list[str]      # one per annealing stage
+    inner_reasons: list[str]            # one per outer iteration, see solve_inner
     graph: object = None
     rigid_init: object = None
 
@@ -294,6 +312,7 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
 
     trace = []
     reasons = []
+    inner_reasons = []
     # the evaluated state and the correspondences of the current X carry
     # over from one outer iteration, and from one stage, to the next
     corr = corr0
@@ -302,7 +321,8 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
         reason = "i_max"
         for k in range(params.i_max):
             sys = assemble_surrogate(graph, cur, corr, eparams)
-            new = solve_inner(sys, cur, params)
+            new, inner_reason = solve_inner(sys, cur, params)
+            inner_reasons.append(inner_reason)
             max_disp = float(np.max(np.linalg.norm(new.points - cur.points, axis=1)))
             corr = find_correspondences(new.points, target, index)
             energy = total_energy(new, corr, eparams)
@@ -319,6 +339,7 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
         transformed_source=cur.points,
         energy_trace=trace,
         termination_reasons=reasons,
+        inner_reasons=inner_reasons,
         graph=graph,
         rigid_init=rigid,
     )

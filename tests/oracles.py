@@ -15,20 +15,23 @@ closed form; the version below takes them from LAPACK's ``eigh``.
 The package reads and writes PLY one numpy block per element, and OBJ one
 block per record type; the readers and writers below go one row at a time,
 PLY through a dict per row and ``struct``.
-Edges are deduplicated here as index-pair rows, and face normals summed
-with ``np.add.at``, one corner at a time.
+Edges are deduplicated here as index-pair rows, and through ``np.unique``
+of one key per pair (the package sorts the keys and drops repeats), and face
+normals summed with ``np.add.at``, one corner at a time.
 
 The inner solver below factors H0 through the package's own
 ``factor_h0``: it checks the two-loop recursion, not the factorization.
 
 The package evaluates each state once (``energy.deform``) and lets the
-surrogate energy, its gradient and the inner solver read that record.  The
-surrogate energy and gradient below recompute every term from the array
-``X`` on each call, the inner solver calls them separately at every point,
-and the rotations are projected one matrix at a time: the package's Newton
-polar iteration restated on nine Python floats, with its cofactors written
-out from the definition, and the SVD fallback as a LAPACK determinant and
-one three-operand einsum.
+surrogate energy, its gradient and the inner solver read that record; the
+inner solver evaluates its trials in state space, through the surrogate's
+quadratic part expanded once around its start.  The surrogate energy and
+gradient below recompute every term from the array ``X`` on each call, the
+inner solver restates the same expansion on arrays and calls energy and
+gradient separately at every point, and the rotations are projected one
+matrix at a time: the package's Newton polar iteration restated on nine
+Python floats, with its cofactors written out from the definition, and the
+SVD fallback as a LAPACK determinant and one three-operand einsum.
 """
 
 import heapq
@@ -39,7 +42,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from nrreg.energy import POLAR_ITERS, POLAR_TOL, pack_state, unpack_state
+from nrreg.energy import POLAR_ITERS, POLAR_TOL, SPD_JITTER, pack_state, unpack_state
 from nrreg.solver import (MAX_INNER_ITERS, LbfgsHistory, factor_h0, line_search,
                           two_loop_direction)
 from nrreg.errors import FormatError, InvalidInputError
@@ -128,40 +131,72 @@ def project_rotations_newton(As):
     return np.array([project_rotation_newton(A) for A in As]).reshape(np.shape(As))
 
 
-def surrogate_energy(sys, X):
-    """A ``SurrogateSystem``'s energy at the array ``X``, every term from X."""
+def quadratic_energy(sys, X):
+    """A ``SurrogateSystem``'s quadratic part at the array ``X``."""
     g, p = sys.graph, sys.params
     ra = g.F @ X + g.P - sys.U
     rr = g.B @ X - g.Y
-    A, _ = unpack_state(X)
     return (float(np.sum(sys.wa * np.sum(ra * ra, axis=1)))
-            + p.alpha * float(np.sum(sys.wr * np.sum(rr * rr, axis=1)))
-            + p.beta * float(np.sum((A - project_rotations_newton(A)) ** 2)))
+            + p.alpha * float(np.sum(sys.wr * np.sum(rr * rr, axis=1))))
+
+
+def quadratic_gradient(sys, X):
+    """The gradient of a ``SurrogateSystem``'s quadratic part at the array ``X``."""
+    g, p = sys.graph, sys.params
+    return 2.0 * (g.F.T @ (sys.wa[:, None] * (g.F @ X + g.P - sys.U))
+                  + p.alpha * (g.B.T @ (sys.wr[:, None] * (g.B @ X - g.Y))))
+
+
+def rotation_gradient(sys, X):
+    """The gradient of a ``SurrogateSystem``'s rotation term at the array ``X``."""
+    A, _ = unpack_state(X)
+    return 2.0 * sys.params.beta * pack_state(A - project_rotations_newton(A),
+                                              np.zeros((len(A), 3)))
+
+
+def surrogate_energy(sys, X):
+    """A ``SurrogateSystem``'s energy at the array ``X``, every term from X."""
+    A, _ = unpack_state(X)
+    return (quadratic_energy(sys, X)
+            + sys.params.beta * float(np.sum((A - project_rotations_newton(A)) ** 2)))
 
 
 def surrogate_gradient(sys, X):
     """A ``SurrogateSystem``'s gradient at the array ``X``, every term from X."""
-    g, p = sys.graph, sys.params
-    Gm = (g.F.T @ (sys.wa[:, None] * (g.F @ X + g.P - sys.U))
-          + p.alpha * (g.B.T @ (sys.wr[:, None] * (g.B @ X - g.Y))))
-    if p.beta != 0.0:
-        A, _ = unpack_state(X)
-        Gm = Gm + p.beta * pack_state(A - project_rotations_newton(A), np.zeros((len(A), 3)))
-    return 2.0 * Gm
+    G = quadratic_gradient(sys, X)
+    return G + rotation_gradient(sys, X) if sys.params.beta != 0.0 else G
 
 
-def solve_inner_arrays(sys, X_k, params):
-    """L-BFGS on one surrogate, evaluating energy and gradient separately at
-    every point from the array state; returns the final state."""
+def solve_inner_expanded(sys, X0, params):
+    """L-BFGS on one surrogate with its quadratic part expanded around the
+    array ``X0``: at ``X = X0 + S`` the part is ``E0 + <G0, S> + <S, 2 M S> / 2``
+    with gradient ``G0 + 2 M S``, where ``2 M`` is H0 less its diagonal
+    ``2 beta`` on the A rows and ``SPD_JITTER``.  Energy and gradient are
+    evaluated separately at every point.  Returns the final state and why
+    the solve stopped."""
+    p = sys.params
+    H0 = sys.assemble_H0()
+    c = np.tile([2.0 * p.beta] * 3 + [0.0], sys.graph.n_nodes) + SPD_JITTER
+    E0, G0 = quadratic_energy(sys, X0), quadratic_gradient(sys, X0)
+
+    def two_m(S):
+        return H0 @ S - c[:, None] * S
 
     def energy(X):
-        return surrogate_energy(sys, X)
+        S = X - X0
+        A, _ = unpack_state(X)
+        return (E0 + float(np.sum(G0 * S)) + 0.5 * float(np.sum(S * two_m(S)))
+                + p.beta * float(np.sum((A - project_rotations_newton(A)) ** 2)))
 
-    h0_solve = factor_h0(sys.assemble_H0()).solve
+    def gradient(X):
+        G = G0 + two_m(X - X0)
+        return G + rotation_gradient(sys, X) if p.beta != 0.0 else G
+
+    h0_solve = factor_h0(H0).solve
     hist = LbfgsHistory(params.m)
-    X = X_k
+    X = X0
     E = energy(X)
-    G = surrogate_gradient(sys, X)
+    G = gradient(X)
     for _ in range(MAX_INNER_ITERS):
         d = two_loop_direction(hist, G, h0_solve)
         gd = float(np.sum(G * d))
@@ -173,22 +208,22 @@ def solve_inner_arrays(sys, X_k, params):
                 d = -G
                 gd = float(np.sum(G * d))
                 if gd >= 0.0:
-                    break
+                    return X, "stationary"
         step = line_search(energy, X, d, E, gd, params.gamma)
         if step is None:
             d = -G
             gd = float(np.sum(G * d))
             step = line_search(energy, X, d, E, gd, params.gamma)
             if step is None:
-                break
+                return X, "line_search"
         _, X_new, E_new = step
-        G_new = surrogate_gradient(sys, X_new)
+        G_new = gradient(X_new)
         hist.push(X_new - X, G_new - G)
         decrease = E - E_new
         X, E, G = X_new, E_new, G_new
         if decrease < params.eps1:
-            break
-    return X
+            return X, "tolerance"
+    return X, "iteration_cap"
 
 
 def triangle_update(dc_a, dc_b, p_c, p_a, p_b):
@@ -294,6 +329,19 @@ def edges_unique_rows(faces):
     e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
     e.sort(axis=1)
     return np.unique(e, axis=0)
+
+
+def edges_unique_keys(faces):
+    """Unique undirected edges of a triangle array through ``np.unique`` of
+    one integer key per sorted index pair."""
+    faces = np.asarray(faces, dtype=np.int64)
+    if faces.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    a, b = faces.T.ravel(), faces[:, [1, 2, 0]].T.ravel()
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    n = j.max() + 1
+    key = np.unique(i * n + j)
+    return np.column_stack([key // n, key % n])
 
 
 def face_vertex_normals(vertices, faces):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -67,6 +69,27 @@ def test_surface_leaves_the_callers_arrays_writable():
     for a in (v, f, n, e):
         assert a.flags.writeable
         a[0, 0] = 0
+
+
+@pytest.mark.parametrize("copy_surface", [lambda s: pickle.loads(pickle.dumps(s)),
+                                          copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_copied_surface_is_read_only_and_derives_anew(copy_surface):
+    rng = np.random.default_rng(5)
+    mesh_ = compute_normals(grid_mesh(4, 3))
+    cloud = compute_normals(Surface(rng.uniform(size=(30, 3))))
+    surface_edges(cloud)
+    for s in (mesh_, cloud):
+        c = copy_surface(s)
+        assert c._derived == {}
+        for name in ("vertices", "faces", "edges", "normals"):
+            a, b = getattr(s, name), getattr(c, name)
+            if a is None:
+                assert b is None
+                continue
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            with pytest.raises(ValueError, match="read-only"):
+                b[0, 0] = 1
+    assert np.array_equal(surface_edges(copy_surface(cloud)), surface_edges(cloud))
 
 
 def test_derived_surfaces_get_their_own_knn_graph():

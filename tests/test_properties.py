@@ -16,9 +16,12 @@ from pair moments of the influence offsets: it must be the dense
 ``2 (F^T W_a F + alpha B^T W_r B + beta I_A) + jitter I`` on any graph (no
 edges, points on one node, fallback points, coordinates far from the
 origin), exactly symmetric, and the symmetric-mode factor must solve it.
-The inner solver evaluates each point once and reads energy and gradient from
-that record; it must stop at the very state, to the last bit, of a solver that
-recomputes every term from the array at each call.
+The inner solver evaluates its trials in state space, through the
+surrogate's quadratic part expanded once around its start: at any trial state
+the energy and gradient must be those computed from the residuals, to 1e-10
+relative, and the solver must stop at the very state, to the last bit, of a
+solver that restates the expansion on arrays and evaluates energy and
+gradient separately at each call.
 
 Rotations are projected by a Newton polar iteration on the batch's entry
 planes, with an SVD fallback: on any batch (general, singular, reflected,
@@ -38,15 +41,15 @@ eigenvalue is well separated.
 
 Surfaces are read and written as PLY one block per element, and must load
 and save exactly as a reader and writer that go row by row do; edges are
-deduplicated through one integer key per index pair, and must come out as
-the sorted unique rows.
+deduplicated by sorting one integer key per index pair, and must come out as
+the sorted unique rows, byte for byte as ``np.unique`` of the keys gives them.
 """
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
@@ -67,10 +70,10 @@ from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
                           two_loop_direction)
 
 from conftest import grid_mesh
-from oracles import (edges_unique_rows, fast_marching, load_obj_rows, load_ply_rows,
-                     neighbour_covariances, project_rotations_einsum,
-                     project_rotations_newton, save_ply_rows,
-                     solve_inner_arrays, upper_entries)
+from oracles import (edges_unique_keys, edges_unique_rows, fast_marching, load_obj_rows,
+                     load_ply_rows, neighbour_covariances, project_rotations_einsum,
+                     project_rotations_newton, save_ply_rows, solve_inner_expanded,
+                     surrogate_energy, surrogate_gradient, upper_entries)
 from test_energy import random_graph, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -353,13 +356,37 @@ def test_pca_normals_move_with_the_cloud(seed, n, noise, k, shift):
     assert np.all(np.linalg.norm(got - sign * expected, axis=1)[clear] <= 1e-9)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(2, 6), st.floats(0.05, 0.5), st.floats(0.05, 0.5),
+       st.sampled_from([0.0, 0.3, 2.0]), st.sampled_from([0.0, 0.5, 1.5]),
+       st.sampled_from(["welsch", "l2"]), st.floats(0.0, 1.0), st.sampled_from([0.0, 1e3]))
+def test_trial_energy_and_gradient_are_the_residual_forms(seed, r, nu_a, nu_r, alpha, beta,
+                                                          kernel, step, offset):
+    """A trial state evaluated around the start, in state space, has the
+    energy and gradient computed from its residuals."""
+    rng = np.random.default_rng(seed)
+    n = 10 * r
+    g = random_graph(rng, r, n)
+    Xk = random_state(rng, r) + offset * np.tile([0.0, 0.0, 0.0, 1.0], r)[:, None]
+    corr = CorrespondenceSet(np.zeros(n, dtype=np.int64), rng.uniform(size=(n, 3)) + offset,
+                             np.zeros(n), np.ones(n, dtype=bool))
+    start = deform(g, Xk)
+    sys = assemble_surrogate(g, start, corr, EnergyParams(nu_a, nu_r, alpha, beta, kernel))
+    quad = sys.expand(start, sys.assemble_H0())
+    for X in (Xk, Xk + step * rng.normal(size=Xk.shape)):
+        trial = quad.trial(X)
+        E, G = surrogate_energy(sys, X), surrogate_gradient(sys, X)
+        assert abs(sys.energy(trial) - E) <= 1e-10 * E
+        assert np.abs(sys.gradient(trial) - G).max() <= 1e-10 * np.abs(G).max()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds, st.integers(2, 6), st.floats(0.05, 0.5), st.floats(0.05, 0.5),
        st.sampled_from([0.0, 0.3, 1.0, 2.0]), st.sampled_from([0.0, 0.5, 1.5]),
        st.sampled_from(["welsch", "l2"]), st.integers(1, 6), st.sampled_from([1e-3, 1e-9]),
        st.floats(0.05, 1.0))
-def test_solve_inner_matches_array_oracle(seed, r, nu_a, nu_r, alpha, beta, kernel, m,
-                                          eps1, spread):
+def test_solve_inner_matches_expanded_array_oracle(seed, r, nu_a, nu_r, alpha, beta, kernel,
+                                                   m, eps1, spread):
     rng = np.random.default_rng(seed)
     n = 10 * r
     g = random_graph(rng, r, n)
@@ -376,8 +403,10 @@ def test_solve_inner_matches_array_oracle(seed, r, nu_a, nu_r, alpha, beta, kern
         assert sys.wr.tobytes() == gaussian_weight(np.sum(rr * rr, axis=1), nu_r).tobytes()
 
     solver_params = SolverParams(m=m, eps1=eps1)
-    end = solve_inner(sys, start, solver_params)
-    assert end.X.tobytes() == solve_inner_arrays(sys, Xk, solver_params).tobytes()
+    end, reason = solve_inner(sys, start, solver_params)
+    X_ref, reason_ref = solve_inner_expanded(sys, Xk, solver_params)
+    assert end.X.tobytes() == X_ref.tobytes()
+    assert reason == reason_ref
     # the record returned is the evaluation of the state it holds
     again = deform(g, end.X)
     for name in ("points", "edges", "rot"):
@@ -570,5 +599,10 @@ def test_save_ply_writes_the_row_writer_bytes(case):
 
 @settings(max_examples=60, deadline=None)
 @given(face_arrays())
+@example(np.empty((0, 3), dtype=np.int64))
+@example(np.array([[0, 0, 0], [1, 2, 3], [3, 2, 1], [1, 2, 3]], dtype=np.int64))
 def test_edges_from_faces_are_the_unique_sorted_rows(faces):
-    assert _same(edges_from_faces(faces), edges_unique_rows(faces))
+    got = edges_from_faces(faces)
+    assert _same(got, edges_unique_rows(faces))
+    ref = edges_unique_keys(faces)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

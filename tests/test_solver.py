@@ -150,9 +150,29 @@ def test_solve_inner_decreases_surrogate():
     start = deform(g, X0)
     sys = assemble_surrogate(g, start, corr, EnergyParams(0.3, 0.3, 1.0, 1.0))
     params = SolverParams(eps1=1e-10)
-    end = solve_inner(sys, start, params)
+    end, reason = solve_inner(sys, start, params)
+    assert reason == "tolerance"
     assert sys.energy(end) < sys.energy(start)
     assert np.linalg.norm(sys.gradient(end)) < 1e-2 * max(1, np.linalg.norm(sys.gradient(start)))
+
+
+def test_line_search_give_up_is_reported(monkeypatch):
+    """An inner solve whose line search accepts no step returns its start
+    and says so; ``register`` lists that reason for every outer iteration."""
+    monkeypatch.setattr(nrreg.solver, "line_search", lambda *args: None)
+    rng = np.random.default_rng(4)
+    g = random_graph(rng, 4, 80)
+    corr = CorrespondenceSet(np.zeros(80, dtype=np.int64), rng.uniform(size=(80, 3)),
+                             np.zeros(80), np.ones(80, dtype=bool))
+    start = deform(g, random_state(rng, 4, spread=0.2))
+    sys = assemble_surrogate(g, start, corr, EnergyParams(0.3, 0.3, 1.0, 1.0))
+    assert solve_inner(sys, start, SolverParams()) == (start, "line_search")
+
+    src = compute_normals(grid_mesh(8, 8))
+    s_n, t_n, _ = normalize_pair(src, src)
+    res = register(compute_normals(s_n), compute_normals(t_n))
+    assert len(res.inner_reasons) == len(res.energy_trace) > 0
+    assert set(res.inner_reasons) == {"line_search"}
 
 
 def test_anneal_schedule_ends_where_halving_ends():
@@ -238,12 +258,15 @@ def test_register_leaves_graph_unchanged():
 
 def test_register_evaluates_each_point_once(monkeypatch):
     """One rotation projection per point: each line-search trial, plus the
-    starting state.  The accepted trial's evaluation serves its gradient, the
-    outer loop's points and total energy, and the next surrogate."""
-    counts = {"projections": 0, "trials": 0}
+    starting state.  Trials are evaluated in state space; one ``deform`` per
+    inner solve that moved evaluates the state it stopped at, reusing its
+    rotation residuals, for the outer loop's points, total energy and next
+    surrogate."""
+    counts = {"projections": 0, "trials": 0, "deforms": 0, "moved": 0}
     searching = []
-    project, energy, search = (nrreg.energy.project_rotations,
-                               nrreg.energy.SurrogateSystem.energy, nrreg.solver.line_search)
+    project, energy, search, evaluate, inner = (
+        nrreg.energy.project_rotations, nrreg.energy.SurrogateSystem.energy,
+        nrreg.solver.line_search, nrreg.solver.deform, nrreg.solver.solve_inner)
 
     def counted_project(As):
         counts["projections"] += 1
@@ -260,16 +283,29 @@ def test_register_evaluates_each_point_once(monkeypatch):
         finally:
             searching.pop()
 
+    def counted_deform(*args):
+        counts["deforms"] += 1
+        return evaluate(*args)
+
+    def counted_inner(sys, start, params):
+        end, reason = inner(sys, start, params)
+        counts["moved"] += end is not start
+        return end, reason
+
     monkeypatch.setattr(nrreg.energy, "project_rotations", counted_project)
     monkeypatch.setattr(nrreg.energy.SurrogateSystem, "energy", counted_energy)
     monkeypatch.setattr(nrreg.solver, "line_search", counted_search)
+    monkeypatch.setattr(nrreg.solver, "deform", counted_deform)
+    monkeypatch.setattr(nrreg.solver, "solve_inner", counted_inner)
     src = grid_mesh(10, 10)
     target = Surface(src.vertices @ rot_z(0.3).T + [0.0, 0.0, 0.05], src.faces)
     s_n, t_n, _ = normalize_pair(compute_normals(src), compute_normals(target))
     res = register(compute_normals(s_n), compute_normals(t_n))
     assert len(res.energy_trace) > 1
     assert counts["trials"] > len(res.energy_trace)
-    assert counts["projections"] <= counts["trials"] + 1
+    assert counts["projections"] == counts["trials"] + 1
+    assert counts["moved"] > 0
+    assert counts["deforms"] == counts["moved"] + 1
 
 
 def test_register_builds_one_target_index(monkeypatch):
