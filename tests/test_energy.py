@@ -212,7 +212,15 @@ def test_assemble_h0_matches_dense():
     dense = 2.0 * (F.T @ np.diag(sys.wa) @ F
                    + params.alpha * B.T @ np.diag(sys.wr) @ B
                    + params.beta * J) + 1e-8 * np.eye(12)
-    assert np.abs(sys.assemble_H0().toarray() - dense).max() < 1e-12
+    H0 = sys.assemble_H0()
+    H = H0.toarray()
+    assert np.abs(H - dense).max() < 1e-12
+    assert np.array_equal(H, H.T)
+    S = rng.normal(size=(12, 3))
+    assert np.abs(H0 @ S - dense @ S).max() <= 1e-12 * np.abs(dense @ S).max()
+    # every node pair shares a point here, so the band is the whole matrix
+    assert sorted(H0.rows[::4] // 4) == [0, 1, 2]
+    assert H0.band.shape == (12, 12)
 
 
 def test_majorization_small():

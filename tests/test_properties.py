@@ -15,7 +15,10 @@ seeded with the surrogate's quadratic form H0, which the graph's plan fills
 from pair moments of the influence offsets: it must be the dense
 ``2 (F^T W_a F + alpha B^T W_r B + beta I_A) + jitter I`` on any graph (no
 edges, points on one node, fallback points, coordinates far from the
-origin), exactly symmetric, and the symmetric-mode factor must solve it.
+origin), exactly symmetric, with its product that of the dense matrix, and
+its band Cholesky factor must solve it.  It is stored as a band in an order
+of the nodes, each node's four rows together, that holds every node pair
+sharing a point or an edge inside the band.
 The inner solver evaluates its trials in state space, through the
 surrogate's quadratic part expanded once around its start: at any trial state
 the energy and gradient must be those computed from the residuals, to 1e-10
@@ -217,7 +220,8 @@ def test_assembled_h0_is_the_dense_form_and_factors(g, seed, alpha, beta, scale)
     wr = scale * rng.uniform(size=g.B.shape[0])
     sys = SurrogateSystem(g, np.zeros((g.n_points, 3)), wa, wr,
                           EnergyParams(1.0, 1.0, alpha, beta))
-    H = sys.assemble_H0().toarray()
+    H0 = sys.assemble_H0()
+    H = H0.toarray()
     F, B = g.F.toarray(), g.B.toarray()
     J = np.diag(np.tile([1.0, 1.0, 1.0, 0.0], g.n_nodes))     # identity on the A rows
     dense = (2.0 * (F.T @ np.diag(wa) @ F + alpha * B.T @ np.diag(wr) @ B + beta * J)
@@ -225,10 +229,28 @@ def test_assembled_h0_is_the_dense_form_and_factors(g, seed, alpha, beta, scale)
     assert np.abs(H - dense).max() <= 1e-12 * np.abs(dense).max()
     assert np.array_equal(H, H.T)
     rhs = rng.normal(size=(4 * g.n_nodes, 3))
-    x = factor_h0(sys.assemble_H0()).solve(rhs)
+    assert np.abs(H0 @ rhs - dense @ rhs).max() <= 1e-12 * np.abs(dense @ rhs).max()
+    x = factor_h0(H0).solve(rhs)
     ref = np.linalg.solve(H, rhs)
     # both solvers are backward stable: each is within a few n eps cond(H)
     assert np.abs(x - ref).max() <= 1e-13 * np.linalg.cond(H) * np.abs(ref).max()
+    assert_band_layout(g, H0)
+
+
+def assert_band_layout(g, H0):
+    """H0's band rows take the nodes in some order, each node's four rows
+    together, and every node pair that shares a point or an edge lies
+    inside the band."""
+    r = g.n_nodes
+    nodes = H0.rows[::4] // 4
+    assert np.array_equal(np.sort(nodes), np.arange(r))
+    assert np.array_equal(H0.rows, (4 * nodes[:, None] + np.arange(4)).ravel())
+    rank = np.argsort(nodes)
+    W = (g.influence != 0).astype(np.int64)
+    shared = (W.T @ W).toarray() > 0
+    j, l = np.nonzero(shared | np.eye(r, dtype=bool))
+    j, l = np.concatenate([j, g.node_edges[:, 0]]), np.concatenate([l, g.node_edges[:, 1]])
+    assert np.all(4 * np.abs(rank[j] - rank[l]) + 3 <= len(H0.band) - 1)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.spatial.transform import Rotation
 
 import nrreg.correspond
@@ -7,13 +8,14 @@ import nrreg.energy
 import nrreg.mesh
 import nrreg.solver
 from nrreg.correspond import CorrespondenceSet
-from nrreg.energy import EnergyParams, assemble_surrogate, deform, identity_state
-from nrreg.errors import InvalidInputError
+from nrreg.energy import (EnergyParams, SurrogateSystem, assemble_surrogate, deform,
+                          identity_state)
+from nrreg.errors import InvalidInputError, SolverError
 from nrreg.evaluate import GroundTruth, rmse
-from nrreg.graph import build_graph
+from nrreg.graph import DeformationGraph, build_graph
 from nrreg.mesh import Surface, compute_normals, mean_edge_length, normalize_pair
 from nrreg.solver import (LbfgsHistory, RegistrationResult, SolverParams,
-                          TraceRow, anneal_schedule, line_search, register,
+                          TraceRow, anneal_schedule, factor_h0, line_search, register,
                           solve_inner, two_loop_direction)
 
 from conftest import grid_mesh, rot_z
@@ -138,6 +140,19 @@ def test_line_search_backtracks():
     lam, _, e_new = out
     assert lam < 1.0
     assert e_new < f(x)
+
+
+@pytest.mark.parametrize("wa_sign, wr_sign", [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
+def test_factor_h0_rejects_an_h0_that_is_not_positive_definite(wa_sign, wr_sign):
+    rng = np.random.default_rng(5)
+    g = random_graph(rng, 4, 40)
+    sys = SurrogateSystem(g, np.zeros((40, 3)), wa_sign * rng.uniform(1.0, 2.0, size=40),
+                          wr_sign * rng.uniform(1.0, 2.0, size=g.B.shape[0]),
+                          EnergyParams(1.0, 1.0, 1.0, 0.0))
+    H = sys.assemble_H0().toarray()
+    assert np.linalg.eigvalsh(H).min() < 0
+    with pytest.raises(SolverError, match="not positive definite"):
+        factor_h0(sys.assemble_H0())
 
 
 def test_solve_inner_decreases_surrogate():
@@ -391,6 +406,14 @@ def test_register_empty_raises():
     s = compute_normals(grid_mesh(5, 5))
     with pytest.raises(InvalidInputError):
         register(s, Surface(np.empty((0, 3))))
+
+
+def test_register_empty_graph_raises():
+    s = compute_normals(grid_mesh(5, 5))
+    g = DeformationGraph(np.empty(0, dtype=np.int64), np.empty((0, 3)),
+                         np.empty((0, 2), dtype=np.int64), 1.0, csr_matrix((25, 0)), s.vertices)
+    with pytest.raises(InvalidInputError, match="empty deformation graph"):
+        register(s, s, graph=g)
 
 
 def test_trace_csv_roundtrip(tmp_path, small_self_registration):
