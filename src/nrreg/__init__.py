@@ -10,8 +10,8 @@ from .correspond import (CorrespondenceSet, RigidTransform, SpatialIndex,
                          best_rigid, find_correspondences, lift_rigid_to_state,
                          rigid_icp_init)
 from .energy import (Deformed, EnergyParams, SurrogateSystem, assemble_surrogate,
-                     deform, energy_align, energy_reg, energy_rot, identity_state,
-                     pack_state, total_energy, unpack_state, welsch)
+                     deform, identity_state, pack_state, total_energy, unpack_state,
+                     welsch)
 from .errors import (DegenerateInputError, FormatError, InitializationError,
                      InvalidInputError, NrregError, SolverError)
 from .evaluate import (GroundTruth, add_gaussian_normal_noise, remove_region,

@@ -124,7 +124,7 @@ def best_rigid(src_pts, dst_pts):
 
 
 def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
-                   eps_d=DEFAULT_EPS_D, theta=DEFAULT_THETA_DEG, seed_pairs=None,
+                   eps_d=DEFAULT_EPS_D, theta=DEFAULT_THETA_DEG,
                    index: SpatialIndex | None = None):
     """Point-to-point ICP with distance/normal pair rejection.
 
@@ -133,21 +133,14 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     is a point cloud, whose PCA normals have no sign, they need only lie
     within ``theta`` of the same line.
 
-    ``seed_pairs`` is an optional (k, 2) array of (source index, target index)
-    pairs whose closed-form alignment seeds the iterations; otherwise the
-    iterations start from the identity.  ``index`` is a
+    The iterations start from the identity.  ``index`` is a
     :class:`SpatialIndex` over the target's vertices, built here if omitted.
     """
     if source.normals is None or target.normals is None:
         raise InvalidInputError("rigid ICP needs normals on both surfaces")
     if index is None:
         index = SpatialIndex(target.vertices)
-    if seed_pairs is not None:
-        seed_pairs = np.asarray(seed_pairs, dtype=np.int64)
-        rt = best_rigid(source.vertices[seed_pairs[:, 0]],
-                        target.vertices[seed_pairs[:, 1]])
-    else:
-        rt = RigidTransform.identity()
+    rt = RigidTransform.identity()
 
     reject = {"eps_d": eps_d, "theta": theta,
               "signed": source.has_faces and target.has_faces}

@@ -11,21 +11,22 @@ iterations.
 A state is evaluated once: :func:`deform` returns a :class:`Deformed` record
 holding ``F X + P``, ``B X - Y`` and each node's ``A_j - proj(A_j)``, and the
 surrogate energy and gradient, the surrogate's weights and the total energy
-all read it instead of recomputing them.
+all read it instead of recomputing them.  :func:`total_energy` is the one
+place the robust energy is summed.
 
 Within one majorization step the weights and targets are frozen, so the
 surrogate is a fixed quadratic form plus the rotation term.  An inner solve
 expands the quadratic part once around its start ``X0``
 (:meth:`SurrogateSystem.expand`, from the start's residuals) and evaluates
 every trial ``X = X0 + S`` in the 4r-dimensional state space: energy
-``E0 + <G0, S> + <S, 2 M S> / 2`` and gradient ``G0 + 2 M S``, where
-``2 M S = H0 S - c S`` is one product with the assembled H0 and ``c`` is the
-diagonal H0 adds to ``2 M``.  H0 is assembled as a symmetric band
-(:class:`nrreg.graph.BandMatrix`, in the graph's reverse Cuthill-McKee node
-order), so the product is one banded ``dsbmv`` per column of S, and the
-inner solver factors the same band by Cholesky.  A
-:class:`Trial` holds ``S``, ``2 M S`` and the exact rotation residuals; only
-the state the solve stops at is deformed.
+``E0 + <G0, S> + <S, 2 M S> / 2`` and gradient ``G0 + 2 M S``.  ``2 M`` is
+assembled as a symmetric band (:class:`nrreg.graph.BandMatrix`, in the
+graph's reverse Cuthill-McKee node order), so ``2 M S`` is one banded
+``dsbmv`` per column of S.  The inner solver's initial Hessian is
+``H0 = 2 M + diag(c)``, with ``c`` 2 beta on the A rows plus ``SPD_JITTER``
+(:meth:`SurrogateSystem.h0_diagonal`); ``c`` is added only to the copy of
+the band that is factored.  A :class:`Trial` holds ``S``, ``2 M S`` and the
+exact rotation residuals; only the state the solve stops at is deformed.
 
 ``proj(A_j)``, the closest rotation to a node's affine block, comes from the
 unscaled Newton polar iteration ``X <- (X + cof(X) / det(X)) / 2`` from
@@ -121,15 +122,6 @@ def _kernel_sum(residual, nu, kernel):
     return float(np.sum(_kernel(np.linalg.norm(residual, axis=1), nu, kernel)))
 
 
-def energy_align(g, X, corr, nu_a, kernel="welsch"):
-    """Sum of kernel values over point-to-correspondent distances."""
-    return _kernel_sum(align_residual(g, X, corr.positions), nu_a, kernel)
-
-
-def energy_reg(g, X, nu_r, kernel="welsch"):
-    return _kernel_sum(reg_residual(g, X), nu_r, kernel)
-
-
 def _det3(M):
     """Determinants of a batch of 3x3 matrices, row 0 . (row 1 x row 2)."""
     return np.sum(M[:, 0] * np.cross(M[:, 1], M[:, 2]), axis=1)
@@ -197,15 +189,6 @@ def rotation_residual(X):
     return A - project_rotations(A)
 
 
-def energy_rot(X):
-    return float(np.sum(rotation_residual(X) ** 2))
-
-
-def align_residual(g, X, U):
-    """Deformed source points minus their targets, ``F X + P - U``."""
-    return transform_points(g, X) - U
-
-
 def reg_residual(g, X):
     """The D_ij residuals, one row per directed edge, ``B X - Y``."""
     return g.B @ X - g.Y
@@ -232,21 +215,18 @@ def deform(g, X, rot=None):
 @dataclass(frozen=True)
 class Expansion:
     """The quadratic part of a surrogate around a start state ``X0``: its
-    energy and gradient at ``X0``, and its Hessian ``2 M = H0 - diag(c)``."""
+    energy and gradient at ``X0``, and its Hessian ``2 M``."""
 
     X0: np.ndarray           # (4r, 3) the start state
     energy: float            # the quadratic part at X0
     gradient: np.ndarray     # (4r, 3) its gradient at X0
-    H0: BandMatrix           # (4r, 4r) the assembled H0
-    diagonal: np.ndarray     # (4r,) c, what H0 adds to 2 M
+    two_m: BandMatrix        # (4r, 4r) the assembled 2 M
 
-    def trial(self, X, rot=None):
-        """Evaluate state ``X`` in state space: one product with H0 and one
-        batched rotation projection, unless the rotation residuals ``rot``
-        of ``X`` are given."""
+    def trial(self, X):
+        """Evaluate state ``X`` in state space: one product with ``2 M`` and
+        one batched rotation projection."""
         step = X - self.X0
-        curv = self.H0 @ step - self.diagonal[:, None] * step
-        return Trial(X, step, curv, rotation_residual(X) if rot is None else rot, self)
+        return Trial(X, step, self.two_m @ step, rotation_residual(X), self)
 
 
 @dataclass(frozen=True)
@@ -314,24 +294,28 @@ class SurrogateSystem:
         return G
 
     def h0_diagonal(self):
-        """The diagonal H0 adds to the quadratic part's Hessian ``2 M``: 2 beta
-        on the A rows, plus ``SPD_JITTER`` everywhere."""
+        """The diagonal c that H0 adds to the quadratic part's Hessian
+        ``2 M``: 2 beta on the A rows (the rotation term's curvature), plus
+        ``SPD_JITTER`` everywhere, so that the factorization never hits an
+        exactly singular translation row."""
         return np.tile([2.0 * self.params.beta] * 3 + [0.0], self.graph.n_nodes) + SPD_JITTER
 
     def assemble_H0(self):
-        """2 (F^T W_a^2 F + alpha B^T W_r^2 B + beta I_A), with I_A the
-        identity on the A rows, diagonally jittered so the factorization
-        never hits an exactly singular translation row; filled into the
-        graph's fixed band by its :class:`nrreg.graph.H0Plan`."""
+        """The band of the quadratic part's Hessian
+        ``2 M = 2 (F^T W_a^2 F + alpha B^T W_r^2 B)``, filled into the graph's
+        fixed band by its :class:`nrreg.graph.H0Plan`.  H0 is
+        ``2 M + diag(c)``; :func:`nrreg.solver.factor_h0` adds ``c``
+        (:meth:`h0_diagonal`) to the copy it factors."""
         # doubling every weight is exact, so this is the doubled sum
-        return self.graph.h0_plan.assemble(2.0 * self.wa, 2.0 * self.params.alpha * self.wr,
-                                           self.h0_diagonal())
+        return self.graph.h0_plan.assemble(2.0 * self.wa, 2.0 * self.params.alpha * self.wr)
 
-    def expand(self, d0: Deformed, H0):
+    def expand(self, d0: Deformed, two_m):
         """The quadratic part around the evaluated state ``d0``, from its
-        residuals; ``H0`` is this system's :meth:`assemble_H0`."""
-        return Expansion(d0.X, self._quadratic_energy(d0), self._quadratic_gradient(d0), H0,
-                         self.h0_diagonal())
+        residuals, as the :class:`Trial` of a zero step from ``d0``;
+        ``two_m`` is this system's :meth:`assemble_H0`."""
+        quad = Expansion(d0.X, self._quadratic_energy(d0), self._quadratic_gradient(d0), two_m)
+        zero = np.zeros_like(d0.X)
+        return Trial(d0.X, zero, zero, d0.rot, quad)
 
 
 def gaussian_weight(sq_dist, nu):

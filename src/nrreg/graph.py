@@ -9,7 +9,7 @@ The graph carries the linear map of its deformation.  With the node
 transforms stacked into the (4r, 3) state X (block rows ``[A_j^T; t_j^T]``),
 every deformed point is a row of ``F X + P`` and every edge residual a row of
 ``B X - Y``.  It also carries the plan that fills the surrogate's quadratic
-form ``F^T W_a F + alpha B^T W_r B + ...`` into a fixed symmetric band, in a
+form ``F^T W_a F + alpha B^T W_r B`` into a fixed symmetric band, in a
 node order chosen once per graph (:class:`H0Plan`), since only the diagonal
 weights change between MM steps.
 """
@@ -74,8 +74,8 @@ class BandMatrix:
 
 @dataclass(frozen=True)
 class H0Plan:
-    """How ``F^T diag(wa) F + B^T diag(wr) B + diag(c)`` fills the graph's
-    fixed band; the surrogate's H0 is of this form.
+    """How ``F^T diag(wa) F + B^T diag(wr) B`` fills the graph's fixed band;
+    the surrogate's Hessian ``2 M`` is of this form.
 
     Row i of F is ``w_ij [v_i - p_j, 1]`` on node j's four columns, so block
     (j, l) of ``F^T diag(wa) F`` is ``sum_i wa_i w_ij w_il [d; 1] [d + p_j - p_l; 1]^T``
@@ -89,10 +89,11 @@ class H0Plan:
     an edge, and on the diagonal.  The nodes are taken in reverse
     Cuthill-McKee order of that pattern, each node's four rows together,
     which narrows it to a band of ``bw`` subdiagonals.  ``slots`` sends every
-    term, in the order pair blocks, edge products, diagonal, to its entry of
-    the lower band storage (:class:`BandMatrix`), an entry of the strict
-    upper triangle to its mirror; the upper half of a diagonal block, whose
-    mirror is a term too, goes to the one spare entry past the end."""
+    term, pair blocks then edge products, to its entry of the lower band
+    storage (:class:`BandMatrix`), an entry of the strict upper triangle to
+    its mirror; the upper half of a diagonal block, whose mirror is a term
+    too, goes to the one spare entry past the end.  The diagonal H0 adds to
+    ``2 M`` joins only its factor (:func:`nrreg.solver.factor_h0`)."""
 
     rows: np.ndarray            # (4r,) state row at each band position
     K: csr_matrix               # (p, m) w_ij w_il per node pair and influence entry (i, j)
@@ -103,8 +104,8 @@ class H0Plan:
     slots: np.ndarray           # band storage entry of each term
     width: int                  # bw + 1, the rows of the band storage
 
-    def assemble(self, wa, wr, c):
-        """The (4r, 4r) :class:`BandMatrix` ``F^T diag(wa) F + B^T diag(wr) B + diag(c)``."""
+    def assemble(self, wa, wr):
+        """The (4r, 4r) :class:`BandMatrix` ``F^T diag(wa) F + B^T diag(wr) B``."""
         # the ten monomials of [d; 1] [d; 1]^T weighted by wa of the point,
         # one contiguous row each; K turns them into every node pair's moments
         d = self.offsets
@@ -115,7 +116,7 @@ class H0Plan:
             np.multiply(mono[6 + a], d[b], out=mono[row])
         blocks = (self.K @ mono.T)[:, _BLOCK_MOMENTS].reshape(-1, 4, 4)
         blocks[:, :, :3] += blocks[:, :, 3:] * self.shift[:, None, :]
-        terms = np.concatenate([blocks.ravel(), (wr[:, None] * self.edge_products).ravel(), c])
+        terms = np.concatenate([blocks.ravel(), (wr[:, None] * self.edge_products).ravel()])
         n = len(self.rows)
         band = np.bincount(self.slots, terms, minlength=self.width * n + 1)[:-1]
         return BandMatrix(band.reshape((self.width, n), order="F"), self.rows)
@@ -204,7 +205,6 @@ class DeformationGraph:
             p, q = 4 * rank[J] + a, 4 * rank[L] + b
             return (np.abs(p - q) + width * np.minimum(p, q)).astype(np.int32)
 
-        col_node, col_b = np.divmod(np.arange(4 * r), 4)
         # row k of B (directed edge (i, j)) has [p_i - p_j, 1] on node j's
         # columns and -1 on node i's translation column: entries 0-3 and 4
         v5 = np.column_stack([self.Y, np.ones(len(i)), -np.ones(len(i))])
@@ -217,8 +217,7 @@ class DeformationGraph:
                 np.where((pj == pl)[:, None] & (_A16 < _B16), width * 4 * r,
                          slot(pj[:, None], pl[:, None], _A16, _B16)).ravel(),
                 slot(np.where(_A15 < 4, j, i), np.where(_B15 < 4, j, i),
-                     np.minimum(_A15, 3), np.minimum(_B15, 3)).ravel(),
-                slot(col_node, col_node, col_b, col_b)]),
+                     np.minimum(_A15, 3), np.minimum(_B15, 3)).ravel()]),
             width=width)
 
     @property
@@ -294,17 +293,22 @@ def sample_nodes_farthest(s: Surface, R):
     stopping rule for deformation-graph nodes (each point then has several
     nodes inside its influence radius ``R``); it produces a denser node set
     than the PCA scan at the same ``R``.  Returns the nodes and their fields
-    (see :func:`node_field`); the farthest-point test needs the uncapped
-    fields."""
+    (see :func:`node_field`).
+
+    Only the first field is marched uncapped.  Every later node f is the
+    argmax of the running minimum ``nearest``, so no vertex farther than
+    ``nearest[f]`` from f can lower its minimum, and the fields are read
+    only to 2R: f's field is capped at ``max(nearest[f], 2R)``, which
+    leaves every distance below the cap unchanged."""
     if not R > 0:
         raise InvalidInputError("R must be positive")
     if s.n_vertices == 0:
         raise DegenerateInputError("empty surface")
     nearest = np.full(s.n_vertices, np.inf)
     nodes, fields = [], []
-    far = 0
+    far, cap = 0, None
     while True:
-        d = geodesic_from(s, far).distances
+        d = geodesic_from(s, far, cap=cap).distances
         np.minimum(nearest, d, out=nearest)
         nodes.append(far)
         fields.append(node_field(d, R))
@@ -312,6 +316,7 @@ def sample_nodes_farthest(s: Surface, R):
         far = int(np.argmax(finite))
         if finite[far] <= 0.5 * R:
             return np.array(nodes, dtype=np.int64), fields
+        cap = max(float(finite[far]), 2.0 * R)
 
 
 def _stack(fields):

@@ -153,15 +153,19 @@ class H0Factor:
         return out
 
 
-def factor_h0(H0):
-    """Cholesky factor ``L L^T`` of the symmetric positive definite H0, a
-    :class:`nrreg.graph.BandMatrix` in the graph's reverse Cuthill-McKee node
-    order, by LAPACK's band Cholesky ``dpbtrf``.  Raises ``SolverError`` if
-    H0 is not positive definite."""
-    L, info = lapack.dpbtrf(H0.band, lower=1)
+def factor_h0(two_m, c):
+    """Cholesky factor ``L L^T`` of the symmetric positive definite
+    ``H0 = 2 M + diag(c)``, by LAPACK's band Cholesky ``dpbtrf``.  ``two_m``
+    is the :class:`nrreg.graph.BandMatrix` of ``2 M``, in the graph's reverse
+    Cuthill-McKee node order, and ``c`` the (4r,) diagonal, by state row; it
+    is added to one copy of the band, which ``dpbtrf`` factors in place.
+    Raises ``SolverError`` if H0 is not positive definite."""
+    band = np.array(two_m.band, order="F")
+    band[0] += c[two_m.rows]
+    L, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
     if info != 0:
         raise SolverError(f"H0 is not positive definite (dpbtrf info {info})")
-    return H0Factor(L, H0.rows)
+    return H0Factor(L, two_m.rows)
 
 
 def solve_inner(sys, start, params: SolverParams):
@@ -170,10 +174,10 @@ def solve_inner(sys, start, params: SolverParams):
     ``start`` is the evaluated state (:func:`nrreg.energy.deform`) to start
     from.  The surrogate's quadratic part is expanded once around it
     (:meth:`nrreg.energy.SurrogateSystem.expand`), and every line-search
-    trial is evaluated in state space: one product with H0 and one batched
-    rotation projection, with no pass over the source points.  The trial
-    evaluation serves the gradient at the accepted point too.  Only the
-    state the solve stops at is deformed.
+    trial is evaluated in state space: one product with its Hessian ``2 M``
+    and one batched rotation projection, with no pass over the source
+    points.  The trial evaluation serves the gradient at the accepted point
+    too.  Only the state the solve stops at is deformed.
 
     Returns ``(end, reason)``: the evaluated state it stops at and why it
     stopped: ``tolerance`` (the energy decrease fell below ``eps1``),
@@ -181,20 +185,19 @@ def solve_inner(sys, start, params: SolverParams):
     (``MAX_INNER_ITERS`` ran out) or ``stationary`` (no descent direction
     remained).
     """
-    H0 = sys.assemble_H0()
-    h0_solve = factor_h0(H0).solve
-    quad = sys.expand(start, H0)
+    two_m = sys.assemble_H0()
+    h0_solve = factor_h0(two_m, sys.h0_diagonal()).solve
+    first = cur = sys.expand(start, two_m)
 
     trial = None
 
     def trial_energy(X):
         # the last point evaluated is the accepted one if the search succeeds
         nonlocal trial
-        trial = quad.trial(X)
+        trial = first.expansion.trial(X)
         return sys.energy(trial)
 
     hist = LbfgsHistory(params.m)
-    first = cur = quad.trial(start.X, start.rot)
     E = sys.energy(cur)
     G = sys.gradient(cur)
     reason = "iteration_cap"

@@ -19,10 +19,19 @@ Edges are deduplicated here as index-pair rows, and through ``np.unique``
 of one key per pair (the package sorts the keys and drops repeats), and face
 normals summed with ``np.add.at``, one corner at a time.
 
-The inner solver below takes H0 from the package: its band storage, the
-band product ``H0 @ S`` and the band Cholesky factor of ``factor_h0``.  It
-checks the two-loop recursion, not the band layout or the factorization;
-the property tests compare those with the dense H0.
+The inner solver below takes the surrogate's Hessian ``2 M`` from the
+package: its band storage, the band product ``2 M @ S`` and the band
+Cholesky factor of ``factor_h0``, given the diagonal that H0 adds to
+``2 M`` as restated here.  It checks the two-loop recursion, not the band
+layout or the factorization; the property tests compare those with the
+dense ``2 M`` and H0.
+
+The robust energy below sums its three terms from the definitions: points
+blended node by node, one edge residual per directed edge, and each node's
+rotation projected on its own by SVD.
+
+The farthest-point sampler below marches every node's field uncapped, as
+the definition reads; the package caps every march after the first.
 
 The package evaluates each state once (``energy.deform``) and lets the
 surrogate energy, its gradient and the inner solver read that record; the
@@ -45,6 +54,8 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from nrreg.energy import POLAR_ITERS, POLAR_TOL, SPD_JITTER, pack_state, unpack_state
+from nrreg.geodesic import geodesic_from
+from nrreg.graph import directed_edges, node_field
 from nrreg.solver import (MAX_INNER_ITERS, LbfgsHistory, factor_h0, line_search,
                           two_loop_direction)
 from nrreg.errors import FormatError, InvalidInputError
@@ -77,6 +88,25 @@ def residual_Dij(X, i, j, positions):
     p_i = positions[i]
     p_j = positions[j]
     return A[j] @ (p_i - p_j) + p_j + t[j] - (p_i + t[i])
+
+
+def robust_energy(g, X, corr, params):
+    """Alignment + alpha * smoothness + beta * rotation deviation at the
+    array ``X``, every term from its definition."""
+    if params.kernel == "welsch":
+        def kernel(x, nu):
+            return 1.0 - np.exp(-x * x / (2.0 * nu * nu))
+    else:
+        def kernel(x, nu):
+            return x * x
+    align = np.linalg.norm(blend_points(g, X) - corr.positions, axis=1)
+    reg = [np.linalg.norm(residual_Dij(X, i, j, g.node_positions))
+           for i, j in directed_edges(g)]
+    A, _ = unpack_state(X)
+    rot = sum(float(np.sum((a - project_rotation(a)) ** 2)) for a in A)
+    return (float(np.sum(kernel(align, params.nu_a)))
+            + params.alpha * float(np.sum(kernel(np.array(reg), params.nu_r)))
+            + params.beta * rot)
 
 
 def project_rotation(A):
@@ -172,29 +202,26 @@ def surrogate_gradient(sys, X):
 def solve_inner_expanded(sys, X0, params):
     """L-BFGS on one surrogate with its quadratic part expanded around the
     array ``X0``: at ``X = X0 + S`` the part is ``E0 + <G0, S> + <S, 2 M S> / 2``
-    with gradient ``G0 + 2 M S``, where ``2 M`` is H0 less its diagonal
-    ``2 beta`` on the A rows and ``SPD_JITTER``.  Energy and gradient are
-    evaluated separately at every point.  Returns the final state and why
-    the solve stopped."""
+    with gradient ``G0 + 2 M S``; the initial Hessian is ``2 M`` plus the
+    diagonal ``2 beta`` on the A rows and ``SPD_JITTER``.  Energy and
+    gradient are evaluated separately at every point.  Returns the final
+    state and why the solve stopped."""
     p = sys.params
-    H0 = sys.assemble_H0()
+    two_m = sys.assemble_H0()
     c = np.tile([2.0 * p.beta] * 3 + [0.0], sys.graph.n_nodes) + SPD_JITTER
     E0, G0 = quadratic_energy(sys, X0), quadratic_gradient(sys, X0)
-
-    def two_m(S):
-        return H0 @ S - c[:, None] * S
 
     def energy(X):
         S = X - X0
         A, _ = unpack_state(X)
-        return (E0 + float(np.sum(G0 * S)) + 0.5 * float(np.sum(S * two_m(S)))
+        return (E0 + float(np.sum(G0 * S)) + 0.5 * float(np.sum(S * (two_m @ S)))
                 + p.beta * float(np.sum((A - project_rotations_newton(A)) ** 2)))
 
     def gradient(X):
-        G = G0 + two_m(X - X0)
+        G = G0 + two_m @ (X - X0)
         return G + rotation_gradient(sys, X) if p.beta != 0.0 else G
 
-    h0_solve = factor_h0(H0).solve
+    h0_solve = factor_h0(two_m, c).solve
     hist = LbfgsHistory(params.m)
     X = X0
     E = energy(X)
@@ -226,6 +253,24 @@ def solve_inner_expanded(sys, X0, params):
         if decrease < params.eps1:
             return X, "tolerance"
     return X, "iteration_cap"
+
+
+def sample_nodes_farthest_uncapped(s, R):
+    """Farthest-point sampling from vertex 0 to half-radius coverage, every
+    node's field marched uncapped; returns the nodes and their fields as
+    ``nrreg.graph.node_field`` cuts them."""
+    nearest = np.full(s.n_vertices, np.inf)
+    nodes, fields = [], []
+    far = 0
+    while True:
+        d = geodesic_from(s, far).distances
+        np.minimum(nearest, d, out=nearest)
+        nodes.append(far)
+        fields.append(node_field(d, R))
+        finite = np.where(np.isfinite(nearest), nearest, -1.0)
+        far = int(np.argmax(finite))
+        if finite[far] <= 0.5 * R:
+            return np.array(nodes, dtype=np.int64), fields
 
 
 def triangle_update(dc_a, dc_b, p_c, p_a, p_b):

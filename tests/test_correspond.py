@@ -164,15 +164,6 @@ def test_rigid_icp_requires_normals():
         rigid_icp_init(s, s)
 
 
-def test_rigid_icp_seed_pairs():
-    src = compute_normals(grid_mesh(10, 10))
-    R = rot_z(np.deg2rad(5.0))
-    tgt = compute_normals(Surface(src.vertices @ R.T, src.faces.copy()))
-    pairs = np.column_stack([np.arange(20), np.arange(20)])
-    rt = rigid_icp_init(src, tgt, seed_pairs=pairs)
-    assert np.abs(rt.rotation - R).max() < 1e-3
-
-
 def test_lift_rigid_to_state_exact(grid25):
     g = build_graph(grid25)
     rt = RigidTransform(rot_z(0.2), np.array([0.05, 0.0, -0.03]))

@@ -3,17 +3,18 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from nrreg.correspond import CorrespondenceSet, find_correspondences
-from nrreg.energy import (EnergyParams, assemble_surrogate, deform, energy_align,
-                          energy_reg, energy_rot, gaussian_weight,
+from nrreg.energy import (EnergyParams, assemble_surrogate, deform, gaussian_weight,
                           identity_state, pack_state, project_rotations,
-                          reg_residual, total_energy, unpack_state, welsch)
+                          reg_residual, rotation_residual, total_energy, unpack_state,
+                          welsch)
 from nrreg.errors import InvalidInputError
 from nrreg.graph import (DeformationGraph, build_graph, directed_edges,
                          transform_points)
 from nrreg.mesh import Surface
+from nrreg.solver import factor_h0
 
 from conftest import grid_mesh, rot_z
-from oracles import blend_points, project_rotation, residual_Dij
+from oracles import blend_points, project_rotation, residual_Dij, robust_energy
 
 
 def random_graph(rng, r, n):
@@ -130,7 +131,7 @@ def test_project_rotation():
 def test_energy_rot_zero_for_rotations():
     A = np.stack([rot_z(a) for a in (0.1, -0.5, 2.0)])
     X = pack_state(A, np.zeros((3, 3)))
-    assert energy_rot(X) < 1e-20
+    assert float(np.sum(rotation_residual(X) ** 2)) < 1e-20
 
 
 def edgeless_graph(rng, r, n):
@@ -209,18 +210,21 @@ def test_assemble_h0_matches_dense():
     F = g.F.toarray()
     B = g.B.toarray()
     J = np.diag(np.tile([1.0, 1.0, 1.0, 0.0], 3))    # identity on the A rows
-    dense = 2.0 * (F.T @ np.diag(sys.wa) @ F
-                   + params.alpha * B.T @ np.diag(sys.wr) @ B
-                   + params.beta * J) + 1e-8 * np.eye(12)
-    H0 = sys.assemble_H0()
-    H = H0.toarray()
-    assert np.abs(H - dense).max() < 1e-12
+    dense_two_m = 2.0 * (F.T @ np.diag(sys.wa) @ F + params.alpha * B.T @ np.diag(sys.wr) @ B)
+    dense = dense_two_m + 2.0 * params.beta * J + 1e-8 * np.eye(12)
+    two_m = sys.assemble_H0()
+    H = two_m.toarray()
+    assert np.abs(H - dense_two_m).max() < 1e-12
     assert np.array_equal(H, H.T)
     S = rng.normal(size=(12, 3))
-    assert np.abs(H0 @ S - dense @ S).max() <= 1e-12 * np.abs(dense @ S).max()
+    assert np.abs(two_m @ S - dense_two_m @ S).max() <= 1e-12 * np.abs(dense_two_m @ S).max()
+    # the factor adds H0's diagonal: it solves the dense H0
+    x = factor_h0(two_m, sys.h0_diagonal()).solve(S)
+    ref = np.linalg.solve(dense, S)
+    assert np.abs(x - ref).max() <= 1e-13 * np.linalg.cond(dense) * np.abs(ref).max()
     # every node pair shares a point here, so the band is the whole matrix
-    assert sorted(H0.rows[::4] // 4) == [0, 1, 2]
-    assert H0.band.shape == (12, 12)
+    assert sorted(two_m.rows[::4] // 4) == [0, 1, 2]
+    assert two_m.band.shape == (12, 12)
 
 
 def test_majorization_small():
@@ -238,7 +242,7 @@ def test_majorization_small():
         dr = np.linalg.norm(g.B @ X - g.Y, axis=1)
         return (float(np.sum(welsch(da, params.nu_a)))
                 + params.alpha * float(np.sum(welsch(dr, params.nu_r)))
-                + params.beta * energy_rot(X))
+                + params.beta * float(np.sum(rotation_residual(X) ** 2)))
 
     e0s, e0f = sys.energy(deform(g, Xk)), frozen(Xk)
     for _ in range(50):
@@ -254,7 +258,5 @@ def test_total_energy_consistency(grid25):
     corr = find_correspondences(transform_points(g, X), target)
     params = EnergyParams(0.05, 0.05, 1.0, 2.0)
     total = total_energy(deform(g, X), corr, params)
-    parts = (energy_align(g, X, corr, params.nu_a)
-             + params.alpha * energy_reg(g, X, params.nu_r)
-             + params.beta * energy_rot(X))
-    assert total == parts
+    ref = robust_energy(g, X, corr, params)
+    assert abs(total - ref) <= 1e-12 * ref

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from nrreg import geodesic
+from nrreg import geodesic, graph
 from nrreg.correspond import RigidTransform, lift_rigid_to_state
 from nrreg.energy import identity_state, pack_state
 from nrreg.errors import InvalidInputError
@@ -199,6 +199,24 @@ def test_build_graph_matches_dense_oracle(grid25, case, sampler):
                  (g.influence.data, W.data)):
         assert np.array_equal(a, b)
     assert len(g.fallback_points) == 0
+
+
+def test_farthest_build_marches_only_near_its_nodes(monkeypatch):
+    reached = []
+
+    def counting(s, seed, cap=None, method="auto"):
+        f = geodesic_from(s, seed, cap=cap, method=method)
+        reached.append(int(np.count_nonzero(np.isfinite(f.distances))))
+        return f
+
+    monkeypatch.setattr(graph, "geodesic_from", counting)
+    s = grid_mesh(50, 50)
+    g = build_graph(s, sampler="farthest")
+    assert g.n_nodes == len(reached) == 232
+    # uncapped marches would reach every vertex from every node,
+    # 2 500 x 232 = 580 000; capped at max(nearest[f], 2R) they reach 81 613
+    assert reached[0] == s.n_vertices
+    assert sum(reached) <= 100_000
 
 
 def test_point_cloud_graph_builds_its_knn_graph_once(monkeypatch):

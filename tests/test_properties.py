@@ -3,22 +3,25 @@
 The graph marches each node's field once, capped at 2R, and reads both the
 sampling test (distances below R) and the influence and edge rules from it.
 That is exact only if a capped field equals the uncapped one with every
-entry beyond the cap set to +inf.  Fast marching runs on lengths and dots
-precomputed per surface, and must give the fields of a march that takes
-them from the points as it goes, to the last bit.
+entry beyond the cap set to +inf.  Farthest-point sampling caps every march
+after the first at ``max(nearest[f], 2R)``, and must pick the nodes and
+fields of a sampler that marches every field uncapped.  Fast marching runs
+on lengths and dots precomputed per surface, and must give the fields of a
+march that takes them from the points as it goes, to the last bit.
 
 The solver starts from a rigid map lifted onto the graph, so the lifted
 state must reproduce that map exactly.  Each outer iteration minimizes a
 quadratic surrogate, which lowers the robust energy only if the surrogate
 majorizes it; and each L-BFGS step needs a descent direction.  L-BFGS is
-seeded with the surrogate's quadratic form H0, which the graph's plan fills
-from pair moments of the influence offsets: it must be the dense
-``2 (F^T W_a F + alpha B^T W_r B + beta I_A) + jitter I`` on any graph (no
-edges, points on one node, fallback points, coordinates far from the
-origin), exactly symmetric, with its product that of the dense matrix, and
-its band Cholesky factor must solve it.  It is stored as a band in an order
-of the nodes, each node's four rows together, that holds every node pair
-sharing a point or an edge inside the band.
+seeded with ``H0 = 2 M + 2 beta I_A + jitter I``.  The graph's plan fills
+the quadratic part's Hessian ``2 M`` from pair moments of the influence
+offsets: it must be the dense ``2 (F^T W_a F + alpha B^T W_r B)`` on any
+graph (no edges, points on one node, fallback points, coordinates far from
+the origin), exactly symmetric, with its product that of the dense matrix,
+and the band Cholesky factor of it plus H0's diagonal must solve the dense
+H0.  It is stored as a band in an order of the nodes, each node's four rows
+together, that holds every node pair sharing a point or an edge inside the
+band.
 The inner solver evaluates its trials in state space, through the
 surrogate's quadratic part expanded once around its start: at any trial state
 the energy and gradient must be those computed from the residuals, to 1e-10
@@ -62,11 +65,11 @@ from scipy.spatial.transform import Rotation
 from nrreg.correspond import (CorrespondenceSet, RigidTransform,
                               lift_rigid_to_state)
 from nrreg.energy import (SPD_JITTER, EnergyParams, SurrogateSystem, assemble_surrogate,
-                          deform, energy_align, energy_reg, energy_rot, gaussian_weight,
-                          project_rotations, total_energy)
+                          deform, gaussian_weight, project_rotations, total_energy)
 from nrreg.errors import FormatError, InvalidInputError
 from nrreg.geodesic import geodesic_from
-from nrreg.graph import DeformationGraph, build_graph, transform_points
+from nrreg.graph import (DeformationGraph, build_graph, sample_nodes_farthest,
+                         transform_points)
 from nrreg.mesh import (Surface, _pca_normals, _smallest_eigenvectors, edges_from_faces,
                         load_obj, load_ply, save_ply)
 from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
@@ -75,8 +78,9 @@ from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
 from conftest import grid_mesh
 from oracles import (edges_unique_keys, edges_unique_rows, fast_marching, load_obj_rows,
                      load_ply_rows, neighbour_covariances, project_rotations_einsum,
-                     project_rotations_newton, save_ply_rows, solve_inner_expanded,
-                     surrogate_energy, surrogate_gradient, upper_entries)
+                     project_rotations_newton, robust_energy, sample_nodes_farthest_uncapped,
+                     save_ply_rows, solve_inner_expanded, surrogate_energy,
+                     surrogate_gradient, upper_entries)
 from test_energy import random_graph, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -132,6 +136,25 @@ def test_fmm_matches_pointwise_oracle(case, cap):
     s, seed = case
     assert np.array_equal(geodesic_from(s, seed, cap=cap).distances,
                           fast_marching(s.vertices, s.faces, seed, cap))
+
+
+@settings(max_examples=30, deadline=None)
+@given(odd_meshes(), st.booleans(), st.floats(0.1, 0.6))
+def test_farthest_sampler_is_the_uncapped_sampler(case, point_cloud, radius_share):
+    """Capping each march after the first at ``max(nearest[f], 2R)`` changes
+    no node and no field, on meshes and point clouds, with more than one
+    component and isolated vertices."""
+    s, _ = case
+    if point_cloud:
+        s = Surface(s.vertices)
+    R = radius_share * float(np.linalg.norm(np.ptp(s.vertices, axis=0)))
+    nodes, fields = sample_nodes_farthest(s, R)
+    ref_nodes, ref_fields = sample_nodes_farthest_uncapped(s, R)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert len(fields) == len(ref_fields)
+    for (idx, d), (ref_idx, ref_d) in zip(fields, ref_fields):
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert d.tobytes() == ref_d.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,21 +243,25 @@ def test_assembled_h0_is_the_dense_form_and_factors(g, seed, alpha, beta, scale)
     wr = scale * rng.uniform(size=g.B.shape[0])
     sys = SurrogateSystem(g, np.zeros((g.n_points, 3)), wa, wr,
                           EnergyParams(1.0, 1.0, alpha, beta))
-    H0 = sys.assemble_H0()
-    H = H0.toarray()
+    two_m = sys.assemble_H0()
+    M2 = two_m.toarray()
     F, B = g.F.toarray(), g.B.toarray()
     J = np.diag(np.tile([1.0, 1.0, 1.0, 0.0], g.n_nodes))     # identity on the A rows
-    dense = (2.0 * (F.T @ np.diag(wa) @ F + alpha * B.T @ np.diag(wr) @ B + beta * J)
-             + SPD_JITTER * np.eye(4 * g.n_nodes))
-    assert np.abs(H - dense).max() <= 1e-12 * np.abs(dense).max()
-    assert np.array_equal(H, H.T)
+    dense_two_m = 2.0 * (F.T @ np.diag(wa) @ F + alpha * B.T @ np.diag(wr) @ B)
+    dense = dense_two_m + 2.0 * beta * J + SPD_JITTER * np.eye(4 * g.n_nodes)
+    assert np.abs(M2 - dense_two_m).max() <= 1e-12 * np.abs(dense_two_m).max()
+    assert np.array_equal(M2, M2.T)
     rhs = rng.normal(size=(4 * g.n_nodes, 3))
-    assert np.abs(H0 @ rhs - dense @ rhs).max() <= 1e-12 * np.abs(dense @ rhs).max()
-    x = factor_h0(H0).solve(rhs)
+    assert (np.abs(two_m @ rhs - dense_two_m @ rhs).max()
+            <= 1e-12 * np.abs(dense_two_m @ rhs).max())
+    # the factor is that of H0 = 2 M + diag(c)
+    H = M2 + np.diag(sys.h0_diagonal())
+    assert np.abs(H - dense).max() <= 1e-12 * np.abs(dense).max()
+    x = factor_h0(two_m, sys.h0_diagonal()).solve(rhs)
     ref = np.linalg.solve(H, rhs)
     # both solvers are backward stable: each is within a few n eps cond(H)
     assert np.abs(x - ref).max() <= 1e-13 * np.linalg.cond(H) * np.abs(ref).max()
-    assert_band_layout(g, H0)
+    assert_band_layout(g, two_m)
 
 
 def assert_band_layout(g, H0):
@@ -382,6 +409,10 @@ def test_pca_normals_move_with_the_cloud(seed, n, noise, k, shift):
 @given(seeds, st.integers(2, 6), st.floats(0.05, 0.5), st.floats(0.05, 0.5),
        st.sampled_from([0.0, 0.3, 2.0]), st.sampled_from([0.0, 0.5, 1.5]),
        st.sampled_from(["welsch", "l2"]), st.floats(0.0, 1.0), st.sampled_from([0.0, 1e3]))
+# near-zero Welsch weights: the quadratic energy is about 1e-28, so the trial
+# curvature must carry no rounding from H0's diagonal
+@example(seed=55813, r=2, nu_a=0.0625, nu_r=0.5, alpha=0.0, beta=0.0, kernel="welsch",
+         step=1.0, offset=0.0)
 def test_trial_energy_and_gradient_are_the_residual_forms(seed, r, nu_a, nu_r, alpha, beta,
                                                           kernel, step, offset):
     """A trial state evaluated around the start, in state space, has the
@@ -394,9 +425,9 @@ def test_trial_energy_and_gradient_are_the_residual_forms(seed, r, nu_a, nu_r, a
                              np.zeros(n), np.ones(n, dtype=bool))
     start = deform(g, Xk)
     sys = assemble_surrogate(g, start, corr, EnergyParams(nu_a, nu_r, alpha, beta, kernel))
-    quad = sys.expand(start, sys.assemble_H0())
+    first = sys.expand(start, sys.assemble_H0())
     for X in (Xk, Xk + step * rng.normal(size=Xk.shape)):
-        trial = quad.trial(X)
+        trial = first.expansion.trial(X)
         E, G = surrogate_energy(sys, X), surrogate_gradient(sys, X)
         assert abs(sys.energy(trial) - E) <= 1e-10 * E
         assert np.abs(sys.gradient(trial) - G).max() <= 1e-10 * np.abs(G).max()
@@ -433,11 +464,11 @@ def test_solve_inner_matches_expanded_array_oracle(seed, r, nu_a, nu_r, alpha, b
     again = deform(g, end.X)
     for name in ("points", "edges", "rot"):
         assert getattr(end, name).tobytes() == getattr(again, name).tobytes()
-    # the total energy on the record is the sum of the per-term energies, to the bit
-    assert total_energy(end, corr, params) == (
-        energy_align(g, end.X, corr, nu_a, kernel)
-        + alpha * energy_reg(g, end.X, nu_r, kernel)
-        + beta * energy_rot(end.X))
+    # the total energy on the record is that of the state evaluated afresh,
+    # to the bit, and the energy from its definition
+    total = total_energy(end, corr, params)
+    assert total == total_energy(again, corr, params)
+    assert abs(total - robust_energy(g, end.X, corr, params)) <= 1e-12 * total
 
 
 @settings(max_examples=50, deadline=None)

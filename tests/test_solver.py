@@ -149,10 +149,10 @@ def test_factor_h0_rejects_an_h0_that_is_not_positive_definite(wa_sign, wr_sign)
     sys = SurrogateSystem(g, np.zeros((40, 3)), wa_sign * rng.uniform(1.0, 2.0, size=40),
                           wr_sign * rng.uniform(1.0, 2.0, size=g.B.shape[0]),
                           EnergyParams(1.0, 1.0, 1.0, 0.0))
-    H = sys.assemble_H0().toarray()
+    H = sys.assemble_H0().toarray() + np.diag(sys.h0_diagonal())
     assert np.linalg.eigvalsh(H).min() < 0
     with pytest.raises(SolverError, match="not positive definite"):
-        factor_h0(sys.assemble_H0())
+        factor_h0(sys.assemble_H0(), sys.h0_diagonal())
 
 
 def test_solve_inner_decreases_surrogate():
