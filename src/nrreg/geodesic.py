@@ -33,11 +33,9 @@ from .mesh import Surface, surface_edges
 
 @dataclass
 class GeodesicField:
-    """Distances from one seed vertex; entries beyond ``capped_at`` are +inf."""
+    """Distances from one seed vertex; entries beyond the march's cap are +inf."""
 
-    source_vertex: int
     distances: np.ndarray
-    capped_at: float | None = None
 
 
 def _edge_graph(points, edges):
@@ -185,5 +183,5 @@ def geodesic_from(s: Surface, seed, cap=None, method="auto"):
         d = _dijkstra(_geometry(s, method), seed, cap)
     else:
         raise InvalidInputError(f"unknown method {method!r}")
-    return GeodesicField(seed, d, cap)
+    return GeodesicField(d)
 

@@ -3,7 +3,9 @@
 Nodes are a geodesically separated subset of the source points; every node
 within radius ``R`` of a source point influences it with the compactly
 supported weight ``(1 - D^2/R^2)^3``, normalized so the weights of each point
-sum to one.
+sum to one.  Two nodes are joined by an edge when they influence a common
+point, so one radius decides both, and each node's geodesic field is marched
+only to R.
 
 The graph carries the linear map of its deformation.  With the node
 transforms stacked into the (4r, 3) state X (block rows ``[A_j^T; t_j^T]``),
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, triu
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DegenerateInputError, InvalidInputError
@@ -255,9 +257,8 @@ def principal_axis(points):
 
 def node_field(distances, R):
     """A node's geodesic field as the (vertex indices, distances) of its
-    entries within 2R: influence needs distances below R, node edges below
-    2R."""
-    idx = np.flatnonzero(distances <= 2.0 * R)
+    entries within R, the points the node influences."""
+    idx = np.flatnonzero(distances < R)
     return idx, distances[idx]
 
 
@@ -266,8 +267,8 @@ def sample_nodes_pca(s: Surface, R):
     iff its geodesic distance to all kept points is at least ``R``.
 
     Returns the nodes and their fields (see :func:`node_field`).  Each field
-    is marched once, capped at 2R; the cap leaves every distance at or below
-    it unchanged, so the test against ``R`` is that of a cap-R scan."""
+    is marched once, capped at R, which leaves every distance below R
+    unchanged."""
     if not R > 0:
         raise InvalidInputError("R must be positive")
     n = s.n_vertices
@@ -277,7 +278,7 @@ def sample_nodes_pca(s: Surface, R):
     nodes, fields = [], []
     for i in np.argsort(s.vertices @ principal_axis(s.vertices), kind="stable"):
         if nearest[i] >= R:
-            idx, d = node_field(geodesic_from(s, int(i), cap=2.0 * R).distances, R)
+            idx, d = node_field(geodesic_from(s, int(i), cap=R).distances, R)
             nearest[idx] = np.minimum(nearest[idx], d)
             nodes.append(int(i))
             fields.append((idx, d))
@@ -298,8 +299,8 @@ def sample_nodes_farthest(s: Surface, R):
     Only the first field is marched uncapped.  Every later node f is the
     argmax of the running minimum ``nearest``, so no vertex farther than
     ``nearest[f]`` from f can lower its minimum, and the fields are read
-    only to 2R: f's field is capped at ``max(nearest[f], 2R)``, which
-    leaves every distance below the cap unchanged."""
+    only to R: f's field is capped at ``max(nearest[f], R)``, which leaves
+    every distance below the cap unchanged."""
     if not R > 0:
         raise InvalidInputError("R must be positive")
     if s.n_vertices == 0:
@@ -316,18 +317,12 @@ def sample_nodes_farthest(s: Surface, R):
         far = int(np.argmax(finite))
         if finite[far] <= 0.5 * R:
             return np.array(nodes, dtype=np.int64), fields
-        cap = max(float(finite[far]), 2.0 * R)
-
-
-def _stack(fields):
-    """Flatten per-node fields into (node, vertex, distance) arrays, node-major."""
-    node = np.repeat(np.arange(len(fields)), [len(idx) for idx, _ in fields])
-    return (node, np.concatenate([idx for idx, _ in fields]),
-            np.concatenate([d for _, d in fields]))
+        cap = max(float(finite[far]), R)
 
 
 def influence_weights(s: Surface, node_indices, fields, R):
-    """Per-point influence sets and normalized weights from the node fields.
+    """Per-point influence sets and normalized weights from the node fields
+    (see :func:`node_field`).
 
     Points farther than ``R`` from every node get full weight on their
     Euclidean nearest node; those fallbacks are reported separately.  In a
@@ -336,10 +331,9 @@ def influence_weights(s: Surface, node_indices, fields, R):
     and farthest-point sampling stops only with every reachable point
     within ``R/2`` of a node."""
     n = s.n_vertices
-    node, vert, dist = _stack(fields)
-    inside = dist < R
-    node, vert = node[inside], vert[inside]
-    raw = (1.0 - (dist[inside] / R) ** 2) ** 3
+    node = np.repeat(np.arange(len(fields)), [len(idx) for idx, _ in fields])
+    vert = np.concatenate([idx for idx, _ in fields])
+    raw = (1.0 - (np.concatenate([d for _, d in fields]) / R) ** 2) ** 3
 
     fallback = np.flatnonzero(np.bincount(vert, minlength=n) == 0)
     if len(fallback) > 0:
@@ -360,7 +354,8 @@ def build_graph(s: Surface, R=None, sampler="pca"):
 
     ``R`` defaults to 5x the mean source edge length.  ``sampler`` selects
     the PCA-ordered scan or farthest-point sampling.  Each node's geodesic
-    field is computed once and serves sampling, influence and edges.
+    field is marched once, to R, and serves sampling and influence; nodes
+    are joined by an edge when they influence a common point.
     """
     if R is None:
         R = DEFAULT_RADIUS_FACTOR * mean_edge_length(s)
@@ -375,17 +370,11 @@ def build_graph(s: Surface, R=None, sampler="pca"):
 
     weights, fallback = influence_weights(s, nodes, fields, R)
 
-    # Node-to-node edges connect overlapping influence regions (geodesic
-    # distance < 2R).  Sampling keeps nodes at least R apart, so a sub-R
-    # edge rule would always produce an empty edge set.  Fast-marching
-    # distances are not symmetric: edge (j, k), j < k, is decided by node
-    # j's field at node k.
-    node_of = np.full(s.n_vertices, -1)
-    node_of[nodes] = np.arange(len(nodes))
-    j, vert, dist = _stack(fields)
-    k = node_of[vert]
-    near = (k > j) & (dist < 2.0 * R)
-    edges = np.unique(np.column_stack([j[near], k[near]]), axis=0)
+    # nodes j < k are joined when they share a point of positive weight; a
+    # sparse product leaves its indices in no particular order
+    shared = triu(weights.T @ weights, 1).tocoo()
+    order = np.lexsort((shared.col, shared.row))
+    edges = np.column_stack([shared.row, shared.col])[order].astype(np.int64)
 
     return DeformationGraph(
         node_indices=nodes,

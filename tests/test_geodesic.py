@@ -42,7 +42,6 @@ def test_cap_semantics():
     s = grid_mesh(9, 9, wavy=0.0)
     full = geodesic_from(s, 0).distances
     capped = geodesic_from(s, 0, cap=0.5)
-    assert capped.capped_at == 0.5
     inside = full <= 0.5
     assert np.allclose(capped.distances[inside], full[inside])
     assert np.all(np.isinf(capped.distances[full > 0.5 + 1e-9]))

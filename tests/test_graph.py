@@ -105,6 +105,7 @@ def test_build_graph_defaults(grid25):
     assert g.radius == pytest.approx(5 * mean_edge_length(grid25))
     assert g.n_nodes > 3
     assert len(g.node_edges) > 0
+    assert g.node_edges.dtype == np.int64
     assert np.all(g.node_edges[:, 0] < g.node_edges[:, 1])
     # per-point influence lists match the sparse rows
     for i in (0, 100):
@@ -154,7 +155,8 @@ def test_transform_single_node_affine():
 def dense_graph_oracle(s, R, sampler):
     """The graph recomputed per node with dense (r, n) arrays: a cap-R (PCA)
     or uncapped (farthest) field per node for sampling, then a second field
-    per node, capped at 2R, for the influence weights and the edges."""
+    per node, capped at R, for the influence weights and the edges, which
+    join the nodes j < k that both reach some point below R."""
     nearest = np.full(s.n_vertices, np.inf)
     if sampler == "pca":
         nodes = []
@@ -171,7 +173,7 @@ def dense_graph_oracle(s, R, sampler):
                 break
             nodes.append(int(np.argmax(finite)))
     nodes = np.array(nodes, dtype=np.int64)
-    dists = np.stack([geodesic_from(s, int(v), cap=2.0 * R).distances for v in nodes])
+    dists = np.stack([geodesic_from(s, int(v), cap=R).distances for v in nodes])
     raw = np.zeros_like(dists)
     inside = dists < R
     raw[inside] = (1.0 - (dists[inside] / R) ** 2) ** 3
@@ -179,7 +181,7 @@ def dense_graph_oracle(s, R, sampler):
     W = csr_matrix((raw / raw.sum(axis=0, keepdims=True)).T)
     W.eliminate_zeros()
     edges = [(j, k) for j in range(len(nodes)) for k in range(j + 1, len(nodes))
-             if dists[j, nodes[k]] < 2.0 * R]
+             if np.any(inside[j] & inside[k])]
     return nodes, np.array(edges, dtype=np.int64).reshape(-1, 2), W
 
 
@@ -201,7 +203,10 @@ def test_build_graph_matches_dense_oracle(grid25, case, sampler):
     assert len(g.fallback_points) == 0
 
 
-def test_farthest_build_marches_only_near_its_nodes(monkeypatch):
+@pytest.mark.parametrize("sampler, n_nodes, bound", [
+    pytest.param("pca", 90, 10_000, id="pca"),
+    pytest.param("farthest", 232, 50_000, id="farthest")])
+def test_build_marches_only_near_its_nodes(monkeypatch, sampler, n_nodes, bound):
     reached = []
 
     def counting(s, seed, cap=None, method="auto"):
@@ -211,12 +216,14 @@ def test_farthest_build_marches_only_near_its_nodes(monkeypatch):
 
     monkeypatch.setattr(graph, "geodesic_from", counting)
     s = grid_mesh(50, 50)
-    g = build_graph(s, sampler="farthest")
-    assert g.n_nodes == len(reached) == 232
-    # uncapped marches would reach every vertex from every node,
-    # 2 500 x 232 = 580 000; capped at max(nearest[f], 2R) they reach 81 613
-    assert reached[0] == s.n_vertices
-    assert sum(reached) <= 100_000
+    g = build_graph(s, sampler=sampler)
+    assert g.n_nodes == len(reached) == n_nodes
+    # uncapped marches would reach every vertex from every node; capped at R
+    # (PCA) or at max(nearest[f], R) after a first uncapped march (farthest),
+    # they reach 6 909 and 38 700 of 2 500 x 90 and 2 500 x 232
+    if sampler == "farthest":
+        assert reached[0] == s.n_vertices
+    assert sum(reached) <= bound
 
 
 def test_point_cloud_graph_builds_its_knn_graph_once(monkeypatch):

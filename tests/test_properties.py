@@ -1,13 +1,15 @@
 """Property tests of the invariants the graph and the solver rely on.
 
-The graph marches each node's field once, capped at 2R, and reads both the
-sampling test (distances below R) and the influence and edge rules from it.
-That is exact only if a capped field equals the uncapped one with every
-entry beyond the cap set to +inf.  Farthest-point sampling caps every march
-after the first at ``max(nearest[f], 2R)``, and must pick the nodes and
-fields of a sampler that marches every field uncapped.  Fast marching runs
-on lengths and dots precomputed per surface, and must give the fields of a
-march that takes them from the points as it goes, to the last bit.
+The graph marches each node's field once, capped at R, and reads both the
+sampling test and the influence weights from it.  That is exact only if a
+capped field equals the uncapped one with every entry beyond the cap set to
++inf.  Farthest-point sampling caps every march after the first at
+``max(nearest[f], R)``, and must pick the nodes and fields of a sampler that
+marches every field uncapped.  Two nodes are joined exactly when some point
+lies below R from both by their uncapped fields; a fallback point, which no
+node reaches, joins none.  Fast marching runs on lengths and dots
+precomputed per surface, and must give the fields of a march that takes
+them from the points as it goes, to the last bit.
 
 The solver starts from a rigid map lifted onto the graph, so the lifted
 state must reproduce that map exactly.  Each outer iteration minimizes a
@@ -68,7 +70,7 @@ from nrreg.energy import (SPD_JITTER, EnergyParams, SurrogateSystem, assemble_su
                           deform, gaussian_weight, project_rotations, total_energy)
 from nrreg.errors import FormatError, InvalidInputError
 from nrreg.geodesic import geodesic_from
-from nrreg.graph import (DeformationGraph, build_graph, sample_nodes_farthest,
+from nrreg.graph import (SAMPLERS, DeformationGraph, build_graph, sample_nodes_farthest,
                          transform_points)
 from nrreg.mesh import (Surface, _pca_normals, _smallest_eigenvectors, edges_from_faces,
                         load_obj, load_ply, save_ply)
@@ -141,7 +143,7 @@ def test_fmm_matches_pointwise_oracle(case, cap):
 @settings(max_examples=30, deadline=None)
 @given(odd_meshes(), st.booleans(), st.floats(0.1, 0.6))
 def test_farthest_sampler_is_the_uncapped_sampler(case, point_cloud, radius_share):
-    """Capping each march after the first at ``max(nearest[f], 2R)`` changes
+    """Capping each march after the first at ``max(nearest[f], R)`` changes
     no node and no field, on meshes and point clouds, with more than one
     component and isolated vertices."""
     s, _ = case
@@ -155,6 +157,37 @@ def test_farthest_sampler_is_the_uncapped_sampler(case, point_cloud, radius_shar
     for (idx, d), (ref_idx, ref_d) in zip(fields, ref_fields):
         assert idx.tobytes() == ref_idx.tobytes()
         assert d.tobytes() == ref_d.tobytes()
+
+
+def two_grids():
+    """Two 5x5 grids 2 apart: farthest-point sampling from vertex 0 covers
+    only the first, and every point of the second falls back."""
+    s = grid_mesh(5, 5)
+    return Surface(np.vstack([s.vertices, s.vertices + [2.0, 0.0, 0.0]]),
+                   np.vstack([s.faces, s.faces + 25]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(odd_meshes(), st.booleans(), st.sampled_from(SAMPLERS), st.floats(0.1, 0.6))
+@example((two_grids(), 0), False, "farthest", 0.3)
+def test_edges_join_the_nodes_that_share_a_point(case, point_cloud, sampler, radius_share):
+    """Node edges are the pairs j < k with a point below R from both, by
+    uncapped fields, on meshes and point clouds, with more than one component
+    and isolated vertices, where farthest-point sampling leaves fallback
+    points."""
+    s, _ = case
+    if point_cloud:
+        s = Surface(s.vertices)
+    R = radius_share * float(np.linalg.norm(np.ptp(s.vertices, axis=0)))
+    g = build_graph(s, R=R, sampler=sampler)
+    inside = np.stack([geodesic_from(s, int(v)).distances < R for v in g.node_indices])
+    pairs = [(j, k) for j in range(g.n_nodes) for k in range(j + 1, g.n_nodes)
+             if np.any(inside[j] & inside[k])]
+    assert g.node_edges.dtype == np.int64
+    assert g.node_edges.tobytes() == np.array(pairs, dtype=np.int64).tobytes()
+    # a fallback point lies below R from no node and has one node's weight
+    assert not inside[:, g.fallback_points].any()
+    assert np.all(np.diff(g.influence.indptr)[g.fallback_points] == 1)
 
 
 @settings(max_examples=40, deadline=None)
