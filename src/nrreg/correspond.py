@@ -1,4 +1,4 @@
-"""Closest-point queries, correspondence rejection, and rigid ICP.
+"""Closest-point queries, and rigid ICP with its own pair rejection.
 
 The spatial index is exact: ties between equidistant target points resolve to
 the lowest index.  Hard distance/normal rejection is used only during the
@@ -52,42 +52,22 @@ class SpatialIndex:
 
 @dataclass
 class CorrespondenceSet:
-    """Per-query nearest target point plus a validity mask."""
+    """Per-query nearest target point."""
 
     indices: np.ndarray      # (n,) target index rho(i)
     positions: np.ndarray    # (n, 3) u_rho(i)
     distances: np.ndarray    # (n,)
-    valid: np.ndarray        # (n,) bool
 
 
-def find_correspondences(queries, target: Surface, index: SpatialIndex | None = None,
-                         reject=None, query_normals=None):
-    """Exact closest target point per query.
-
-    ``reject``, when given, is a dict with ``eps_d`` (max distance) and
-    ``theta`` (max normal deviation in degrees); it requires both
-    ``query_normals`` and target normals.  Its ``signed`` key says whether
-    normals must point the same way (``n . m >= cos theta``) or only lie
-    along the same line (``|n . m| >= cos theta``).  It defaults to whether
-    the target has faces: PCA normals of a point cloud have no sign.
-    """
+def find_correspondences(queries, target: Surface, index: SpatialIndex | None = None):
+    """Exact closest target point per query, with no pair rejected (rigid
+    ICP rejects its own pairs).  ``index`` is a :class:`SpatialIndex` over
+    the target's vertices, built here if omitted."""
     queries = np.asarray(queries, dtype=np.float64)
     if index is None:
         index = SpatialIndex(target.vertices)
     idx, dist = index.query(queries)
-    valid = np.ones(len(queries), dtype=bool)
-    if reject is not None:
-        eps_d = reject.get("eps_d", DEFAULT_EPS_D)
-        theta = reject.get("theta", DEFAULT_THETA_DEG)
-        if query_normals is None or target.normals is None:
-            raise InvalidInputError("rejection requires normals on both sides")
-        valid &= dist <= eps_d
-        cos_lim = np.cos(np.deg2rad(theta))
-        dots = np.einsum("ij,ij->i", query_normals, target.normals[idx])
-        if not reject.get("signed", target.has_faces):
-            dots = np.abs(dots)
-        valid &= dots >= cos_lim
-    return CorrespondenceSet(idx, target.vertices[idx], dist, valid)
+    return CorrespondenceSet(idx, target.vertices[idx], dist)
 
 
 @dataclass
@@ -128,10 +108,13 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
                    index: SpatialIndex | None = None):
     """Point-to-point ICP with distance/normal pair rejection.
 
-    Between two meshes a pair's normals must point the same way, which
-    rejects back-facing pairs on folded or thin sheets.  When either surface
-    is a point cloud, whose PCA normals have no sign, they need only lie
-    within ``theta`` of the same line.
+    A pair is kept when its points lie at most ``eps_d`` apart and its
+    normals within ``theta`` degrees.  Between two meshes the normals must
+    point the same way (``n . m >= cos theta``), which rejects back-facing
+    pairs on folded or thin sheets.  When either surface is a point cloud,
+    whose PCA normals have no sign, they need only lie along the same line
+    (``|n . m| >= cos theta``).  Fewer than 3 pairs kept raise
+    ``InitializationError``.
 
     The iterations start from the identity.  ``index`` is a
     :class:`SpatialIndex` over the target's vertices, built here if omitted.
@@ -141,19 +124,20 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     if index is None:
         index = SpatialIndex(target.vertices)
     rt = RigidTransform.identity()
-
-    reject = {"eps_d": eps_d, "theta": theta,
-              "signed": source.has_faces and target.has_faces}
+    signed = source.has_faces and target.has_faces
+    cos_lim = np.cos(np.deg2rad(theta))
     for it in range(iters):
         moved = rt.apply(source.vertices)
-        moved_normals = source.normals @ rt.rotation.T
-        corr = find_correspondences(moved, target, index, reject=reject,
-                                    query_normals=moved_normals)
-        if int(corr.valid.sum()) < 3:
+        corr = find_correspondences(moved, target, index)
+        dots = np.einsum("ij,ij->i", source.normals @ rt.rotation.T,
+                         target.normals[corr.indices])
+        if not signed:
+            dots = np.abs(dots)
+        keep = (corr.distances <= eps_d) & (dots >= cos_lim)
+        if int(keep.sum()) < 3:
             raise InitializationError(
                 f"rigid ICP iteration {it}: fewer than 3 valid pairs")
-        step = best_rigid(moved[corr.valid], corr.positions[corr.valid])
-        rt = step.compose(rt)
+        rt = best_rigid(moved[keep], corr.positions[keep]).compose(rt)
     return rt
 
 

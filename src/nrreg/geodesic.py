@@ -76,11 +76,11 @@ def _incident_triangles(points, faces):
     return incident
 
 
-def _geometry(s: Surface, method):
-    """What ``method`` marches on: the :func:`_incident_triangles` table for
-    ``fmm``, the surface graph's CSR matrix of edge lengths for ``dijkstra``,
-    built once per surface."""
-    if method == "fmm":
+def _geometry(s: Surface):
+    """What ``s`` is marched on, built once per surface: the
+    :func:`_incident_triangles` table for fast marching on a mesh, the
+    surface graph's CSR matrix of edge lengths for Dijkstra otherwise."""
+    if s.has_faces:
         return s.derived("fmm", lambda s: _incident_triangles(s.vertices, s.faces))
     return s.derived("dijkstra", lambda s: _edge_graph(s.vertices, surface_edges(s)))
 
@@ -163,25 +163,14 @@ def _fast_marching(incident, seed, cap):
     return out
 
 
-def geodesic_from(s: Surface, seed, cap=None, method="auto"):
-    """Single-source geodesic distances from ``seed``.
-
-    ``method`` is ``auto`` (fast marching on meshes, Dijkstra otherwise),
-    ``fmm``, or ``dijkstra``.  With ``cap`` given, distances beyond the cap
-    are reported as +inf.  Disconnected vertices are +inf, not an error.
+def geodesic_from(s: Surface, seed, cap=None):
+    """Single-source geodesic distances from ``seed``: fast marching on a
+    mesh, Dijkstra on its edges or k-NN graph otherwise.  With ``cap``
+    given, distances beyond the cap are reported as +inf.  Disconnected
+    vertices are +inf, not an error.
     """
-    n = s.n_vertices
-    if not (0 <= seed < n):
+    if not (0 <= seed < s.n_vertices):
         raise InvalidInputError(f"seed {seed} out of range")
-    if method == "auto":
-        method = "fmm" if s.has_faces else "dijkstra"
-    if method == "fmm":
-        if not s.has_faces:
-            raise InvalidInputError("fast marching requires triangle faces")
-        d = _fast_marching(_geometry(s, method), seed, cap)
-    elif method == "dijkstra":
-        d = _dijkstra(_geometry(s, method), seed, cap)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
-    return GeodesicField(d)
+    march = _fast_marching if s.has_faces else _dijkstra
+    return GeodesicField(march(_geometry(s), seed, cap))
 

@@ -296,28 +296,26 @@ def sample_nodes_farthest(s: Surface, R):
     than the PCA scan at the same ``R``.  Returns the nodes and their fields
     (see :func:`node_field`).
 
-    Only the first field is marched uncapped.  Every later node f is the
-    argmax of the running minimum ``nearest``, so no vertex farther than
-    ``nearest[f]`` from f can lower its minimum, and the fields are read
-    only to R: f's field is capped at ``max(nearest[f], R)``, which leaves
-    every distance below the cap unchanged."""
+    Every node f is the argmax of the running minimum ``nearest``, so no
+    vertex farther than ``nearest[f]`` from f can lower its minimum, and the
+    fields are read only to R: f's field is capped at ``max(nearest[f], R)``,
+    which leaves every distance below the cap unchanged.  A point no node
+    reaches is at +inf, the farthest, so each component gets a node, marched
+    uncapped; the first node is vertex 0."""
     if not R > 0:
         raise InvalidInputError("R must be positive")
     if s.n_vertices == 0:
         raise DegenerateInputError("empty surface")
     nearest = np.full(s.n_vertices, np.inf)
     nodes, fields = [], []
-    far, cap = 0, None
     while True:
-        d = geodesic_from(s, far, cap=cap).distances
+        far = int(np.argmax(nearest))
+        if nearest[far] <= 0.5 * R:
+            return np.array(nodes, dtype=np.int64), fields
+        d = geodesic_from(s, far, cap=max(float(nearest[far]), R)).distances
         np.minimum(nearest, d, out=nearest)
         nodes.append(far)
         fields.append(node_field(d, R))
-        finite = np.where(np.isfinite(nearest), nearest, -1.0)
-        far = int(np.argmax(finite))
-        if finite[far] <= 0.5 * R:
-            return np.array(nodes, dtype=np.int64), fields
-        cap = max(float(finite[far]), R)
 
 
 def influence_weights(s: Surface, node_indices, fields, R):
@@ -325,11 +323,10 @@ def influence_weights(s: Surface, node_indices, fields, R):
     (see :func:`node_field`).
 
     Points farther than ``R`` from every node get full weight on their
-    Euclidean nearest node; those fallbacks are reported separately.  In a
-    graph the samplers built, no node reaches a fallback point: the PCA
-    scan makes a node of every point not within ``R`` of an earlier node,
-    and farthest-point sampling stops only with every reachable point
-    within ``R/2`` of a node."""
+    Euclidean nearest node; those fallbacks are reported separately.  A
+    graph the samplers built has none: the PCA scan makes a node of every
+    point not within ``R`` of an earlier node, and farthest-point sampling
+    stops only with every point within ``R/2`` of a node."""
     n = s.n_vertices
     node = np.repeat(np.arange(len(fields)), [len(idx) for idx, _ in fields])
     vert = np.concatenate([idx for idx, _ in fields])

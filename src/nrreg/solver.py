@@ -82,21 +82,23 @@ class SolverParams:
 
 
 class LbfgsHistory:
-    """Ring buffer of (state difference, gradient difference) pairs."""
+    """Ring buffer of (state difference, gradient difference) pairs.
+
+    Only pairs of positive curvature ``rho = <S, T>`` are kept: with every
+    stored rho positive and H0 positive definite, the inverse Hessian the
+    two-loop recursion applies is positive definite, so its direction
+    descends wherever the gradient is nonzero."""
 
     def __init__(self, m):
         self.pairs = deque(maxlen=m)   # (S, T, rho), oldest first
 
     def push(self, S, T):
+        """Store the pair if ``rho > CURVATURE_EPS |S| |T|``; says whether it did."""
         rho = float(np.sum(T * S))
-        # curvature safeguard: the recursion divides by rho
-        if abs(rho) <= CURVATURE_EPS * np.linalg.norm(S) * np.linalg.norm(T):
+        if not rho > CURVATURE_EPS * np.linalg.norm(S) * np.linalg.norm(T):
             return False
         self.pairs.append((S, T, rho))
         return True
-
-    def clear(self):
-        self.pairs.clear()
 
     def __len__(self):
         return len(self.pairs)
@@ -182,8 +184,8 @@ def solve_inner(sys, start, params: SolverParams):
     Returns ``(end, reason)``: the evaluated state it stops at and why it
     stopped: ``tolerance`` (the energy decrease fell below ``eps1``),
     ``line_search`` (no step passed the line search), ``iteration_cap``
-    (``MAX_INNER_ITERS`` ran out) or ``stationary`` (no descent direction
-    remained).
+    (``MAX_INNER_ITERS`` ran out) or ``stationary`` (a zero gradient; any
+    other gives a descent direction, see :class:`LbfgsHistory`).
     """
     two_m = sys.assemble_H0()
     h0_solve = factor_h0(two_m, sys.h0_diagonal()).solve
@@ -205,24 +207,12 @@ def solve_inner(sys, start, params: SolverParams):
         d = two_loop_direction(hist, G, h0_solve)
         gd = float(np.sum(G * d))
         if gd >= 0.0:
-            hist.clear()
-            d = -h0_solve(G)
-            gd = float(np.sum(G * d))
-            if gd >= 0.0:
-                d = -G
-                gd = float(np.sum(G * d))
-                if gd >= 0.0:   # zero gradient: already stationary
-                    reason = "stationary"
-                    break
+            reason = "stationary"
+            break
         step = line_search(trial_energy, cur.X, d, E, gd, params.gamma)
         if step is None:
-            # one steepest-descent retry, then give up on this surrogate
-            d = -G
-            gd = float(np.sum(G * d))
-            step = line_search(trial_energy, cur.X, d, E, gd, params.gamma)
-            if step is None:
-                reason = "line_search"
-                break
+            reason = "line_search"
+            break
         _, X_new, E_new = step
         G_new = sys.gradient(trial)
         hist.push(X_new - cur.X, G_new - G)

@@ -31,7 +31,8 @@ blended node by node, one edge residual per directed edge, and each node's
 rotation projected on its own by SVD.
 
 The farthest-point sampler below marches every node's field uncapped, as
-the definition reads; the package caps every march after the first.
+the definition reads; the package caps each march at ``max(nearest[f], R)``,
+which leaves uncapped only the first march on each component.
 
 The package evaluates each state once (``energy.deform``) and lets the
 surrogate energy, its gradient and the inner solver read that record; the
@@ -230,21 +231,10 @@ def solve_inner_expanded(sys, X0, params):
         d = two_loop_direction(hist, G, h0_solve)
         gd = float(np.sum(G * d))
         if gd >= 0.0:
-            hist.clear()
-            d = -h0_solve(G)
-            gd = float(np.sum(G * d))
-            if gd >= 0.0:
-                d = -G
-                gd = float(np.sum(G * d))
-                if gd >= 0.0:
-                    return X, "stationary"
+            return X, "stationary"
         step = line_search(energy, X, d, E, gd, params.gamma)
         if step is None:
-            d = -G
-            gd = float(np.sum(G * d))
-            step = line_search(energy, X, d, E, gd, params.gamma)
-            if step is None:
-                return X, "line_search"
+            return X, "line_search"
         _, X_new, E_new = step
         G_new = gradient(X_new)
         hist.push(X_new - X, G_new - G)
@@ -256,21 +246,19 @@ def solve_inner_expanded(sys, X0, params):
 
 
 def sample_nodes_farthest_uncapped(s, R):
-    """Farthest-point sampling from vertex 0 to half-radius coverage, every
-    node's field marched uncapped; returns the nodes and their fields as
-    ``nrreg.graph.node_field`` cuts them."""
+    """Farthest-point sampling from vertex 0 to half-radius coverage of every
+    component, every node's field marched uncapped; returns the nodes and
+    their fields as ``nrreg.graph.node_field`` cuts them."""
     nearest = np.full(s.n_vertices, np.inf)
     nodes, fields = [], []
-    far = 0
     while True:
+        far = int(np.argmax(nearest))
+        if nearest[far] <= 0.5 * R:
+            return np.array(nodes, dtype=np.int64), fields
         d = geodesic_from(s, far).distances
         np.minimum(nearest, d, out=nearest)
         nodes.append(far)
         fields.append(node_field(d, R))
-        finite = np.where(np.isfinite(nearest), nearest, -1.0)
-        far = int(np.argmax(finite))
-        if finite[far] <= 0.5 * R:
-            return np.array(nodes, dtype=np.int64), fields
 
 
 def triangle_update(dc_a, dc_b, p_c, p_a, p_b):

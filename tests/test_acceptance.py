@@ -47,7 +47,7 @@ def _report(capsys, num, name, ok):
 def random_correspondences(rng, n):
     return CorrespondenceSet(np.zeros(n, dtype=np.int64),
                              rng.uniform(size=(n, 3)),
-                             np.zeros(n), np.ones(n, dtype=bool))
+                             np.zeros(n))
 
 
 def run_registration(source, target, **kwargs):
@@ -335,8 +335,7 @@ def test_criterion_11_l0_limit(capsys, grid25):
     off = np.arange(g.n_points) % 3 == 0      # a third of the residuals
     positions[off] += [0.0, 0.0, 1e-2]        # well above the 1e-4 threshold
     corr = CorrespondenceSet(np.arange(g.n_points), positions,
-                             np.zeros(g.n_points),
-                             np.ones(g.n_points, dtype=bool))
+                             np.zeros(g.n_points))
     # with alpha = beta = 0 the total energy is the alignment term alone
     e = total_energy(deform(g, X), corr, EnergyParams(1e-6, 1.0, 0.0, 0.0))
     count = int(off.sum())

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+import nrreg.correspond
 from nrreg.correspond import (RigidTransform, SpatialIndex, best_rigid,
-                              find_correspondences, lift_rigid_to_state,
-                              rigid_icp_init)
+                              lift_rigid_to_state, rigid_icp_init)
 from nrreg.errors import InitializationError, InvalidInputError
 from nrreg.graph import build_graph, transform_points
 from nrreg.mesh import Surface, compute_normals
@@ -40,49 +40,56 @@ def test_empty_index_rejected():
         SpatialIndex(np.empty((0, 3)))
 
 
-def test_find_correspondences_rejection():
+def kept_pairs(monkeypatch, source, target, **reject):
+    """The pairs one rigid ICP iteration fits; ``InitializationError`` when
+    it keeps fewer than 3."""
+    fitted = []
+
+    def counting(src_pts, dst_pts):
+        fitted.append(len(src_pts))
+        return best_rigid(src_pts, dst_pts)
+
+    monkeypatch.setattr(nrreg.correspond, "best_rigid", counting)
+    rigid_icp_init(source, target, iters=1, **reject)
+    return fitted[0]
+
+
+def test_rigid_icp_rejects_far_and_back_facing_pairs(monkeypatch):
+    """Between two meshes a pair is kept within ``eps_d`` and with normals
+    pointing the same way; a source without normals is refused."""
     target = compute_normals(grid_mesh(5, 5, wavy=0.0))
     q = target.vertices + [0.0, 0.0, 0.05]
     qn = np.tile([0.0, 0.0, 1.0], (len(q), 1))
-    corr = find_correspondences(q, target, reject={"eps_d": 0.1, "theta": 60},
-                                query_normals=qn)
-    assert corr.valid.all()
-    corr = find_correspondences(q, target, reject={"eps_d": 0.01, "theta": 60},
-                                query_normals=qn)
-    assert not corr.valid.any()
-    corr = find_correspondences(q, target, reject={"eps_d": 0.1, "theta": 60},
-                                query_normals=-qn)   # flipped normals
-    assert not corr.valid.any()
+    source = Surface(q, target.faces, normals=qn)
+    assert kept_pairs(monkeypatch, source, target, eps_d=0.1, theta=60) == len(q)
+    with pytest.raises(InitializationError):
+        kept_pairs(monkeypatch, source, target, eps_d=0.01, theta=60)
+    flipped = Surface(q, target.faces, normals=-qn)
+    with pytest.raises(InitializationError):
+        kept_pairs(monkeypatch, flipped, target, eps_d=0.1, theta=60)
     with pytest.raises(InvalidInputError):
-        find_correspondences(q, target, reject={"eps_d": 0.1})
+        rigid_icp_init(Surface(q, target.faces), target, iters=1)
 
 
-def test_find_correspondences_point_cloud_target_ignores_sign():
-    """PCA normals of a faceless target have no sign: anti-parallel normals
-    lie along the same line and pass, unless the test is asked to be signed."""
+def test_rigid_icp_with_a_point_cloud_ignores_normal_sign(monkeypatch):
+    """PCA normals of a point cloud have no sign: when either surface is a
+    cloud, anti-parallel normals lie along the same line and pass."""
     grid = grid_mesh(5, 5, wavy=0.0)
     q = grid.vertices + [0.0, 0.0, 0.05]
     qn = np.tile([0.0, 0.0, -1.0], (len(q), 1))
     cloud = compute_normals(Surface(grid.vertices))
-    corr = find_correspondences(q, cloud, reject={"eps_d": 0.1, "theta": 60},
-                                query_normals=qn)
-    assert corr.valid.all()
-    corr = find_correspondences(q, cloud, reject={"eps_d": 0.1, "theta": 60},
-                                query_normals=-qn)
-    assert corr.valid.all()
-    corr = find_correspondences(q, cloud, reject={"eps_d": 0.1, "theta": 60, "signed": True},
-                                query_normals=-cloud.normals)
-    assert not corr.valid.any()
+    for normals in (qn, -qn):
+        source = Surface(q, grid.faces, normals=normals)
+        assert kept_pairs(monkeypatch, source, cloud, eps_d=0.1, theta=60) == len(q)
     # tilted by more than theta from the line, a pair fails either way
     tilted = np.tile([np.sin(1.2), 0.0, np.cos(1.2)], (len(q), 1))
-    corr = find_correspondences(q, cloud, reject={"eps_d": 0.1, "theta": 60},
-                                query_normals=tilted)
-    assert not corr.valid.any()
-    # a mesh target's normals are signed, unless the test is asked not to be
+    with pytest.raises(InitializationError):
+        kept_pairs(monkeypatch, Surface(q, grid.faces, normals=tilted), cloud,
+                   eps_d=0.1, theta=60)
+    # a cloud source against a mesh target: the mesh's normals lose their sign
     mesh = compute_normals(grid)
-    corr = find_correspondences(q, mesh, reject={"eps_d": 0.1, "theta": 60, "signed": False},
-                                query_normals=-mesh.normals)
-    assert corr.valid.all()
+    source = Surface(q, normals=-mesh.normals)
+    assert kept_pairs(monkeypatch, source, mesh, eps_d=0.1, theta=60) == len(q)
 
 
 def test_best_rigid_recovers_exact():

@@ -170,7 +170,7 @@ def test_surrogate_l2_weights_are_one():
     X = random_state(rng, 4)
     corr = CorrespondenceSet(np.zeros(30, dtype=np.int64),
                              rng.uniform(size=(30, 3)),
-                             np.zeros(30), np.ones(30, dtype=bool))
+                             np.zeros(30))
     sys = assemble_surrogate(g, deform(g, X), corr, EnergyParams(0.1, 0.1, 1.0, 1.0, "l2"))
     assert np.all(sys.wa == 1.0)
     assert np.all(sys.wr == 1.0)
@@ -187,7 +187,7 @@ def test_surrogate_gradient_finite_differences():
     X = random_state(rng, 3)
     corr = CorrespondenceSet(np.zeros(40, dtype=np.int64),
                              rng.uniform(size=(40, 3)),
-                             np.zeros(40), np.ones(40, dtype=bool))
+                             np.zeros(40))
     sys = assemble_surrogate(g, deform(g, X), corr, EnergyParams(0.2, 0.2, 0.7, 1.3))
     G = sys.gradient(deform(g, X))
     h = 1e-6
@@ -204,7 +204,7 @@ def test_assemble_h0_matches_dense():
     X = random_state(rng, 3)
     corr = CorrespondenceSet(np.zeros(25, dtype=np.int64),
                              rng.uniform(size=(25, 3)),
-                             np.zeros(25), np.ones(25, dtype=bool))
+                             np.zeros(25))
     params = EnergyParams(0.3, 0.3, 0.5, 2.0)
     sys = assemble_surrogate(g, deform(g, X), corr, params)
     F = g.F.toarray()
@@ -233,7 +233,7 @@ def test_majorization_small():
     Xk = random_state(rng, 4)
     corr = CorrespondenceSet(np.zeros(60, dtype=np.int64),
                              rng.uniform(size=(60, 3)),
-                             np.zeros(60), np.ones(60, dtype=bool))
+                             np.zeros(60))
     params = EnergyParams(0.15, 0.2, 0.8, 1.0)
     sys = assemble_surrogate(g, deform(g, Xk), corr, params)
 

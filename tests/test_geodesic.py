@@ -20,7 +20,7 @@ def test_polyline_distances():
 
 def test_fmm_flat_grid_close_to_euclidean():
     s = grid_mesh(9, 9, wavy=0.0)
-    d = geodesic_from(s, 0, method="fmm").distances
+    d = geodesic_from(s, 0).distances
     exact = np.linalg.norm(s.vertices - s.vertices[0], axis=1)
     rel = np.abs(d[1:] - exact[1:]) / exact[1:]
     # planar convex domain: geodesics are straight lines.  The right-triangle
@@ -33,8 +33,8 @@ def test_fmm_flat_grid_close_to_euclidean():
 
 def test_fmm_never_exceeds_dijkstra():
     s = grid_mesh(9, 9, wavy=0.1)
-    fmm = geodesic_from(s, 0, method="fmm").distances
-    dij = geodesic_from(s, 0, method="dijkstra").distances
+    fmm = geodesic_from(s, 0).distances
+    dij = geodesic_from(Surface(s.vertices, edges=s.edges), 0).distances
     assert np.all(fmm <= dij + 1e-12)
 
 
@@ -66,9 +66,7 @@ def test_bad_arguments():
     with pytest.raises(InvalidInputError):
         geodesic_from(s, 100)
     with pytest.raises(InvalidInputError):
-        geodesic_from(s, 0, method="wavefront")
-    with pytest.raises(InvalidInputError):
-        geodesic_from(polyline_surface(3), 0, method="fmm")
+        geodesic_from(s, -1)
 
 
 def test_point_cloud_falls_back_to_knn():

@@ -209,8 +209,8 @@ def test_build_graph_matches_dense_oracle(grid25, case, sampler):
 def test_build_marches_only_near_its_nodes(monkeypatch, sampler, n_nodes, bound):
     reached = []
 
-    def counting(s, seed, cap=None, method="auto"):
-        f = geodesic_from(s, seed, cap=cap, method=method)
+    def counting(s, seed, cap=None):
+        f = geodesic_from(s, seed, cap=cap)
         reached.append(int(np.count_nonzero(np.isfinite(f.distances))))
         return f
 

@@ -3,9 +3,9 @@
 The graph marches each node's field once, capped at R, and reads both the
 sampling test and the influence weights from it.  That is exact only if a
 capped field equals the uncapped one with every entry beyond the cap set to
-+inf.  Farthest-point sampling caps every march after the first at
-``max(nearest[f], R)``, and must pick the nodes and fields of a sampler that
-marches every field uncapped.  Two nodes are joined exactly when some point
++inf.  Farthest-point sampling caps every march at ``max(nearest[f], R)``,
+and must pick the nodes and fields of a sampler that marches every field
+uncapped.  Two nodes are joined exactly when some point
 lies below R from both by their uncapped fields; a fallback point, which no
 node reaches, joins none.  Fast marching runs on lengths and dots
 precomputed per surface, and must give the fields of a march that takes
@@ -143,9 +143,9 @@ def test_fmm_matches_pointwise_oracle(case, cap):
 @settings(max_examples=30, deadline=None)
 @given(odd_meshes(), st.booleans(), st.floats(0.1, 0.6))
 def test_farthest_sampler_is_the_uncapped_sampler(case, point_cloud, radius_share):
-    """Capping each march after the first at ``max(nearest[f], R)`` changes
-    no node and no field, on meshes and point clouds, with more than one
-    component and isolated vertices."""
+    """Capping each march at ``max(nearest[f], R)`` changes no node and no
+    field, on meshes and point clouds, with more than one component and
+    isolated vertices."""
     s, _ = case
     if point_cloud:
         s = Surface(s.vertices)
@@ -160,8 +160,7 @@ def test_farthest_sampler_is_the_uncapped_sampler(case, point_cloud, radius_shar
 
 
 def two_grids():
-    """Two 5x5 grids 2 apart: farthest-point sampling from vertex 0 covers
-    only the first, and every point of the second falls back."""
+    """Two 5x5 grids 2 apart, two components no geodesic joins."""
     s = grid_mesh(5, 5)
     return Surface(np.vstack([s.vertices, s.vertices + [2.0, 0.0, 0.0]]),
                    np.vstack([s.faces, s.faces + 25]))
@@ -173,8 +172,7 @@ def two_grids():
 def test_edges_join_the_nodes_that_share_a_point(case, point_cloud, sampler, radius_share):
     """Node edges are the pairs j < k with a point below R from both, by
     uncapped fields, on meshes and point clouds, with more than one component
-    and isolated vertices, where farthest-point sampling leaves fallback
-    points."""
+    and isolated vertices."""
     s, _ = case
     if point_cloud:
         s = Surface(s.vertices)
@@ -190,12 +188,20 @@ def test_edges_join_the_nodes_that_share_a_point(case, point_cloud, sampler, rad
     assert np.all(np.diff(g.influence.indptr)[g.fallback_points] == 1)
 
 
+def test_farthest_sampler_seeds_every_component():
+    """A point no node reaches is the farthest, so farthest-point sampling
+    puts nodes on both grids and leaves no point to fall back."""
+    g = build_graph(two_grids(), sampler="farthest")
+    assert np.any(g.node_indices < 25) and np.any(g.node_indices >= 25)
+    assert len(g.fallback_points) == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(wavy_grids())
 def test_fmm_between_euclidean_and_dijkstra(case):
     s, seed = case
-    fmm = geodesic_from(s, seed, method="fmm").distances
-    dij = geodesic_from(s, seed, method="dijkstra").distances
+    fmm = geodesic_from(s, seed).distances
+    dij = geodesic_from(Surface(s.vertices, edges=s.edges), seed).distances
     euclid = np.linalg.norm(s.vertices - s.vertices[seed], axis=1)
     assert np.all(euclid <= fmm + 1e-12)
     assert np.all(fmm <= dij + 1e-12)
@@ -225,7 +231,7 @@ def test_surrogate_majorizes_energy(seed, nu_a, nu_r, alpha, beta, step):
     g = random_graph(rng, 4, 40)
     Xk = random_state(rng, 4)
     corr = CorrespondenceSet(np.zeros(40, dtype=np.int64), rng.uniform(size=(40, 3)),
-                             np.zeros(40), np.ones(40, dtype=bool))
+                             np.zeros(40))
     params = EnergyParams(nu_a, nu_r, alpha, beta)
     sys = assemble_surrogate(g, deform(g, Xk), corr, params)
     X = Xk + step * rng.normal(size=Xk.shape)
@@ -455,7 +461,7 @@ def test_trial_energy_and_gradient_are_the_residual_forms(seed, r, nu_a, nu_r, a
     g = random_graph(rng, r, n)
     Xk = random_state(rng, r) + offset * np.tile([0.0, 0.0, 0.0, 1.0], r)[:, None]
     corr = CorrespondenceSet(np.zeros(n, dtype=np.int64), rng.uniform(size=(n, 3)) + offset,
-                             np.zeros(n), np.ones(n, dtype=bool))
+                             np.zeros(n))
     start = deform(g, Xk)
     sys = assemble_surrogate(g, start, corr, EnergyParams(nu_a, nu_r, alpha, beta, kernel))
     first = sys.expand(start, sys.assemble_H0())
@@ -478,7 +484,7 @@ def test_solve_inner_matches_expanded_array_oracle(seed, r, nu_a, nu_r, alpha, b
     g = random_graph(rng, r, n)
     Xk = random_state(rng, r, spread)
     corr = CorrespondenceSet(np.zeros(n, dtype=np.int64), rng.uniform(size=(n, 3)),
-                             np.zeros(n), np.ones(n, dtype=bool))
+                             np.zeros(n))
     params = EnergyParams(nu_a, nu_r, alpha, beta, kernel)
     start = deform(g, Xk)
     sys = assemble_surrogate(g, start, corr, params)
@@ -507,8 +513,8 @@ def test_solve_inner_matches_expanded_array_oracle(seed, r, nu_a, nu_r, alpha, b
 @settings(max_examples=50, deadline=None)
 @given(seeds, st.integers(1, 3), st.integers(1, 6), st.integers(0, 10))
 def test_two_loop_direction_is_descent(seed, r, m, n_pairs):
-    """Any SPD H0 and any history of positive-curvature pairs that the
-    curvature guard accepts give a descent direction for every gradient."""
+    """Any SPD H0 and any pairs pushed, of either curvature, give a descent
+    direction for every gradient: the history keeps only the positive ones."""
     rng = np.random.default_rng(seed)
     n = 12 * r
     M = rng.normal(size=(n, n))
@@ -517,8 +523,9 @@ def test_two_loop_direction_is_descent(seed, r, m, n_pairs):
     for _ in range(n_pairs):
         C = rng.normal(size=(n, n))
         S = rng.normal(size=(4 * r, 3))
-        T = ((C @ C.T + np.eye(n)) @ S.ravel()).reshape(S.shape)
-        assert hist.push(S, T)
+        sign = rng.choice([-1.0, 1.0])
+        T = sign * ((C @ C.T + np.eye(n)) @ S.ravel()).reshape(S.shape)
+        assert hist.push(S, T) == (sign > 0)
     # the map grad -> -d is the implied inverse Hessian; d is a descent
     # direction for every gradient iff its symmetric part is positive definite
     Hinv = np.column_stack([

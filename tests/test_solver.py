@@ -58,14 +58,16 @@ def test_params_reject_unknown_kernel_and_sampler():
 
 def test_history_ring_buffer_and_curvature_guard():
     hist = LbfgsHistory(2)
-    rng = np.random.default_rng(0)
-    S = rng.normal(size=(4, 3))
-    assert hist.push(S, S)                  # positive curvature
-    assert not hist.push(S, np.zeros((4, 3)))   # rho = 0 rejected
+    S = np.arange(12.0).reshape(4, 3) - 5.0
+    assert hist.push(S, S)                          # positive curvature
+    assert not hist.push(S, np.zeros((4, 3)))       # rho = 0 rejected
+    assert not hist.push(S, -S)                     # negative curvature rejected
     assert len(hist) == 1
-    hist.push(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)) + 5)
-    hist.push(S + 1, S + 1)
-    assert len(hist) == 2                   # oldest pair dropped
+    S2, S3 = 2.0 * S, S + 1.0
+    assert hist.push(S2, S3)
+    assert hist.push(S3, S3)
+    assert len(hist) == 2                           # oldest pair dropped
+    assert hist.pairs[0][0] is S2 and hist.pairs[1][0] is S3
 
 
 def dense_bfgs_direction(pairs, grad, H0_inv):
@@ -161,7 +163,7 @@ def test_solve_inner_decreases_surrogate():
     X0 = random_state(rng, 4, spread=0.2)
     corr = CorrespondenceSet(np.zeros(80, dtype=np.int64),
                              rng.uniform(size=(80, 3)),
-                             np.zeros(80), np.ones(80, dtype=bool))
+                             np.zeros(80))
     start = deform(g, X0)
     sys = assemble_surrogate(g, start, corr, EnergyParams(0.3, 0.3, 1.0, 1.0))
     params = SolverParams(eps1=1e-10)
@@ -171,6 +173,19 @@ def test_solve_inner_decreases_surrogate():
     assert np.linalg.norm(sys.gradient(end)) < 1e-2 * max(1, np.linalg.norm(sys.gradient(start)))
 
 
+def test_solve_inner_started_at_a_zero_gradient_is_stationary():
+    """An ``l2`` surrogate with alpha = beta = 0 whose targets are the start's
+    own points has a zero gradient there: the solve stops where it starts."""
+    rng = np.random.default_rng(6)
+    g = random_graph(rng, 4, 80)
+    start = deform(g, random_state(rng, 4, spread=0.2))
+    corr = CorrespondenceSet(np.zeros(80, dtype=np.int64), start.points, np.zeros(80))
+    sys = assemble_surrogate(g, start, corr, EnergyParams(0.3, 0.3, 0.0, 0.0, "l2"))
+    assert not sys.gradient(start).any()
+    end, reason = solve_inner(sys, start, SolverParams())
+    assert (end, reason) == (start, "stationary")
+
+
 def test_line_search_give_up_is_reported(monkeypatch):
     """An inner solve whose line search accepts no step returns its start
     and says so; ``register`` lists that reason for every outer iteration."""
@@ -178,7 +193,7 @@ def test_line_search_give_up_is_reported(monkeypatch):
     rng = np.random.default_rng(4)
     g = random_graph(rng, 4, 80)
     corr = CorrespondenceSet(np.zeros(80, dtype=np.int64), rng.uniform(size=(80, 3)),
-                             np.zeros(80), np.ones(80, dtype=bool))
+                             np.zeros(80))
     start = deform(g, random_state(rng, 4, spread=0.2))
     sys = assemble_surrogate(g, start, corr, EnergyParams(0.3, 0.3, 1.0, 1.0))
     assert solve_inner(sys, start, SolverParams()) == (start, "line_search")
