@@ -3,6 +3,15 @@
 The spatial index is exact: ties between equidistant target points resolve to
 the lowest index.  Hard distance/normal rejection is used only during the
 rigid initialization; the robust kernel takes over during non-rigid solves.
+
+Queries repeat with small moves (every outer iteration, every ICP iteration),
+so a query may be answered from the last one on the same index.  If the last
+query point ``p`` had nearest target point ``u`` and every other target point
+lay at least ``m`` from it, every other point lies at least ``m - |q - p|``
+from the new query point ``q`` (triangle inequality); when ``|q - u|`` is
+below that, ``u`` is still the unique nearest point and the tree is not asked.
+The bound carries an allowance for rounding, so a certified row is returned
+bit for bit as the tree returns it; ties are never certified.
 """
 
 from __future__ import annotations
@@ -18,6 +27,8 @@ from .mesh import Surface
 DEFAULT_EPS_D = 0.3
 DEFAULT_THETA_DEG = 60.0
 DEFAULT_ICP_ITERS = 15
+# a distance whose squares underflow is off by at most this much
+ROUNDING_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 
 
 class SpatialIndex:
@@ -33,41 +44,98 @@ class SpatialIndex:
     def query(self, queries):
         """Nearest index and distance per query; equidistant ties give the
         lowest index."""
+        idx, dist, _ = self._query_with_margin(queries)
+        return idx, dist
+
+    def _query_with_margin(self, queries):
+        """:meth:`query` plus each query's second-nearest distance, a lower
+        bound on its distance to every target point but the nearest; 0 where
+        there is none (one target point) or it is beyond the float range."""
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         k = min(2, len(self.points))
         d, idx = self._tree.query(queries, k=k)
         if k == 1:
-            return idx.ravel().astype(np.int64), d.ravel()
+            return idx.ravel().astype(np.int64), d.ravel(), np.zeros(len(d))
         dist = d[:, 0].copy()
         best = idx[:, 0].copy()
         tied = d[:, 0] == d[:, 1]
         for q in np.where(tied)[0]:
-            cands = self._tree.query_ball_point(queries[q], dist[q] * (1 + 1e-12) + 1e-300)
-            at_min = [c for c in cands
-                      if np.linalg.norm(self.points[c] - queries[q]) <= dist[q]]
-            if at_min:
-                best[q] = min(at_min)
-        return best.astype(np.int64), dist
+            cands = np.array(self._tree.query_ball_point(
+                queries[q], dist[q] * (1 + 1e-12) + 1e-300), dtype=np.int64)
+            # the tree's own distance formula: a dot product can round a tied
+            # candidate above dist[q] and drop it
+            at_min = cands[_distances(self.points[cands] - queries[q]) <= dist[q]]
+            best[q] = at_min.min(initial=best[q])
+        second = d[:, 1]
+        return best.astype(np.int64), dist, np.where(np.isfinite(second), second, 0.0)
 
 
 @dataclass
 class CorrespondenceSet:
-    """Per-query nearest target point."""
+    """Per-query nearest target point.
+
+    A set made by :func:`find_correspondences` also keeps what certifies its
+    answers for the next query on the same index: the query points, a lower
+    bound ``margin`` on each query point's distance to every target point
+    but its nearest, and the index itself.  A set built by hand has none of
+    them and is never reused."""
 
     indices: np.ndarray      # (n,) target index rho(i)
     positions: np.ndarray    # (n, 3) u_rho(i)
     distances: np.ndarray    # (n,)
+    queries: np.ndarray | None = None    # (n, 3) the query points
+    margin: np.ndarray | None = None     # (n,) distance bound to the other points
+    index: SpatialIndex | None = None    # the index that answered
 
 
-def find_correspondences(queries, target: Surface, index: SpatialIndex | None = None):
+def find_correspondences(queries, target: Surface, index: SpatialIndex | None = None,
+                         previous: CorrespondenceSet | None = None):
     """Exact closest target point per query, with no pair rejected (rigid
     ICP rejects its own pairs).  ``index`` is a :class:`SpatialIndex` over
-    the target's vertices, built here if omitted."""
-    queries = np.asarray(queries, dtype=np.float64)
+    the target's vertices, built here if omitted.
+
+    ``previous`` is the last set found on the same ``index`` for as many
+    queries, row for row.  A row whose old nearest point is certified still
+    nearest (see the module docstring) keeps it without a tree query; every
+    other row is queried.  The result is bit for bit the one found without
+    ``previous``, which is ignored when it comes from another index or has
+    another number of rows."""
+    queries = np.array(queries, dtype=np.float64)   # a copy: the set keeps it
     if index is None:
         index = SpatialIndex(target.vertices)
-    idx, dist = index.query(queries)
-    return CorrespondenceSet(idx, target.vertices[idx], dist)
+    if previous is None or previous.index is not index or len(previous.indices) != len(queries):
+        idx, dist, margin = index._query_with_margin(queries)
+    else:
+        idx, dist, margin = _certified_query(index, queries, previous)
+    return CorrespondenceSet(idx, target.vertices[idx], dist, queries, margin, index)
+
+
+def _distances(r):
+    """Row norms of (n, 3) ``r`` summed in the order, and so to the bit, of
+    the tree's own distances (an ``einsum`` dot is not)."""
+    return np.sqrt(r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2])
+
+
+def _certified_query(index, queries, previous):
+    """Nearest point per query, keeping ``previous``'s wherever its margin,
+    less the query's step, still exceeds the distance to it.  The step is
+    taken off with an allowance of 8 eps of (margin + step) for the relative
+    rounding of the three distances involved, plus ``ROUNDING_FLOOR`` for
+    squares that underflow; the comparison adds 4 eps more.  So the margin
+    stays below every other point's distance as computed, and a certified
+    point is the strictly nearest one, as the tree finds it.  A non-finite
+    step or distance fails the certificate."""
+    eps = np.finfo(np.float64).eps
+    idx = previous.indices.copy()
+    with np.errstate(over="ignore"):     # squares beyond the float range read inf
+        step = _distances(queries - previous.queries)
+        margin = previous.margin - step - (8 * eps * (previous.margin + step)
+                                           + ROUNDING_FLOOR)
+        dist = _distances(queries - index.points[idx])
+        miss = ~(dist * (1 + 4 * eps) < margin)
+    if miss.any():
+        idx[miss], dist[miss], margin[miss] = index._query_with_margin(queries[miss])
+    return idx, dist, margin
 
 
 @dataclass
@@ -126,9 +194,10 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     rt = RigidTransform.identity()
     signed = source.has_faces and target.has_faces
     cos_lim = np.cos(np.deg2rad(theta))
+    corr = None
     for it in range(iters):
         moved = rt.apply(source.vertices)
-        corr = find_correspondences(moved, target, index)
+        corr = find_correspondences(moved, target, index, previous=corr)
         dots = np.einsum("ij,ij->i", source.normals @ rt.rotation.T,
                          target.normals[corr.indices])
         if not signed:

@@ -335,7 +335,7 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
             new, inner_reason = solve_inner(sys, cur, params)
             inner_reasons.append(inner_reason)
             max_disp = float(np.max(np.linalg.norm(new.points - cur.points, axis=1)))
-            corr = find_correspondences(new.points, target, index)
+            corr = find_correspondences(new.points, target, index, previous=corr)
             energy = total_energy(new, corr, eparams)
             trace.append(TraceRow(stage, k, nu_a, nu_r, energy, max_disp,
                                   time.perf_counter() - t_start))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import nrreg.correspond
 from nrreg.correspond import (RigidTransform, SpatialIndex, best_rigid,
@@ -17,14 +18,18 @@ def brute_nearest(queries, points):
 
 
 def test_index_matches_brute_force():
+    """At any coordinate scale the index's distance is the row norm of the
+    difference to the bit, which warm-started queries rely on (see
+    ``nrreg.correspond``)."""
     rng = np.random.default_rng(0)
-    pts = rng.uniform(size=(300, 3))
-    q = rng.uniform(size=(100, 3))
-    idx = SpatialIndex(pts)
-    got_i, got_d = idx.query(q)
-    exp_i, exp_d = brute_nearest(q, pts)
-    assert np.allclose(got_d, exp_d)
-    assert np.array_equal(got_i, exp_i)
+    for scale in (1e-9, 1e-3, 1.0, 1e3, 1e9):
+        pts = (rng.uniform(size=(300, 3)) + 7.3) * scale
+        q = (rng.uniform(size=(100, 3)) + 7.3) * scale
+        got_i, got_d = SpatialIndex(pts).query(q)
+        exp_i, exp_d = brute_nearest(q, pts)
+        assert np.allclose(got_d, exp_d, rtol=1e-14, atol=0.0)
+        assert np.array_equal(got_i, exp_i)
+        assert got_d.tobytes() == np.linalg.norm(q - pts[got_i], axis=1).tobytes()
 
 
 def test_tie_break_lowest_index():
@@ -33,6 +38,21 @@ def test_tie_break_lowest_index():
     i, d = idx.query(np.zeros((1, 3)))
     assert d[0] == pytest.approx(1.0)
     assert i[0] == 1  # indices 1 and 2 tie; lowest wins
+    # two points at the same distance as the tree computes it: the lowest
+    # index wins, however a dot product would round the two distances
+    rng = np.random.default_rng(5)
+    ties = 0
+    for _ in range(500):
+        c = rng.uniform(-1.0, 1.0, size=3) * rng.choice([1e-3, 1.0, 1e3])
+        v = rng.normal(size=3) * rng.choice([1e-2, 1.0, 1e2])
+        pts = np.array([c + v, c - v, c + 3 * v])[rng.permutation(3)]
+        d, i = cKDTree(pts).query(c, k=2)
+        got_i, got_d = SpatialIndex(pts).query(c)
+        assert got_d[0] == d[0]
+        if d[0] == d[1]:
+            ties += 1
+            assert got_i[0] == min(i)
+    assert ties > 400
 
 
 def test_empty_index_rejected():

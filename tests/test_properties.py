@@ -31,6 +31,12 @@ relative, and the solver must stop at the very state, to the last bit, of a
 solver that restates the expansion on arrays and evaluates energy and
 gradient separately at each call.
 
+Each outer iteration finds its closest points from the last iteration's,
+keeping a row's old nearest point where a margin certifies it: along any
+walk of query sets the result must be, bit for bit, the tree's cold answer,
+ties and NaN queries included, and every margin a lower bound on the
+distance to every other target point.
+
 Rotations are projected by a Newton polar iteration on the batch's entry
 planes, with an SVD fallback: on any batch (general, singular, reflected,
 zero) every row must be a rotation, the SVD's own rotation wherever that is
@@ -57,6 +63,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -64,8 +71,8 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from nrreg.correspond import (CorrespondenceSet, RigidTransform,
-                              lift_rigid_to_state)
+from nrreg.correspond import (CorrespondenceSet, RigidTransform, SpatialIndex,
+                              find_correspondences, lift_rigid_to_state)
 from nrreg.energy import (SPD_JITTER, EnergyParams, SurrogateSystem, assemble_surrogate,
                           deform, gaussian_weight, project_rotations, total_energy)
 from nrreg.errors import FormatError, InvalidInputError
@@ -219,6 +226,89 @@ def test_lifted_rigid_state_reproduces_rigid_map(case, point_cloud, seed):
                         rng.uniform(-1.0, 1.0, size=3))
     moved = transform_points(g, lift_rigid_to_state(rt, g))
     assert np.abs(moved - rt.apply(s.vertices)).max() < 1e-12
+
+
+@st.composite
+def query_walks(draw):
+    """A target point set, query points over it and the steps of a walk:
+    a number moves each query up to that many point spacings in a random
+    direction (some queries stay put), ``"snap"`` moves every query onto a
+    tie point (a cell centre of the integer grid, a target point elsewhere)
+    and ``"nan"`` makes one query NaN.  The targets are a random cloud, an
+    integer grid, a cloud with coincident points or one point."""
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["cloud", "grid", "coincident", "one"]))
+    if kind == "grid":
+        side = np.arange(float(draw(st.integers(2, 4))))
+        pts = np.stack(np.meshgrid(side, side, side, indexing="ij"), axis=-1).reshape(-1, 3)
+    elif kind == "coincident":
+        base = rng.uniform(size=(draw(st.integers(1, 20)), 3))
+        pts = base[rng.integers(0, len(base), size=2 * len(base))]
+    else:
+        pts = rng.uniform(size=(1 if kind == "one" else draw(st.integers(2, 60)), 3))
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    spacing = 1.0 if kind == "grid" else len(pts) ** (-1 / 3)
+    queries = rng.uniform(lo - spacing, hi + spacing, size=(draw(st.integers(1, 40)), 3))
+    steps = draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-6, 0.01, 0.1, 0.5, 1.0, 3.0,
+                                           "snap", "nan"]), min_size=1, max_size=12))
+    return kind, pts, queries, steps, spacing, rng
+
+
+def _same_correspondences(a, b):
+    return (a.indices.tobytes() == b.indices.tobytes()
+            and a.positions.tobytes() == b.positions.tobytes()
+            and a.distances.tobytes() == b.distances.tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(query_walks(), st.sampled_from([1.0, 1e-6, 1e6]), st.sampled_from([0.0, 1e3]))
+def test_warm_correspondences_are_the_cold_ones(walk, scale, offset):
+    """Along a walk of query sets, each found from the last, the closest
+    points are bit for bit those found cold, and every margin is below the
+    distance to every target point but the nearest.  A NaN query is never
+    certified (the tree refuses it), and a previous set from another index
+    or with another number of rows is ignored."""
+    kind, pts, raw, steps, spacing, rng = walk
+    target = Surface(pts * scale + offset)
+    index = SpatialIndex(target.vertices)
+    # every query's nearest decoy point is the target's first point, and the
+    # other decoy point is far: its sets would certify that point everywhere
+    decoy = Surface(target.vertices[0] + np.array([[0.0] * 3, [1e3 * scale] * 3]))
+    decoy_index = SpatialIndex(decoy.vertices)
+    prev = find_correspondences(raw * scale + offset, target, index)
+    for step in steps:
+        moved = raw.copy()
+        if step == "nan":
+            moved[rng.integers(len(moved))] = np.nan
+        elif step == "snap":
+            if kind == "grid":
+                moved = np.floor(moved) + 0.5
+            else:
+                moved = pts[rng.integers(0, len(pts), size=len(moved))]
+        else:
+            direction = rng.normal(size=moved.shape)
+            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+            moved += (step * spacing * rng.uniform(size=(len(moved), 1))
+                      * (rng.uniform(size=(len(moved), 1)) < 0.8) * direction)
+        queries = moved * scale + offset
+        if step == "nan":
+            for previous in (None, prev):
+                with pytest.raises(ValueError):
+                    find_correspondences(queries, target, index, previous)
+            continue
+        cold = find_correspondences(queries, target, index)
+        warm = find_correspondences(queries, target, index, prev)
+        assert _same_correspondences(warm, cold)
+        foreign = find_correspondences(queries, decoy, decoy_index)
+        assert _same_correspondences(find_correspondences(queries, target, index, foreign), cold)
+        if len(queries) > 1:
+            fewer = find_correspondences(queries[1:], target, index)
+            assert _same_correspondences(find_correspondences(queries, target, index, fewer),
+                                         cold)
+        dist = np.linalg.norm(queries[:, None, :] - target.vertices[None, :, :], axis=2)
+        dist[np.arange(len(queries)), warm.indices] = np.inf
+        assert np.all(warm.margin <= dist.min(axis=1))
+        raw, prev = moved, warm
 
 
 @settings(max_examples=40, deadline=None)

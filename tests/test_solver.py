@@ -355,6 +355,46 @@ def test_register_builds_one_target_index(monkeypatch):
     assert built == [t_n.n_vertices]
 
 
+def test_register_warm_closest_points_are_the_cold_ones(monkeypatch, tmp_path):
+    """Rigid ICP and the outer loop pass each query their last
+    correspondences, and send fewer points to the tree than they ask for;
+    the registration is the one made with every query cold."""
+    src = grid_mesh(10, 10)
+    target = Surface(src.vertices @ rot_z(0.3).T + [0.0, 0.0, 0.05], src.faces)
+    s_n, t_n, _ = normalize_pair(compute_normals(src), compute_normals(target))
+    s_n, t_n = compute_normals(s_n), compute_normals(t_n)
+    asked, sent = [], []
+    find = nrreg.correspond.find_correspondences
+
+    class CountingTree(nrreg.correspond.cKDTree):
+        def query(self, x, *args, **kwargs):
+            sent.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    def counted_find(queries, target, index=None, previous=None):
+        asked.append(len(queries))
+        return find(queries, target, index, previous)
+
+    def cold_find(queries, target, index=None, previous=None):
+        return find(queries, target, index)
+
+    monkeypatch.setattr(nrreg.correspond, "cKDTree", CountingTree)
+    for module in (nrreg.correspond, nrreg.solver):
+        monkeypatch.setattr(module, "find_correspondences", counted_find)
+    warm = register(s_n, t_n)
+    assert 0 < sum(sent) < sum(asked)
+    for module in (nrreg.correspond, nrreg.solver):
+        monkeypatch.setattr(module, "find_correspondences", cold_find)
+    cold = register(s_n, t_n)
+    warm.write_trace_csv(tmp_path / "warm.csv")
+    cold.write_trace_csv(tmp_path / "cold.csv")
+    assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+    assert warm.transformed_source.tobytes() == cold.transformed_source.tobytes()
+    assert warm.final_state.tobytes() == cold.final_state.tobytes()
+    assert warm.rigid_init.rotation.tobytes() == cold.rigid_init.rotation.tobytes()
+    assert warm.rigid_init.translation.tobytes() == cold.rigid_init.translation.tobytes()
+
+
 def test_register_point_cloud_source():
     # a faceless source measures its scale and geodesics on the k-NN graph
     grid = grid_mesh(10, 10)
