@@ -3,8 +3,10 @@
 Supported formats are OBJ (``v``/``f`` records, 1-based indices) and PLY
 (ascii and binary_little_endian).  A surface is a vertex array with optional
 triangle faces; edges are always derived from the faces when present.  A
-surface never changes, so what is derived from it (a point cloud's k-NN
-graph, the geodesic tables) is built once and kept with it.
+surface never changes, so what is derived from it (a point cloud's k-d tree
+and k-NN graph, the geodesic tables) is built once and kept with it.  A
+point cloud's PCA normals are estimated row by row, each on its first read,
+over that one k-d tree (:class:`PcaNormals`).
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ class Surface:
 
     A surface does not change: its fields cannot be reassigned, and its
     arrays are read-only views (the caller's own arrays keep their flags).
+    Normals are (n, 3): an array, or a point cloud's read-only
+    :class:`PcaNormals`, whose rows are estimated as they are read.
     What is derived from it is built on first use and kept with it, see
     :meth:`derived`.
     """
@@ -53,7 +57,7 @@ class Surface:
     vertices: np.ndarray                    # (n, 3) float64
     faces: np.ndarray | None = None         # (f, 3) int64 or None
     edges: np.ndarray = None                # (e, 2) int64, derived if None
-    normals: np.ndarray | None = None       # (n, 3) unit vectors or None
+    normals: np.ndarray | PcaNormals | None = None  # (n, 3) unit vectors or None
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -84,7 +88,12 @@ class Surface:
                 if np.any(e[:, 0] == e[:, 1]):
                     raise InvalidInputError("self-loop edge")
         if self.normals is not None:
-            if not np.isfinite(freeze("normals", self.normals, np.float64)).all():
+            lazy = isinstance(self.normals, PcaNormals)
+            nrm = self.normals if lazy else freeze("normals", self.normals, np.float64)
+            if nrm.shape != (n, 3):
+                raise InvalidInputError(f"normals must be an ({n}, 3) array, "
+                                        f"got shape {nrm.shape}")
+            if not lazy and not np.isfinite(nrm).all():
                 raise InvalidInputError("normals must be finite")
 
     @property
@@ -107,6 +116,12 @@ class Surface:
         return self._derived[key]
 
 
+def _kd_tree(s: Surface):
+    """The k-d tree over the surface's points, built once per surface; the
+    k-NN graph and the PCA normals both query it."""
+    return s.derived("kd_tree", lambda s: cKDTree(s.vertices))
+
+
 def _knn_edges(s: Surface):
     """The directed edges from each point to its ``KNN_GRAPH_K`` nearest
     neighbors."""
@@ -114,7 +129,7 @@ def _knn_edges(s: Surface):
     if n < 2:
         raise DegenerateInputError("need at least 2 points for a k-NN graph")
     k = min(KNN_GRAPH_K + 1, n)
-    _, idx = cKDTree(s.vertices).query(s.vertices, k=k)
+    _, idx = _kd_tree(s).query(s.vertices, k=k)
     # a coincident twin may come before the point itself: drop the point's
     # own index, or its last neighbor where the point is absent
     own = idx == np.arange(n)[:, None]
@@ -216,17 +231,18 @@ def _face_vertex_normals(vertices, faces):
     return acc / lens[:, None]
 
 
-def _pca_normals(points, k=10):
-    """Unit normals of a point cloud: the smallest-eigenvalue direction of the
-    centred covariance of each point's k+1 nearest neighbours (itself
-    included).  They are unoriented: each point's sign is whatever the
-    eigenvector solver gives."""
-    n = len(points)
-    if n < 3:
-        raise DegenerateInputError("need at least 3 points for PCA normals")
-    k = min(k, n - 1)
-    _, idx = cKDTree(points).query(points, k=k + 1)
-    x, y, z = nbrs = points.T[:, idx]        # (3, n, k+1) coordinate planes
+def _pca_normals(points, k=10, rows=None, tree=None):
+    """Unit normals of a point cloud at ``rows`` (every point if None): the
+    smallest-eigenvalue direction of the centred covariance of each point's
+    k+1 nearest neighbours (itself included).  They are unoriented: each
+    point's sign is whatever the eigenvector solver gives.  Each row is the
+    same whichever rows it is estimated with.  ``tree`` is a cKDTree over
+    ``points``, built here if omitted."""
+    k = min(k, len(points) - 1)
+    if tree is None:
+        tree = cKDTree(points)
+    _, idx = tree.query(points if rows is None else points[rows], k=k + 1)
+    x, y, z = nbrs = points.T[:, idx]        # (3, rows, k+1) coordinate planes
     nbrs -= nbrs.mean(axis=2, keepdims=True)
     return _smallest_eigenvectors([np.einsum("nk,nk->n", u, v) for u, v in
                                    ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))])
@@ -262,7 +278,8 @@ def _smallest_eigenvectors(upper):
     cross = np.array([[b * e - c * d1, c * b - a1 * e, a1 * d1 - b * b],
                       [b * f1 - c * e, c * c - a1 * f1, a1 * e - b * c],
                       [d1 * f1 - e * e, c * e - b * f1, b * e - c * d1]])
-    len2 = np.einsum("ijn,ijn->in", cross, cross)
+    # summed in one order whatever the batch: einsum's order differs for one row
+    len2 = cross[:, 0] * cross[:, 0] + cross[:, 1] * cross[:, 1] + cross[:, 2] * cross[:, 2]
     pick = np.argmax(len2, axis=0)
     batch = np.arange(len(a))
     vec = cross[pick, :, batch]              # (n, 3)
@@ -277,17 +294,78 @@ def _smallest_eigenvectors(upper):
     return vec
 
 
+class PcaNormals:
+    """The PCA normals of a point cloud as a read-only (n, 3) float64 array
+    whose rows are estimated on their first read and kept.
+
+    Every row comes from :func:`_pca_normals` over ``tree``, the k-d tree of
+    ``points`` (built here if omitted), so any read gives what one pass over
+    all points gives, to the last bit.  Rows are read as from an array: by
+    int, slice, index array or boolean mask, optionally with a column key;
+    ``np.asarray`` estimates the rest and gives all of them.  The normals stay
+    bound to the points they were made from.
+    """
+
+    dtype = np.dtype(np.float64)
+    ndim = 2
+
+    def __init__(self, points, k, tree=None):
+        if len(points) < 3:
+            raise DegenerateInputError("need at least 3 points for PCA normals")
+        self._points = points
+        self._k = k
+        self._tree = cKDTree(points) if tree is None else tree
+        self._values = np.empty((len(points), 3))
+        self._known = np.zeros(len(points), dtype=bool)
+        self.shape = self._values.shape
+
+    def __len__(self):
+        return self.shape[0]
+
+    def _read(self, key):
+        """The values, read-only, with every row that ``key`` reads known."""
+        rows = np.atleast_1d(np.arange(len(self))[key[:1] if isinstance(key, tuple) else key])
+        todo = np.unique(rows[~self._known[rows]])
+        if len(todo):
+            self._values[todo] = _pca_normals(self._points, self._k, todo, self._tree)
+            self._known[todo] = True
+        values = self._values.view()
+        values.flags.writeable = False
+        return values
+
+    def __getitem__(self, key):
+        return self._read(key)[key]
+
+    def __setitem__(self, key, value):
+        raise ValueError("assignment destination is read-only")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._read(slice(None)), dtype=dtype, copy=copy)
+
+    def __reduce__(self):
+        # a copy builds its own tree, and estimates its rows anew
+        return PcaNormals, (self._points, self._k)
+
+
 def compute_normals(s: Surface, k=10):
     """``s`` with unit per-vertex normals, as a new surface.
 
-    Meshes get the normalized sum of incident unit face normals; raw point
-    clouds fall back to PCA over k-nearest neighbors, unoriented: a point
-    cloud's normals lie along the surface normal, each with an arbitrary
-    sign.
+    Meshes get the normalized sum of incident unit face normals.  Raw point
+    clouds get PCA normals over their k nearest neighbors (``k`` an integer
+    >= 2), as a :class:`PcaNormals` that estimates each row on its first
+    read, over the cloud's one k-d tree; none is estimated here.  They are
+    unoriented: a point cloud's normals lie along the surface normal, each
+    with an arbitrary sign.  The new surface shares what is derived from
+    ``s``, whose points it has.
     """
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise InvalidInputError(f"k must be an integer >= 2, got {k!r}")
     if s.has_faces:
-        return replace(s, normals=_face_vertex_normals(s.vertices, s.faces))
-    return replace(s, normals=_pca_normals(s.vertices, k=k))
+        out = replace(s, normals=_face_vertex_normals(s.vertices, s.faces))
+    else:
+        out = replace(s, normals=PcaNormals(s.vertices, k, _kd_tree(s)))
+    object.__setattr__(out, "_derived", s._derived)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -278,8 +278,12 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
     """Align the source surface to the target point set.
 
     Both surfaces are expected preprocessed: normalized to the common unit
-    frame, with normals present.  Returns the final node transforms, the
-    deformed source points, and the per-outer-iteration trace.
+    frame, with normals present.  Only rigid ICP reads the normals, and
+    only when ``initial_state`` is None; of a point cloud's
+    :class:`~nrreg.mesh.PcaNormals` it reads the source's rows and the
+    target's rows at its closest points, each estimated on its first read.
+    Returns the final node transforms, the deformed source points, and the
+    per-outer-iteration trace.
     """
     if params is None:
         params = SolverParams()

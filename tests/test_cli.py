@@ -98,27 +98,39 @@ def test_register_truncated_ply_is_typed_error(mesh_files, tmp_path, capsys):
 
 
 def test_register_estimates_normals_once_per_input(mesh_files, tmp_path, monkeypatch):
-    """Normals come from the normalized surfaces only: a point-cloud target
-    gets one PCA estimate, and the outputs are those of a run that also
-    estimated normals on the raw inputs."""
-    d, s = mesh_files
+    """Normals come from the normalized surfaces only, and a point-cloud
+    target's PCA normals only at the rows rigid ICP reads: the estimator is
+    given no row of the raw target, each row of the normalized target at
+    most once, and fewer rows than the cloud has.  The outputs are those of
+    a run that also estimated normals on the raw inputs and estimated every
+    normal of the normalized target up front."""
+    d, _ = mesh_files
     cloud = tmp_path / "cloud.ply"
-    bent = s.vertices + [0.0, 0.0, 0.05] * np.sin(3.0 * s.vertices[:, :1])
-    save_ply(Surface(bent), cloud)
-    calls = []
+    dense = grid_mesh(30, 30).vertices
+    save_ply(Surface(dense + [0.0, 0.0, 0.05] * np.sin(3.0 * dense[:, :1])), cloud)
+    _, normalized, _ = normalize_pair(load_surface(d / "source.obj"), load_surface(cloud))
+    given = []
     pca = mesh._pca_normals
-    monkeypatch.setattr(mesh, "_pca_normals", lambda *a, **k: calls.append(1) or pca(*a, **k))
+
+    def counted(points, k, rows, tree):
+        assert np.array_equal(points, normalized.vertices)
+        given.extend(rows.tolist())
+        return pca(points, k, rows, tree)
+
+    monkeypatch.setattr(mesh, "_pca_normals", counted)
     new = tmp_path / "new"
     assert main(["register", "--source", str(d / "source.obj"), "--target", str(cloud),
                  "--out", str(new)]) == EXIT_OK
-    assert len(calls) == 1
+    assert 0 < len(given) == len(set(given)) < normalized.n_vertices
+    monkeypatch.undo()
 
     old = tmp_path / "old"
     old.mkdir()
     source = compute_normals(load_surface(d / "source.obj"))
     target = compute_normals(load_surface(cloud))
     src_n, tgt_n, rec = normalize_pair(source, target)
-    result = register(compute_normals(src_n), compute_normals(tgt_n), SolverParams())
+    tgt_n = Surface(tgt_n.vertices, normals=np.asarray(compute_normals(tgt_n).normals))
+    result = register(compute_normals(src_n), tgt_n, SolverParams())
     save_ply(Surface(rec.denormalize(result.transformed_source, "target"), source.faces),
              old / "result.ply")
     result.write_trace_csv(old / "trace.csv")

@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 from nrreg import mesh
 from nrreg.errors import DegenerateInputError, FormatError, InvalidInputError
 from nrreg.evaluate import add_gaussian_normal_noise
-from nrreg.mesh import (NormalizationRecord, Surface, compute_normals,
+from nrreg.mesh import (NormalizationRecord, PcaNormals, Surface, compute_normals,
                         edges_from_faces, error_colors, load_obj, load_ply,
                         load_surface, mean_edge_length, normalize_pair,
                         save_ply, surface_edges, write_error_mesh)
@@ -45,6 +45,16 @@ def test_surface_rejects_non_finite():
     normals[0, 0] = np.inf
     with pytest.raises(InvalidInputError):
         Surface(np.zeros((3, 3)), normals=normals)
+
+
+@pytest.mark.parametrize("normals", [
+    lambda: np.ones((50, 3)), lambda: np.ones((100, 2)), lambda: np.ones(300),
+    lambda: np.ones((100, 3, 1)),
+    lambda: PcaNormals(np.random.default_rng(0).uniform(size=(50, 3)), 10)],
+    ids=["50 rows", "2 columns", "flat", "3-d", "cloud of 50"])
+def test_surface_rejects_wrongly_shaped_normals(normals):
+    with pytest.raises(InvalidInputError, match=r"normals must be an \(100, 3\) array"):
+        Surface(np.zeros((100, 3)), normals=normals())
 
 
 def test_surface_is_immutable():
@@ -178,6 +188,82 @@ def test_point_cloud_normals_sphere():
     radial = np.einsum("ij,ij->i", s.normals, pts)
     # PCA normals are radial, each with its own sign
     assert np.all(np.abs(radial) > 0.95)
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 1.5, 10.0, "10", None, True])
+def test_compute_normals_takes_an_integer_k_of_at_least_two(k):
+    """A neighbourhood of fewer than 3 points spans no plane; a bad k fails
+    when compute_normals is called, not when a normal is first read."""
+    cloud = Surface(np.random.default_rng(0).uniform(size=(30, 3)))
+    for s in (cloud, grid_mesh(4, 4)):
+        with pytest.raises(InvalidInputError, match="k must be an integer >= 2"):
+            compute_normals(s, k=k)
+    assert compute_normals(cloud, k=np.int64(2)).normals.shape == (30, 3)
+    with pytest.raises(DegenerateInputError):
+        compute_normals(Surface(np.eye(3)[:2]))
+
+
+def test_cloud_normals_are_estimated_row_by_row(monkeypatch):
+    """compute_normals on a point cloud builds the cloud's one k-d tree and
+    queries it for no neighbours; each read queries it for the rows not read
+    before, and nothing else, through the one estimator."""
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(size=(200, 3))
+    queries, given = [], []
+
+    class CountingTree(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            queries.append(len(x))
+            return super().query(x, k=k, **kwargs)
+
+    pca = mesh._pca_normals
+
+    def counted(points, k, rows, tree):
+        given.append(rows.tolist())
+        return pca(points, k, rows, tree)
+
+    monkeypatch.setattr(mesh, "cKDTree", CountingTree)
+    monkeypatch.setattr(mesh, "_pca_normals", counted)
+    s = compute_normals(Surface(pts))
+    assert queries == [] and given == []
+    s.normals[[5, 3, 5]]
+    s.normals[3:7]
+    s.normals[4]
+    assert given == [[3, 5], [4, 6]] and queries == [2, 2]
+    surface_edges(s)
+    assert queries == [2, 2, 200]
+    np.asarray(s.normals)
+    assert len(given[-1]) == 196 and queries[-1] == 196
+    assert sorted(sum(given, [])) == list(range(200))
+
+
+def test_cloud_normals_read_as_a_read_only_array():
+    """A cloud's normals read like a read-only (n, 3) float64 array, each
+    read bit for bit the full pass's rows, a row read alone included."""
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(size=(40, 3))
+    full = mesh._pca_normals(pts, 10)
+    n = compute_normals(Surface(pts)).normals
+    assert isinstance(n, PcaNormals)
+    assert n.shape == (40, 3) and n.dtype == np.float64 and n.ndim == 2 and len(n) == 40
+    mask = rng.uniform(size=40) < 0.5
+    for key in (7, -1, slice(3, 30, 4), [2, 2, 39], np.array([9, 0]), mask, (mask, 2),
+                (slice(None), 0), (Ellipsis, 1), (), Ellipsis):
+        assert n[key].tobytes() == full[key].tobytes()
+    for key in ((0, 0), 0, slice(None), [1, 2], mask):
+        with pytest.raises(ValueError, match="read-only"):
+            n[key] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        n[3:5][0, 0] = 1
+    a = np.asarray(n)
+    assert not a.flags.writeable and a.tobytes() == full.tobytes()
+    assert np.array(n).flags.writeable
+    assert np.asarray(n, dtype=np.float32).dtype == np.float32
+    with pytest.raises(IndexError):
+        n[40]
+    for c in (pickle.loads(pickle.dumps(n)), copy.deepcopy(n)):
+        assert isinstance(c, PcaNormals) and c.shape == (40, 3)
+        assert np.asarray(c).tobytes() == full.tobytes()
 
 
 def test_face_normals_match_add_at_oracle():

@@ -51,7 +51,10 @@ scales from 1e-12 to 1e12) the vector must be a unit eigenvector to the
 working precision, and LAPACK's own vector wherever it is unique.  The
 normals have no sign, so a rigidly moved, reordered cloud must get the moved
 normals, each up to its sign, wherever the neighbourhood's smallest
-eigenvalue is well separated.
+eigenvalue is well separated.  A cloud's normals are estimated row by row,
+each on its first read: whatever rows are read, in whatever order and
+however often, each must be the row of one pass over all points, to the
+last bit.
 
 Surfaces are read and written as PLY one block per element, and must load
 and save exactly as a reader and writer that go row by row do; edges are
@@ -79,8 +82,8 @@ from nrreg.errors import FormatError, InvalidInputError
 from nrreg.geodesic import geodesic_from
 from nrreg.graph import (SAMPLERS, DeformationGraph, build_graph, sample_nodes_farthest,
                          transform_points)
-from nrreg.mesh import (Surface, _pca_normals, _smallest_eigenvectors, edges_from_faces,
-                        load_obj, load_ply, save_ply)
+from nrreg.mesh import (Surface, _pca_normals, _smallest_eigenvectors, compute_normals,
+                        edges_from_faces, load_obj, load_ply, save_ply)
 from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
                           two_loop_direction)
 
@@ -532,6 +535,66 @@ def test_pca_normals_move_with_the_cloud(seed, n, noise, k, shift):
     sign = np.sign(np.einsum("ij,ij->i", got, expected))[:, None]
     # the chord, not arccos of the dot, resolves angles below 1e-8 rad
     assert np.all(np.linalg.norm(got - sign * expected, axis=1)[clear] <= 1e-9)
+
+
+@st.composite
+def normal_reads(draw):
+    """A point cloud, a neighbourhood size k and keys to read its normals
+    by, in turn: an int, an index array (any order, repeats, negative
+    indices), a boolean mask, a slice, a row key with a column, or all
+    rows.  The clouds are a noisy wavy sheet, an integer grid (exact
+    distance ties), a cloud with coincident points, or three points; k runs
+    up to and past n - 1."""
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["sheet", "grid", "coincident", "three"]))
+    if kind == "sheet":
+        n = draw(st.integers(3, 300))
+        xy = rng.uniform(size=(n, 2))
+        pts = np.column_stack([xy, 0.1 * np.sin(4.0 * xy[:, 0]) + rng.normal(0.0, 0.01, size=n)])
+    elif kind == "grid":
+        side = np.arange(float(draw(st.integers(2, 5))))
+        layers = side[:draw(st.integers(1, 3))]
+        pts = np.stack(np.meshgrid(side, side, layers, indexing="ij"), axis=-1).reshape(-1, 3)
+    elif kind == "coincident":
+        base = rng.uniform(size=(draw(st.integers(1, 20)), 3))
+        pts = base[rng.integers(0, len(base), size=2 * len(base) + 1)]
+    else:
+        pts = rng.uniform(size=(3, 3))
+    n = len(pts)
+    k = draw(st.one_of(st.integers(2, 12), st.integers(max(2, n - 2), n + 2)))
+    keys = []
+    for how in draw(st.lists(st.sampled_from(["int", "array", "mask", "slice", "column", "all"]),
+                             min_size=1, max_size=8)):
+        if how == "int":
+            key = int(rng.integers(-n, n))
+        elif how == "array":
+            key = rng.integers(-n, n, size=int(rng.integers(0, 2 * n)))
+        elif how == "mask":
+            key = rng.uniform(size=n) < rng.uniform()
+        elif how == "slice":
+            key = slice(*(int(v) for v in rng.integers(-n, n + 1, size=2)),
+                        int(rng.choice([-3, -1, 1, 2, 5])))
+        elif how == "column":
+            key = (rng.integers(-n, n, size=int(rng.integers(1, 5))), int(rng.integers(-3, 3)))
+        else:
+            key = slice(None)
+        keys.append(key)
+    return pts, k, keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(normal_reads())
+def test_normals_read_row_by_row_are_the_full_pass(case):
+    """Rows of a cloud's normals, estimated as they are first read, are the
+    rows of one pass over all points, bit for bit, and so is the array
+    they add up to."""
+    pts, k, keys = case
+    full = _pca_normals(pts, k)
+    normals = compute_normals(Surface(pts), k=k).normals
+    for key in keys:
+        got, want = normals[key], full[key]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.asarray(normals).tobytes() == full.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -425,6 +425,45 @@ def test_register_point_cloud_source_builds_its_knn_graph_once(monkeypatch):
     register(s_n, t_n)
     assert trees == [400]
 
+
+def test_register_estimates_a_cloud_targets_normals_only_where_read(monkeypatch, tmp_path):
+    """Rigid ICP reads a cloud target's normals at its closest points only:
+    each row is estimated at most once, not every row is, and the
+    registration is the one made with every normal estimated up front."""
+    source = grid_mesh(12, 12)
+    cloud = _twist(grid_mesh(60, 60).vertices)
+    s_n, t_n, _ = normalize_pair(source, Surface(cloud))
+    s_n, t_n = compute_normals(s_n), compute_normals(t_n)
+    given = []
+    pca = nrreg.mesh._pca_normals
+
+    def counted(points, k, rows, tree):
+        given.extend(rows.tolist())
+        return pca(points, k, rows, tree)
+
+    monkeypatch.setattr(nrreg.mesh, "_pca_normals", counted)
+    lazy = register(s_n, t_n)
+    assert 0 < len(given) == len(set(given)) < t_n.n_vertices
+    eager = register(s_n, Surface(t_n.vertices, normals=np.asarray(compute_normals(t_n).normals)))
+    lazy.write_trace_csv(tmp_path / "lazy.csv")
+    eager.write_trace_csv(tmp_path / "eager.csv")
+    assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
+    assert lazy.transformed_source.tobytes() == eager.transformed_source.tobytes()
+    assert lazy.final_state.tobytes() == eager.final_state.tobytes()
+
+
+def test_register_refuses_wrongly_shaped_normals():
+    """Normals of the wrong shape fail as the surface is made, with a typed
+    error, not inside rigid ICP (an IndexError for too few target rows, a
+    matmul error for two source columns)."""
+    source = compute_normals(grid_mesh(10, 10))
+    target = compute_normals(Surface(source.vertices @ rot_z(0.1).T, source.faces))
+    with pytest.raises(InvalidInputError, match="normals must be"):
+        register(source, Surface(target.vertices, target.faces, normals=target.normals[:50]))
+    with pytest.raises(InvalidInputError, match="normals must be"):
+        register(Surface(source.vertices, source.faces, normals=source.normals[:, :2]), target)
+
+
 def _twist(p, deg=10.0, lift=0.02):
     """Turn the unit-square sheet about the line (y, z) = (0.5, 0) by an angle
     growing linearly with x up to ``deg``, and lift it linearly with x."""
