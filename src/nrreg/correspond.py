@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InitializationError, InvalidInputError
-from .mesh import Surface
+from .mesh import Surface, _kd_tree
 
 DEFAULT_EPS_D = 0.3
 DEFAULT_THETA_DEG = 60.0
@@ -32,14 +31,21 @@ ROUNDING_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 
 
 class SpatialIndex:
-    """Exact nearest-neighbor index over a fixed point set."""
+    """Exact nearest-neighbor index over a fixed point set: a surface's
+    points, or an (n, 3) array's.  It queries the surface's own k-d tree
+    (:func:`nrreg.mesh._kd_tree`), built on the first query and shared with
+    everything else derived from the surface."""
 
     def __init__(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        if len(points) == 0:
+        surface = points if isinstance(points, Surface) else Surface(points)
+        if surface.n_vertices == 0:
             raise InvalidInputError("cannot index an empty point set")
-        self.points = points
-        self._tree = cKDTree(points)
+        self.points = surface.vertices
+        self._surface = surface
+
+    @property
+    def _tree(self):
+        return _kd_tree(self._surface)
 
     def query(self, queries):
         """Nearest index and distance per query; equidistant ties give the
@@ -92,7 +98,7 @@ def find_correspondences(queries, target: Surface, index: SpatialIndex | None = 
                          previous: CorrespondenceSet | None = None):
     """Exact closest target point per query, with no pair rejected (rigid
     ICP rejects its own pairs).  ``index`` is a :class:`SpatialIndex` over
-    the target's vertices, built here if omitted.
+    the target, made here if omitted.
 
     ``previous`` is the last set found on the same ``index`` for as many
     queries, row for row.  A row whose old nearest point is certified still
@@ -102,7 +108,7 @@ def find_correspondences(queries, target: Surface, index: SpatialIndex | None = 
     another number of rows."""
     queries = np.array(queries, dtype=np.float64)   # a copy: the set keeps it
     if index is None:
-        index = SpatialIndex(target.vertices)
+        index = SpatialIndex(target)
     if previous is None or previous.index is not index or len(previous.indices) != len(queries):
         idx, dist, margin = index._query_with_margin(queries)
     else:
@@ -185,12 +191,12 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     ``InitializationError``.
 
     The iterations start from the identity.  ``index`` is a
-    :class:`SpatialIndex` over the target's vertices, built here if omitted.
+    :class:`SpatialIndex` over the target, made here if omitted.
     """
     if source.normals is None or target.normals is None:
         raise InvalidInputError("rigid ICP needs normals on both surfaces")
     if index is None:
-        index = SpatialIndex(target.vertices)
+        index = SpatialIndex(target)
     rt = RigidTransform.identity()
     signed = source.has_faces and target.has_faces
     cos_lim = np.cos(np.deg2rad(theta))

@@ -3,10 +3,11 @@
 Supported formats are OBJ (``v``/``f`` records, 1-based indices) and PLY
 (ascii and binary_little_endian).  A surface is a vertex array with optional
 triangle faces; edges are always derived from the faces when present.  A
-surface never changes, so what is derived from it (a point cloud's k-d tree
-and k-NN graph, the geodesic tables) is built once and kept with it.  A
-point cloud's PCA normals are estimated row by row, each on its first read,
-over that one k-d tree (:class:`PcaNormals`).
+surface never changes, so what is derived from it (its k-d tree, a point
+cloud's k-NN graph, the geodesic tables) is built on first use and kept
+with it.  Normals are computed on their first read (:class:`LazyNormals`):
+a mesh's all at once, a point cloud's PCA normals row by row over the one
+k-d tree.  An ascii PLY body is converted to float64 in one pass.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class Surface:
 
     A surface does not change: its fields cannot be reassigned, and its
     arrays are read-only views (the caller's own arrays keep their flags).
-    Normals are (n, 3): an array, or a point cloud's read-only
-    :class:`PcaNormals`, whose rows are estimated as they are read.
+    Normals are (n, 3): an array, or the read-only :class:`LazyNormals`
+    of :func:`compute_normals`, whose rows are computed as they are read.
     What is derived from it is built on first use and kept with it, see
     :meth:`derived`.
     """
@@ -57,7 +58,7 @@ class Surface:
     vertices: np.ndarray                    # (n, 3) float64
     faces: np.ndarray | None = None         # (f, 3) int64 or None
     edges: np.ndarray = None                # (e, 2) int64, derived if None
-    normals: np.ndarray | PcaNormals | None = None  # (n, 3) unit vectors or None
+    normals: np.ndarray | LazyNormals | None = None  # (n, 3) unit vectors or None
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -88,7 +89,7 @@ class Surface:
                 if np.any(e[:, 0] == e[:, 1]):
                     raise InvalidInputError("self-loop edge")
         if self.normals is not None:
-            lazy = isinstance(self.normals, PcaNormals)
+            lazy = isinstance(self.normals, LazyNormals)
             nrm = self.normals if lazy else freeze("normals", self.normals, np.float64)
             if nrm.shape != (n, 3):
                 raise InvalidInputError(f"normals must be an ({n}, 3) array, "
@@ -117,8 +118,9 @@ class Surface:
 
 
 def _kd_tree(s: Surface):
-    """The k-d tree over the surface's points, built once per surface; the
-    k-NN graph and the PCA normals both query it."""
+    """The k-d tree over the surface's points, built on the first query and
+    kept with the surface: its k-NN graph, its PCA normals and the
+    :class:`~nrreg.correspond.SpatialIndex` over it all query this one."""
     return s.derived("kd_tree", lambda s: cKDTree(s.vertices))
 
 
@@ -294,29 +296,31 @@ def _smallest_eigenvectors(upper):
     return vec
 
 
-class PcaNormals:
-    """The PCA normals of a point cloud as a read-only (n, 3) float64 array
-    whose rows are estimated on their first read and kept.
+class LazyNormals(np.lib.mixins.NDArrayOperatorsMixin):
+    """The unit normals of a surface as a read-only (n, 3) float64 array
+    whose rows are computed on their first read and kept.
 
-    Every row comes from :func:`_pca_normals` over ``tree``, the k-d tree of
-    ``points`` (built here if omitted), so any read gives what one pass over
-    all points gives, to the last bit.  Rows are read as from an array: by
-    int, slice, index array or boolean mask, optionally with a column key;
-    ``np.asarray`` estimates the rest and gives all of them.  The normals stay
-    bound to the points they were made from.
+    A mesh's rows all come from :func:`_face_vertex_normals` on the first
+    read.  A point cloud's come from :func:`_pca_normals` over the cloud's
+    k-d tree (:func:`_kd_tree`), each row on its first read, so any read
+    gives what one pass over all points gives, to the last bit.  Rows are
+    read as from an array: by int, slice, index array or boolean mask,
+    optionally with a column key; ``np.asarray`` computes the rest and gives
+    all of them, and operators and ufuncs (``-n``, ``n @ R``, ``n * x``)
+    take them as that array.  The normals stay bound to ``surface``, the
+    surface they were made from.
     """
 
     dtype = np.dtype(np.float64)
     ndim = 2
 
-    def __init__(self, points, k, tree=None):
-        if len(points) < 3:
+    def __init__(self, surface, k):
+        if not surface.has_faces and surface.n_vertices < 3:
             raise DegenerateInputError("need at least 3 points for PCA normals")
-        self._points = points
+        self._surface = surface
         self._k = k
-        self._tree = cKDTree(points) if tree is None else tree
-        self._values = np.empty((len(points), 3))
-        self._known = np.zeros(len(points), dtype=bool)
+        self._values = np.empty((surface.n_vertices, 3))
+        self._known = np.zeros(surface.n_vertices, dtype=bool)
         self.shape = self._values.shape
 
     def __len__(self):
@@ -324,11 +328,17 @@ class PcaNormals:
 
     def _read(self, key):
         """The values, read-only, with every row that ``key`` reads known."""
-        rows = np.atleast_1d(np.arange(len(self))[key[:1] if isinstance(key, tuple) else key])
-        todo = np.unique(rows[~self._known[rows]])
-        if len(todo):
-            self._values[todo] = _pca_normals(self._points, self._k, todo, self._tree)
-            self._known[todo] = True
+        s = self._surface
+        if s.has_faces:
+            if not self._known.all():
+                self._values = _face_vertex_normals(s.vertices, s.faces)
+                self._known[:] = True
+        else:
+            rows = np.atleast_1d(np.arange(len(self))[key[:1] if isinstance(key, tuple) else key])
+            todo = np.unique(rows[~self._known[rows]])
+            if len(todo):
+                self._values[todo] = _pca_normals(s.vertices, self._k, todo, _kd_tree(s))
+                self._known[todo] = True
         values = self._values.view()
         values.flags.writeable = False
         return values
@@ -342,28 +352,35 @@ class PcaNormals:
     def __array__(self, dtype=None, copy=None):
         return np.array(self._read(slice(None)), dtype=dtype, copy=copy)
 
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # every operand, an output too, is taken as the read-only array
+        def plain(x):
+            return np.asarray(x) if isinstance(x, LazyNormals) else x
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
     def __reduce__(self):
-        # a copy builds its own tree, and estimates its rows anew
-        return PcaNormals, (self._points, self._k)
+        # a copy is made over a copy of the surface, and computes its rows anew
+        return LazyNormals, (self._surface, self._k)
 
 
 def compute_normals(s: Surface, k=10):
     """``s`` with unit per-vertex normals, as a new surface.
 
-    Meshes get the normalized sum of incident unit face normals.  Raw point
-    clouds get PCA normals over their k nearest neighbors (``k`` an integer
-    >= 2), as a :class:`PcaNormals` that estimates each row on its first
-    read, over the cloud's one k-d tree; none is estimated here.  They are
-    unoriented: a point cloud's normals lie along the surface normal, each
-    with an arbitrary sign.  The new surface shares what is derived from
-    ``s``, whose points it has.
+    The normals are a :class:`LazyNormals`, computed on their first read;
+    none is computed here.  Meshes get the normalized sum of incident unit
+    face normals, every row at the first read.  Raw point clouds get PCA
+    normals over their k nearest neighbors (``k`` an integer >= 2), each
+    row estimated on its first read over the cloud's one k-d tree, which
+    the first read builds.  They are unoriented: a point cloud's normals lie
+    along the surface normal, each with an arbitrary sign.  The new surface
+    shares what is derived from ``s``, whose points it has.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise InvalidInputError(f"k must be an integer >= 2, got {k!r}")
-    if s.has_faces:
-        out = replace(s, normals=_face_vertex_normals(s.vertices, s.faces))
-    else:
-        out = replace(s, normals=PcaNormals(s.vertices, k, _kd_tree(s)))
+    out = replace(s, normals=LazyNormals(s, k))
     object.__setattr__(out, "_derived", s._derived)
     return out
 
@@ -419,7 +436,8 @@ def load_obj(path):
 # PLY
 #
 # A body is read one element at a time, as one block: every row of the
-# element converted at once into a float64 array with one column per value.
+# element taken at once as a float64 array with one column per value (an
+# ascii body is converted whole first, in one pass).
 # That takes each row to have the first row's list lengths, which is checked;
 # an element whose rows differ (triangles mixed with quads) is walked row by
 # row instead.
@@ -488,24 +506,34 @@ def _parse_ply_header(fh, path):
 
 
 class _AsciiBody:
-    """Whitespace-separated values, one token each, read as float64."""
+    """Whitespace-separated values, all converted to float64 in one pass; a
+    value's position is its index.  A token that is not a number raises
+    ValueError, wherever it lies."""
+
+    _FOLD = bytes.maketrans(b"\r\n", b"  ")
 
     def __init__(self, data):
-        self.tokens = data.decode("ascii", errors="replace").split()
-        self.end = len(self.tokens)
+        # the body as one line, which loadtxt splits at any whitespace (and
+        # warns of if it holds no value)
+        text = data.translate(self._FOLD).decode("ascii", errors="replace")
+        self.values = (np.loadtxt([text], comments=None, ndmin=1)
+                       if text and not text.isspace() else np.empty(0))
+        self.end = len(self.values)
 
     def size(self, ptype):
         return 1
 
     def length(self, p, ltype):
-        return int(self.tokens[p])
+        n = self.values[p]
+        if not n.is_integer():
+            raise ValueError("list length is not an integer")
+        return int(n)
 
     def block(self, pos, types, count):
-        rows = np.array(self.tokens[pos:pos + count * len(types)], dtype=np.float64)
-        return rows.reshape(count, len(types))
+        return self.values[pos:pos + count * len(types)].reshape(count, len(types))
 
     def take(self, offsets, ptype):
-        return np.array([self.tokens[p] for p in offsets], dtype=np.float64)
+        return self.values[np.asarray(offsets, dtype=np.int64)]
 
 
 class _BinaryBody:
@@ -587,10 +615,7 @@ def _read_element(body, pos, count, props):
         types = []
         for pname, ptype, ltype in props:
             types += [ptype] if ltype is None else [ltype] + [ptype] * lengths[pname][0]
-        try:
-            cols = _split_rows(body.block(pos, types, count), props, lengths)
-        except ValueError:      # a bad value, or one past a shorter element
-            cols = None
+        cols = _split_rows(body.block(pos, types, count), props, lengths)
         if cols is not None:
             return cols, end
     offsets, lengths, end = _walk(body, pos, count, props)
@@ -617,7 +642,10 @@ def load_ply(path):
     """
     with open(path, "rb") as fh:
         fmt, elements = _parse_ply_header(fh, path)
-        body = (_AsciiBody if fmt == "ascii" else _BinaryBody)(fh.read())
+        try:
+            body = (_AsciiBody if fmt == "ascii" else _BinaryBody)(fh.read())
+        except ValueError:
+            raise FormatError("non-numeric value in the body", path) from None
     cols, counts, pos = {}, {}, 0
     for name, count, props in elements:
         try:

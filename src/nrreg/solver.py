@@ -279,11 +279,14 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
 
     Both surfaces are expected preprocessed: normalized to the common unit
     frame, with normals present.  Only rigid ICP reads the normals, and
-    only when ``initial_state`` is None; of a point cloud's
-    :class:`~nrreg.mesh.PcaNormals` it reads the source's rows and the
-    target's rows at its closest points, each estimated on its first read.
-    Returns the final node transforms, the deformed source points, and the
-    per-outer-iteration trace.
+    only when ``initial_state`` is None, so a warm start computes none of
+    the :class:`~nrreg.mesh.LazyNormals` that
+    :func:`~nrreg.mesh.compute_normals` gives.  ICP reads all of a mesh's;
+    of a point cloud's it reads the source's rows and the target's rows at
+    its closest points, each estimated on its first read.  Closest points
+    are queried on the target's one k-d tree, which a cloud target's
+    normals share.  Returns the final node transforms, the deformed source
+    points, and the per-outer-iteration trace.
     """
     if params is None:
         params = SolverParams()
@@ -298,7 +301,7 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
     if graph.n_nodes == 0:
         raise InvalidInputError("empty deformation graph")
 
-    index = SpatialIndex(target.vertices)
+    index = SpatialIndex(target)
     rigid = None
     if initial_state is None:
         rigid = rigid_icp_init(source, target, iters=params.icp_iters,

@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 from nrreg import mesh
 from nrreg.errors import DegenerateInputError, FormatError, InvalidInputError
 from nrreg.evaluate import add_gaussian_normal_noise
-from nrreg.mesh import (NormalizationRecord, PcaNormals, Surface, compute_normals,
+from nrreg.mesh import (LazyNormals, NormalizationRecord, Surface, compute_normals,
                         edges_from_faces, error_colors, load_obj, load_ply,
                         load_surface, mean_edge_length, normalize_pair,
                         save_ply, surface_edges, write_error_mesh)
@@ -50,7 +50,7 @@ def test_surface_rejects_non_finite():
 @pytest.mark.parametrize("normals", [
     lambda: np.ones((50, 3)), lambda: np.ones((100, 2)), lambda: np.ones(300),
     lambda: np.ones((100, 3, 1)),
-    lambda: PcaNormals(np.random.default_rng(0).uniform(size=(50, 3)), 10)],
+    lambda: LazyNormals(Surface(np.random.default_rng(0).uniform(size=(50, 3))), 10)],
     ids=["50 rows", "2 columns", "flat", "3-d", "cloud of 50"])
 def test_surface_rejects_wrongly_shaped_normals(normals):
     with pytest.raises(InvalidInputError, match=r"normals must be an \(100, 3\) array"):
@@ -204,14 +204,19 @@ def test_compute_normals_takes_an_integer_k_of_at_least_two(k):
 
 
 def test_cloud_normals_are_estimated_row_by_row(monkeypatch):
-    """compute_normals on a point cloud builds the cloud's one k-d tree and
-    queries it for no neighbours; each read queries it for the rows not read
-    before, and nothing else, through the one estimator."""
+    """compute_normals on a point cloud builds no k-d tree and estimates
+    nothing; the first read builds the cloud's one tree, each read queries
+    it for the rows not read before, and nothing else, through the one
+    estimator, and the k-NN graph queries the same tree."""
     rng = np.random.default_rng(2)
     pts = rng.uniform(size=(200, 3))
-    queries, given = [], []
+    built, queries, given = [], [], []
 
     class CountingTree(cKDTree):
+        def __init__(self, points, *args, **kwargs):
+            built.append(len(points))
+            super().__init__(points, *args, **kwargs)
+
         def query(self, x, k=1, **kwargs):
             queries.append(len(x))
             return super().query(x, k=k, **kwargs)
@@ -225,7 +230,7 @@ def test_cloud_normals_are_estimated_row_by_row(monkeypatch):
     monkeypatch.setattr(mesh, "cKDTree", CountingTree)
     monkeypatch.setattr(mesh, "_pca_normals", counted)
     s = compute_normals(Surface(pts))
-    assert queries == [] and given == []
+    assert built == [] and queries == [] and given == []
     s.normals[[5, 3, 5]]
     s.normals[3:7]
     s.normals[4]
@@ -235,16 +240,13 @@ def test_cloud_normals_are_estimated_row_by_row(monkeypatch):
     np.asarray(s.normals)
     assert len(given[-1]) == 196 and queries[-1] == 196
     assert sorted(sum(given, [])) == list(range(200))
+    assert built == [200]
 
 
-def test_cloud_normals_read_as_a_read_only_array():
-    """A cloud's normals read like a read-only (n, 3) float64 array, each
-    read bit for bit the full pass's rows, a row read alone included."""
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(size=(40, 3))
-    full = mesh._pca_normals(pts, 10)
-    n = compute_normals(Surface(pts)).normals
-    assert isinstance(n, PcaNormals)
+def _reads_as_a_read_only_array(n, full, rng):
+    """Every read of ``n`` is bit for bit that of the (40, 3) array ``full``,
+    a row read alone included, and no read or operator writes into it."""
+    assert isinstance(n, LazyNormals)
     assert n.shape == (40, 3) and n.dtype == np.float64 and n.ndim == 2 and len(n) == 40
     mask = rng.uniform(size=40) < 0.5
     for key in (7, -1, slice(3, 30, 4), [2, 2, 39], np.array([9, 0]), mask, (mask, 2),
@@ -261,9 +263,46 @@ def test_cloud_normals_read_as_a_read_only_array():
     assert np.asarray(n, dtype=np.float32).dtype == np.float32
     with pytest.raises(IndexError):
         n[40]
+    # operators and ufuncs take the values as the array
+    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert (-n).tobytes() == (-full).tobytes()
+    assert (n @ rot.T).tobytes() == (full @ rot.T).tobytes()
+    assert (n * 2.5).tobytes() == (2.5 * n).tobytes() == (full * 2.5).tobytes()
+    assert np.add(n, n).tobytes() == (full + full).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        n += 1
+    with pytest.raises(ValueError, match="read-only"):
+        np.multiply(full, 2.0, out=n)
+    assert np.asarray(n).tobytes() == full.tobytes()
     for c in (pickle.loads(pickle.dumps(n)), copy.deepcopy(n)):
-        assert isinstance(c, PcaNormals) and c.shape == (40, 3)
+        assert isinstance(c, LazyNormals) and c.shape == (40, 3)
         assert np.asarray(c).tobytes() == full.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            c[0, 0] = 1
+
+
+def test_cloud_normals_read_as_a_read_only_array():
+    """A cloud's normals read like a read-only (n, 3) float64 array, each
+    read bit for bit the full pass's rows, a row read alone included."""
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(size=(40, 3))
+    full = mesh._pca_normals(pts, 10)
+    _reads_as_a_read_only_array(compute_normals(Surface(pts)).normals, full, rng)
+
+
+@pytest.mark.parametrize("first", ["row", "mask", "array", "operator"])
+def test_mesh_normals_read_as_a_read_only_array(first):
+    """A mesh's normals read as a cloud's do, every read bit for bit the
+    face-normal pass and its np.add.at oracle, whichever read comes first."""
+    rng = np.random.default_rng(6)
+    s = grid_mesh(8, 5, wavy=0.2)
+    full = mesh._face_vertex_normals(s.vertices, s.faces)
+    assert full.tobytes() == face_vertex_normals(s.vertices, s.faces).tobytes()
+    n = compute_normals(s).normals
+    reads = {"row": lambda: n[17], "mask": lambda: n[rng.uniform(size=40) < 0.5],
+             "array": lambda: np.asarray(n), "operator": lambda: -n}
+    reads[first]()
+    _reads_as_a_read_only_array(n, full, rng)
 
 
 def test_face_normals_match_add_at_oracle():
@@ -413,6 +452,54 @@ MALFORMED_PLY = {
 def test_ply_malformed_is_format_error(tmp_path, case):
     p = tmp_path / "bad.ply"
     p.write_bytes(MALFORMED_PLY[case])
+    with pytest.raises(FormatError) as exc:
+        load_ply(p)
+    assert exc.value.path == p
+
+
+_PLY_TRIANGLE = (_PLY_XYZ + _PLY_FACE
+                 + b"end_header\n0.5 0 -1e-3\n1 0 2.25\n0 1 0\n3 0 1 2\n")
+
+
+@pytest.mark.parametrize("body", [
+    b"0.5 0 -1e-3\r\n1 0 2.25\r\n0 1 0\r\n3 0 1 2\r\n",
+    b"0.5\t0\t-1e-3\n1  0\t 2.25\n  0   1 0 \n3\t\t0 1 2\n",
+    b"0.5 0\n-1e-3\n1 0 2.25 0\n1 0\n3 0 1\n2\n",
+    b"0.5 0 -1e-3 1 0 2.25 0 1 0 3 0 1 2"],
+    ids=["crlf", "tabs-and-spaces", "rows-split-across-lines", "one-line"])
+def test_ply_ascii_body_reads_any_whitespace(tmp_path, body):
+    """An ascii body is values between runs of whitespace: line breaks,
+    CRLF ones too, tabs and runs of spaces read as single spaces do, and a
+    row may span lines."""
+    p = tmp_path / "m.ply"
+    p.write_bytes(_PLY_TRIANGLE)
+    want = load_ply(p)
+    p.write_bytes(_PLY_XYZ + _PLY_FACE + b"end_header\n" + body)
+    got = load_ply(p)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces.tolist() == want.faces.tolist() == [[0, 1, 2]]
+    # a header with CRLF endings reads as one with LF
+    p.write_bytes(_PLY_TRIANGLE.replace(b"\n", b"\r\n"))
+    assert load_ply(p).vertices.tobytes() == want.vertices.tobytes()
+
+
+def test_ply_ascii_values_after_the_last_element(tmp_path):
+    """Numbers after the last element are ignored; a token that is not a
+    number fails wherever it lies, after the last element too."""
+    p = tmp_path / "m.ply"
+    p.write_bytes(_PLY_TRIANGLE + b"7 8.5\n-9\n")
+    assert load_ply(p).faces.tolist() == [[0, 1, 2]]
+    for tail in (b"7 eight\n", b"# a comment\n", b"3 0 1 2 x"):
+        p.write_bytes(_PLY_TRIANGLE + tail)
+        with pytest.raises(FormatError) as exc:
+            load_ply(p)
+        assert exc.value.path == p
+
+
+@pytest.mark.parametrize("length", [b"2.5", b"inf", b"nan", b"-1"])
+def test_ply_ascii_list_length_must_be_a_count(tmp_path, length):
+    p = tmp_path / "m.ply"
+    p.write_bytes(_PLY_TRIANGLE.replace(b"\n3 0 1 2", b"\n" + length + b" 0 1 2"))
     with pytest.raises(FormatError) as exc:
         load_ply(p)
     assert exc.value.path == p

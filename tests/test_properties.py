@@ -57,7 +57,10 @@ however often, each must be the row of one pass over all points, to the
 last bit.
 
 Surfaces are read and written as PLY one block per element, and must load
-and save exactly as a reader and writer that go row by row do; edges are
+and save exactly as a reader and writer that go row by row do.  An ascii
+body is converted in one pass: every value, written by ``repr`` or by
+``%.9g`` and set between any runs of whitespace and line breaks, must load
+as ``float`` reads its token, to the last bit.  Edges are
 deduplicated by sorting one integer key per index pair, and must come out as
 the sorted unique rows, byte for byte as ``np.unique`` of the keys gives them.
 """
@@ -831,6 +834,35 @@ def test_polygon_ply_loads_as_the_row_reader_loads_it(data):
         path = Path(d) / "p.ply"
         path.write_bytes(data)
         _assert_loads_as_rows(path)
+
+
+_PLY_SPACE = st.text(alphabet=" \t\x0b\x0c\r\n", min_size=1, max_size=3)
+
+
+@st.composite
+def ascii_ply_values(draw):
+    """Bytes of an ascii PLY of 1 to 12 vertices and the float64 values
+    ``float`` reads from its tokens: finite values written by ``repr`` or by
+    ``%.9g``, around and between which lie runs of spaces, tabs, vertical
+    tabs, form feeds and LF, CRLF or CR line breaks."""
+    values = draw(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
+                         elements=st.floats(-1e308, 1e308)))
+    tokens = [draw(st.sampled_from([repr, "%.9g".__mod__]))(float(x)) for x in values.ravel()]
+    spaces = draw(st.lists(_PLY_SPACE, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    head = ("ply\nformat ascii 1.0\nelement vertex %d\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n" % len(values))
+    body = spaces[0] + "".join(t + sep for t, sep in zip(tokens, spaces[1:]))
+    return (head + body).encode(), np.array([float(t) for t in tokens]).reshape(-1, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ascii_ply_values())
+def test_ascii_ply_values_load_as_float_reads_them(case):
+    data, expected = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "v.ply"
+        path.write_bytes(data)
+        assert load_ply(path).vertices.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -339,20 +339,23 @@ def test_register_evaluates_each_point_once(monkeypatch):
 
 
 def test_register_builds_one_target_index(monkeypatch):
-    """Rigid ICP queries the index the outer loop then uses."""
+    """Rigid ICP queries the index the outer loop then uses, and the index
+    queries the target's own k-d tree."""
     built = []
     init = nrreg.correspond.SpatialIndex.__init__
 
     def counted_init(self, points):
-        built.append(len(points))
+        built.append(self)
         init(self, points)
+        assert points is t_n
 
     monkeypatch.setattr(nrreg.correspond.SpatialIndex, "__init__", counted_init)
     src = compute_normals(grid_mesh(8, 8))
     s_n, t_n, _ = normalize_pair(src, src)
-    res = register(compute_normals(s_n), compute_normals(t_n))
+    t_n = compute_normals(t_n)
+    res = register(compute_normals(s_n), t_n)
     assert res.rigid_init is not None
-    assert built == [t_n.n_vertices]
+    assert len(built) == 1 and built[0]._tree is nrreg.mesh._kd_tree(t_n)
 
 
 def test_register_warm_closest_points_are_the_cold_ones(monkeypatch, tmp_path):
@@ -366,7 +369,7 @@ def test_register_warm_closest_points_are_the_cold_ones(monkeypatch, tmp_path):
     asked, sent = [], []
     find = nrreg.correspond.find_correspondences
 
-    class CountingTree(nrreg.correspond.cKDTree):
+    class CountingTree(nrreg.mesh.cKDTree):
         def query(self, x, *args, **kwargs):
             sent.append(len(x))
             return super().query(x, *args, **kwargs)
@@ -378,7 +381,7 @@ def test_register_warm_closest_points_are_the_cold_ones(monkeypatch, tmp_path):
     def cold_find(queries, target, index=None, previous=None):
         return find(queries, target, index)
 
-    monkeypatch.setattr(nrreg.correspond, "cKDTree", CountingTree)
+    monkeypatch.setattr(nrreg.mesh, "cKDTree", CountingTree)
     for module in (nrreg.correspond, nrreg.solver):
         monkeypatch.setattr(module, "find_correspondences", counted_find)
     warm = register(s_n, t_n)
@@ -409,21 +412,28 @@ def test_register_point_cloud_source():
 
 
 def test_register_point_cloud_source_builds_its_knn_graph_once(monkeypatch):
-    """Mesh scale and geodesics read one k-NN graph of a faceless source."""
+    """Mesh scale and geodesics read one k-NN graph of a faceless source,
+    and every point set gets one k-d tree: the normalized source's, for
+    that graph; the raw cloud's, for the normals the normalized source
+    carries; and the target's, for the closest points."""
     grid = grid_mesh(20, 20)
     target = Surface(grid.vertices @ rot_z(0.1).T, grid.faces)
-    s_n, t_n, _ = normalize_pair(compute_normals(Surface(grid.vertices)),
-                                 compute_normals(target))
+    cloud = compute_normals(Surface(grid.vertices))
+    s_n, t_n, _ = normalize_pair(cloud, compute_normals(target))
     trees = []
     tree = nrreg.mesh.cKDTree
 
     def counted_tree(points, *args, **kwargs):
-        trees.append(len(points))
+        trees.append(points)
         return tree(points, *args, **kwargs)
 
     monkeypatch.setattr(nrreg.mesh, "cKDTree", counted_tree)
     register(s_n, t_n)
-    assert trees == [400]
+    assert sorted(p.ctypes.data for p in trees) == sorted(
+        p.ctypes.data for p in (s_n.vertices, cloud.vertices, t_n.vertices))
+    # kept with the surfaces: registering again builds none
+    register(s_n, t_n)
+    assert len(trees) == 3
 
 
 def test_register_estimates_a_cloud_targets_normals_only_where_read(monkeypatch, tmp_path):
@@ -450,6 +460,51 @@ def test_register_estimates_a_cloud_targets_normals_only_where_read(monkeypatch,
     assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
     assert lazy.transformed_source.tobytes() == eager.transformed_source.tobytes()
     assert lazy.final_state.tobytes() == eager.final_state.tobytes()
+
+
+def test_cloud_pipeline_builds_one_tree(monkeypatch):
+    """Normals on the raw inputs, normalizing the pair, normals again and
+    registering: the raw cloud's normals are never read, so the cloud gets
+    one k-d tree, built at the registration's first query and shared by
+    its closest points and the normals rigid ICP reads."""
+    built = []
+    tree = nrreg.mesh.cKDTree
+
+    def counted_tree(points, *args, **kwargs):
+        built.append(points)
+        return tree(points, *args, **kwargs)
+
+    monkeypatch.setattr(nrreg.mesh, "cKDTree", counted_tree)
+    source = compute_normals(grid_mesh(12, 12))
+    cloud = compute_normals(Surface(_twist(grid_mesh(40, 40).vertices)))
+    s_n, t_n, _ = normalize_pair(source, cloud)
+    s_n, t_n = compute_normals(s_n), compute_normals(t_n)
+    assert built == []
+    register(s_n, t_n)
+    assert [p.ctypes.data for p in built] == [t_n.vertices.ctypes.data]
+
+
+def test_warm_started_register_computes_no_mesh_normals(monkeypatch):
+    """Only rigid ICP reads normals: a registration between meshes runs one
+    face-normal pass per surface, and one given initial_state runs none."""
+    calls = []
+    face_normals = nrreg.mesh._face_vertex_normals
+
+    def counted(vertices, faces):
+        calls.append(len(vertices))
+        return face_normals(vertices, faces)
+
+    monkeypatch.setattr(nrreg.mesh, "_face_vertex_normals", counted)
+    src = grid_mesh(10, 10)
+    target = Surface(src.vertices @ rot_z(0.1).T, src.faces)
+    s_n, t_n, _ = normalize_pair(compute_normals(src), compute_normals(target))
+    s_n, t_n = compute_normals(s_n), compute_normals(t_n)
+    cold = register(s_n, t_n)
+    assert calls == [100, 100]
+    calls.clear()
+    warm = register(compute_normals(s_n), compute_normals(t_n), graph=cold.graph,
+                    initial_state=cold.final_state)
+    assert calls == [] and warm.rigid_init is None
 
 
 def test_register_refuses_wrongly_shaped_normals():
