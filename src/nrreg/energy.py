@@ -19,14 +19,15 @@ surrogate is a fixed quadratic form plus the rotation term.  An inner solve
 expands the quadratic part once around its start ``X0``
 (:meth:`SurrogateSystem.expand`, from the start's residuals) and evaluates
 every trial ``X = X0 + S`` in the 4r-dimensional state space: energy
-``E0 + <G0, S> + <S, 2 M S> / 2`` and gradient ``G0 + 2 M S``.  ``2 M`` is
+``E0 + <G0, S> + <S, C> / 2`` and gradient ``G0 + C``, where ``C = 2 M S`` is
+carried along, never multiplied out (:meth:`Trial.along`; the inner solver
+takes each direction's ``2 M d`` from its two-loop recursion).  ``2 M`` is
 assembled as a symmetric band (:class:`nrreg.graph.BandMatrix`, in the
-graph's reverse Cuthill-McKee node order), so ``2 M S`` is one banded
-``dsbmv`` per column of S.  The inner solver's initial Hessian is
-``H0 = 2 M + diag(c)``, with ``c`` 2 beta on the A rows plus ``SPD_JITTER``
-(:meth:`SurrogateSystem.h0_diagonal`); ``c`` is added only to the copy of
-the band that is factored.  A :class:`Trial` holds ``S``, ``2 M S`` and the
-exact rotation residuals; only the state the solve stops at is deformed.
+graph's reverse Cuthill-McKee node order) only to be factored: the initial
+Hessian is ``H0 = 2 M + diag(c)``, with ``c`` 2 beta on the A rows plus
+``SPD_JITTER`` (:meth:`SurrogateSystem.h0_diagonal`).  A :class:`Trial`
+holds ``S``, ``C`` and the exact rotation residuals; only the state the
+solve stops at is deformed.  Inner products are BLAS dots (``np.vdot``).
 
 ``proj(A_j)``, the closest rotation to a node's affine block, comes from the
 unscaled Newton polar iteration ``X <- (X + cof(X) / det(X)) / 2`` from
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .graph import BandMatrix, DeformationGraph, transform_points
+from .graph import DeformationGraph, transform_points
 
 SPD_JITTER = 1e-8
 KERNELS = ("welsch", "l2")
@@ -183,10 +184,16 @@ def project_rotations(As):
     return out
 
 
+def _a_blocks(X):
+    """Each node's ``A_j``, as an (r, 3, 3) view of a state-shaped array."""
+    return X.reshape(-1, 4, 3)[:, :3].transpose(0, 2, 1)
+
+
 def rotation_residual(X):
     """Each node's ``A_j - proj(A_j)``, as an (r, 3, 3) array."""
-    A, _ = unpack_state(X)
-    return A - project_rotations(A)
+    A = _a_blocks(X)
+    rot = project_rotations(A)
+    return np.subtract(A, rot, out=rot)
 
 
 def reg_residual(g, X):
@@ -215,18 +222,11 @@ def deform(g, X, rot=None):
 @dataclass(frozen=True)
 class Expansion:
     """The quadratic part of a surrogate around a start state ``X0``: its
-    energy and gradient at ``X0``, and its Hessian ``2 M``."""
+    energy and gradient at ``X0``."""
 
     X0: np.ndarray           # (4r, 3) the start state
     energy: float            # the quadratic part at X0
     gradient: np.ndarray     # (4r, 3) its gradient at X0
-    two_m: BandMatrix        # (4r, 4r) the assembled 2 M
-
-    def trial(self, X):
-        """Evaluate state ``X`` in state space: one product with ``2 M`` and
-        one batched rotation projection."""
-        step = X - self.X0
-        return Trial(X, step, self.two_m @ step, rotation_residual(X), self)
 
 
 @dataclass(frozen=True)
@@ -238,6 +238,12 @@ class Trial:
     curv: np.ndarray           # (4r, 3) 2 M step
     rot: np.ndarray            # (r, 3, 3) rotation residuals, A_j - proj(A_j)
     expansion: Expansion
+
+    def along(self, X, lam, d, two_m_d):
+        """The trial ``X = self.X + lam d``, given ``two_m_d = 2 M d``: one
+        batched rotation projection and no product with ``2 M``."""
+        return Trial(X, self.step + lam * d, self.curv + lam * two_m_d,
+                     rotation_residual(X), self.expansion)
 
 
 def total_energy(d: Deformed, corr, params: EnergyParams):
@@ -269,8 +275,7 @@ class SurrogateSystem:
     def _quadratic_energy(self, d):
         if isinstance(d, Trial):
             q = d.expansion
-            return (q.energy + float(np.sum(q.gradient * d.step))
-                    + 0.5 * float(np.sum(d.step * d.curv)))
+            return q.energy + np.vdot(q.gradient, d.step) + 0.5 * np.vdot(d.step, d.curv)
         ra = d.points - self.U
         ea = float(np.sum(self.wa * np.sum(ra * ra, axis=1)))
         er = float(np.sum(self.wr * np.sum(d.edges * d.edges, axis=1)))
@@ -284,13 +289,14 @@ class SurrogateSystem:
                       + self.params.alpha * (g.BT @ (self.wr[:, None] * d.edges)))
 
     def energy(self, d):
-        return self._quadratic_energy(d) + self.params.beta * float(np.sum(d.rot ** 2))
+        return self._quadratic_energy(d) + self.params.beta * np.vdot(d.rot, d.rot)
 
     def gradient(self, d):
         G = self._quadratic_gradient(d)
         if self.params.beta != 0.0:
             # the rotation term acts on the A rows only
-            G = G + 2.0 * self.params.beta * pack_state(d.rot, np.zeros((len(d.rot), 3)))
+            A = _a_blocks(G)
+            A += 2.0 * self.params.beta * d.rot
         return G
 
     def h0_diagonal(self):
@@ -309,12 +315,11 @@ class SurrogateSystem:
         # doubling every weight is exact, so this is the doubled sum
         return self.graph.h0_plan.assemble(2.0 * self.wa, 2.0 * self.params.alpha * self.wr)
 
-    def expand(self, d0: Deformed, two_m):
+    def expand(self, d0: Deformed):
         """The quadratic part around the evaluated state ``d0``, from its
-        residuals, as the :class:`Trial` of a zero step from ``d0``;
-        ``two_m`` is this system's :meth:`assemble_H0`."""
-        quad = Expansion(d0.X, self._quadratic_energy(d0), self._quadratic_gradient(d0), two_m)
-        zero = np.zeros_like(d0.X)
+        residuals, as the :class:`Trial` of a zero step from ``d0``."""
+        quad = Expansion(d0.X, self._quadratic_energy(d0), self._quadratic_gradient(d0))
+        zero = np.zeros(d0.X.shape)
         return Trial(d0.X, zero, zero, d0.rot, quad)
 
 

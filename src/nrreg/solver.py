@@ -90,14 +90,14 @@ class LbfgsHistory:
     descends wherever the gradient is nonzero."""
 
     def __init__(self, m):
-        self.pairs = deque(maxlen=m)   # (S, T, rho), oldest first
+        self.pairs = deque(maxlen=m)   # (S, T, rho, Z), oldest first
 
-    def push(self, S, T):
-        """Store the pair if ``rho > CURVATURE_EPS |S| |T|``; says whether it did."""
-        rho = float(np.sum(T * S))
-        if not rho > CURVATURE_EPS * np.linalg.norm(S) * np.linalg.norm(T):
+    def push(self, S, T, Z):
+        """Store the pair and ``Z = H0 S`` if ``rho > CURVATURE_EPS |S| |T|``."""
+        rho = np.vdot(T, S)
+        if not rho > CURVATURE_EPS * np.sqrt(np.vdot(S, S) * np.vdot(T, T)):
             return False
-        self.pairs.append((S, T, rho))
+        self.pairs.append((S, T, rho, Z))
         return True
 
     def __len__(self):
@@ -105,27 +105,31 @@ class LbfgsHistory:
 
 
 def two_loop_direction(hist: LbfgsHistory, grad, h0_solve):
-    """L-BFGS descent direction from the two-loop recursion.
+    """L-BFGS descent direction ``d`` from the two-loop recursion, and ``H0 d``.
 
-    ``h0_solve`` applies the inverse of the initial Hessian approximation.
-    With an empty history this is a plain ``-H0^{-1} grad`` step.
+    ``h0_solve`` applies the inverse of the initial Hessian approximation
+    H0.  With an empty history ``d`` is a plain ``-H0^{-1} grad`` step.
+    ``H0 d`` is ``Q``, the first loop's output, plus each pair's ``Z = H0 S``
+    times the coefficient the second loop adds ``S`` with: no product.
     """
     Q = -grad
     xis = []
-    for S, T, rho in reversed(hist.pairs):
-        xi = float(np.sum(S * Q)) / rho
+    for S, T, rho, _ in reversed(hist.pairs):
+        xi = np.vdot(S, Q) / rho
         Q = Q - xi * T
         xis.append(xi)
     xis.reverse()               # align with oldest-first iteration below
-    R = h0_solve(Q)
-    for (S, T, rho), xi in zip(hist.pairs, xis):
-        eta = float(np.sum(T * R)) / rho
+    R, H0R = h0_solve(Q), Q
+    for (S, T, rho, Z), xi in zip(hist.pairs, xis):
+        eta = np.vdot(T, R) / rho
         R = R + S * (xi - eta)
-    return R
+        H0R = H0R + Z * (xi - eta)
+    return R, H0R
 
 
 def line_search(energy_fn, X, d, E0, g_dot_d, gamma):
     """Backtracking from step 1, halving until sufficient decrease holds.
+    ``energy_fn(X_new, lam)`` is the energy at ``X_new = X + lam d``.
 
     Returns ``(lam, X_new, E_new)`` or ``None`` if no step above the floor is
     accepted.
@@ -133,7 +137,7 @@ def line_search(energy_fn, X, d, E0, g_dot_d, gamma):
     lam = 1.0
     while lam >= MIN_STEP:
         X_new = X + lam * d
-        E_new = energy_fn(X_new)
+        E_new = energy_fn(X_new, lam)
         if E_new <= E0 + gamma * lam * g_dot_d:
             return lam, X_new, E_new
         lam *= 0.5
@@ -176,10 +180,14 @@ def solve_inner(sys, start, params: SolverParams):
     ``start`` is the evaluated state (:func:`nrreg.energy.deform`) to start
     from.  The surrogate's quadratic part is expanded once around it
     (:meth:`nrreg.energy.SurrogateSystem.expand`), and every line-search
-    trial is evaluated in state space: one product with its Hessian ``2 M``
-    and one batched rotation projection, with no pass over the source
-    points.  The trial evaluation serves the gradient at the accepted point
-    too.  Only the state the solve stops at is deformed.
+    trial is evaluated in state space (:meth:`nrreg.energy.Trial.along`):
+    one batched rotation projection, no pass over the source points and no
+    product with ``2 M``, since each direction's ``2 M d`` is ``H0 d - c d``
+    with ``H0 d`` from the two-loop recursion.  An accepted step ``lam d`` is
+    stored with ``H0 S = lam H0 d``; the difference of its trials' ``2 M S``
+    would lose to cancellation once steps are small.  The trial evaluation
+    serves the gradient at the accepted point too.  Only the state the
+    solve stops at is deformed.
 
     Returns ``(end, reason)``: the evaluated state it stops at and why it
     stopped: ``tolerance`` (the energy decrease fell below ``eps1``),
@@ -187,16 +195,16 @@ def solve_inner(sys, start, params: SolverParams):
     (``MAX_INNER_ITERS`` ran out) or ``stationary`` (a zero gradient; any
     other gives a descent direction, see :class:`LbfgsHistory`).
     """
-    two_m = sys.assemble_H0()
-    h0_solve = factor_h0(two_m, sys.h0_diagonal()).solve
-    first = cur = sys.expand(start, two_m)
+    c = sys.h0_diagonal()[:, None]
+    h0_solve = factor_h0(sys.assemble_H0(), c.ravel()).solve
+    first = cur = sys.expand(start)
 
     trial = None
 
-    def trial_energy(X):
+    def trial_energy(X, lam):
         # the last point evaluated is the accepted one if the search succeeds
         nonlocal trial
-        trial = first.expansion.trial(X)
+        trial = cur.along(X, lam, d, two_m_d)
         return sys.energy(trial)
 
     hist = LbfgsHistory(params.m)
@@ -204,18 +212,19 @@ def solve_inner(sys, start, params: SolverParams):
     G = sys.gradient(cur)
     reason = "iteration_cap"
     for _ in range(MAX_INNER_ITERS):
-        d = two_loop_direction(hist, G, h0_solve)
-        gd = float(np.sum(G * d))
+        d, h0_d = two_loop_direction(hist, G, h0_solve)
+        gd = np.vdot(G, d)
         if gd >= 0.0:
             reason = "stationary"
             break
+        two_m_d = h0_d - c * d
         step = line_search(trial_energy, cur.X, d, E, gd, params.gamma)
         if step is None:
             reason = "line_search"
             break
-        _, X_new, E_new = step
+        lam, _, E_new = step
         G_new = sys.gradient(trial)
-        hist.push(X_new - cur.X, G_new - G)
+        hist.push(lam * d, G_new - G, lam * h0_d)
         decrease = E - E_new
         cur, E, G = trial, E_new, G_new
         if decrease < params.eps1:

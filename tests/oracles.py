@@ -202,44 +202,60 @@ def surrogate_gradient(sys, X):
 
 def solve_inner_expanded(sys, X0, params):
     """L-BFGS on one surrogate with its quadratic part expanded around the
-    array ``X0``: at ``X = X0 + S`` the part is ``E0 + <G0, S> + <S, 2 M S> / 2``
-    with gradient ``G0 + 2 M S``; the initial Hessian is ``2 M`` plus the
-    diagonal ``2 beta`` on the A rows and ``SPD_JITTER``.  Energy and
-    gradient are evaluated separately at every point.  Returns the final
-    state and why the solve stopped."""
+    array ``X0``: at ``X = X0 + S`` the part is ``E0 + <G0, S> + <S, C> / 2``
+    with gradient ``G0 + C``, where ``C = 2 M S`` is carried along the solve
+    and never multiplied out.  The initial Hessian H0 is ``2 M`` plus the
+    diagonal ``c``, 2 beta on the A rows and ``SPD_JITTER``.  Each
+    direction's ``2 M d`` is ``H0 d - c d``, with ``H0 d`` from the two-loop
+    recursion; a trial ``lam`` along ``d`` from ``(S, C)`` is
+    ``(S + lam d, C + lam 2 M d)``, and the pair stored for an accepted
+    step is ``(lam d, G_new - G)`` with ``H0 S = lam H0 d``.  Energy and
+    gradient are evaluated separately at every point, the rotation term
+    with the scalar projection and added to the A rows of the gradient in
+    place; inner products are BLAS dots.  Returns the final state and why
+    the solve stopped."""
     p = sys.params
-    two_m = sys.assemble_H0()
     c = np.tile([2.0 * p.beta] * 3 + [0.0], sys.graph.n_nodes) + SPD_JITTER
+    h0_solve = factor_h0(sys.assemble_H0(), c).solve
+    c = c[:, None]
     E0, G0 = quadratic_energy(sys, X0), quadratic_gradient(sys, X0)
 
-    def energy(X):
-        S = X - X0
+    def rotation_residual(X):
         A, _ = unpack_state(X)
-        return (E0 + float(np.sum(G0 * S)) + 0.5 * float(np.sum(S * (two_m @ S)))
-                + p.beta * float(np.sum((A - project_rotations_newton(A)) ** 2)))
+        return A - project_rotations_newton(A)
 
-    def gradient(X):
-        G = G0 + two_m @ (X - X0)
-        return G + rotation_gradient(sys, X) if p.beta != 0.0 else G
+    def energy(X, S, C):
+        R = rotation_residual(X)
+        return E0 + np.vdot(G0, S) + 0.5 * np.vdot(S, C) + p.beta * np.vdot(R, R)
 
-    h0_solve = factor_h0(two_m, c).solve
+    def gradient(X, C):
+        G = G0 + C
+        if p.beta != 0.0:
+            R = rotation_residual(X)
+            for k in range(3):
+                G[k::4] += 2.0 * p.beta * R[:, :, k]
+        return G
+
     hist = LbfgsHistory(params.m)
-    X = X0
-    E = energy(X)
-    G = gradient(X)
+    X, S, C = X0, np.zeros_like(X0), np.zeros_like(X0)
+    E = energy(X, S, C)
+    G = gradient(X, C)
     for _ in range(MAX_INNER_ITERS):
-        d = two_loop_direction(hist, G, h0_solve)
-        gd = float(np.sum(G * d))
+        d, h0_d = two_loop_direction(hist, G, h0_solve)
+        gd = np.vdot(G, d)
         if gd >= 0.0:
             return X, "stationary"
-        step = line_search(energy, X, d, E, gd, params.gamma)
+        two_m_d = h0_d - c * d
+        step = line_search(lambda X_new, lam: energy(X_new, S + lam * d, C + lam * two_m_d),
+                           X, d, E, gd, params.gamma)
         if step is None:
             return X, "line_search"
-        _, X_new, E_new = step
-        G_new = gradient(X_new)
-        hist.push(X_new - X, G_new - G)
+        lam, X_new, E_new = step
+        S_new, C_new = S + lam * d, C + lam * two_m_d
+        G_new = gradient(X_new, C_new)
+        hist.push(lam * d, G_new - G, lam * h0_d)
         decrease = E - E_new
-        X, E, G = X_new, E_new, G_new
+        X, S, C, E, G = X_new, S_new, C_new, E_new, G_new
         if decrease < params.eps1:
             return X, "tolerance"
     return X, "iteration_cap"

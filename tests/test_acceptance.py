@@ -246,9 +246,9 @@ def test_criterion_04_two_loop(capsys):
             # well conditioned
             while float(np.sum(S * T)) < 0.2 * np.linalg.norm(S) * np.linalg.norm(T):
                 T = rng.normal(size=(4, 3))
-            hist.push(S, T)
+            hist.push(S, T, (H0 @ S.ravel()).reshape(S.shape))
         grad = rng.normal(size=(4, 3))
-        d = two_loop_direction(
+        d, _ = two_loop_direction(
             hist, grad,
             lambda Q: np.linalg.solve(H0, Q.reshape(n)).reshape(Q.shape))
         expected = dense_bfgs_direction(hist.pairs, grad, np.linalg.inv(H0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.blas
 from scipy.sparse import csr_matrix
 from scipy.spatial.transform import Rotation
 
@@ -11,14 +12,14 @@ from nrreg.correspond import CorrespondenceSet
 from nrreg.energy import (EnergyParams, SurrogateSystem, assemble_surrogate, deform,
                           identity_state)
 from nrreg.errors import InvalidInputError, SolverError
-from nrreg.evaluate import GroundTruth, rmse
+from nrreg.evaluate import GroundTruth, rmse, synthesize_deformation
 from nrreg.graph import DeformationGraph, build_graph
 from nrreg.mesh import Surface, compute_normals, mean_edge_length, normalize_pair
 from nrreg.solver import (LbfgsHistory, RegistrationResult, SolverParams,
                           TraceRow, anneal_schedule, factor_h0, line_search, register,
                           solve_inner, two_loop_direction)
 
-from conftest import grid_mesh, rot_z
+from conftest import grid_mesh, linear_twist, rot_z
 from test_energy import random_graph, random_state
 
 
@@ -59,13 +60,13 @@ def test_params_reject_unknown_kernel_and_sampler():
 def test_history_ring_buffer_and_curvature_guard():
     hist = LbfgsHistory(2)
     S = np.arange(12.0).reshape(4, 3) - 5.0
-    assert hist.push(S, S)                          # positive curvature
-    assert not hist.push(S, np.zeros((4, 3)))       # rho = 0 rejected
-    assert not hist.push(S, -S)                     # negative curvature rejected
+    assert hist.push(S, S, S)                       # positive curvature
+    assert not hist.push(S, np.zeros((4, 3)), S)    # rho = 0 rejected
+    assert not hist.push(S, -S, S)                  # negative curvature rejected
     assert len(hist) == 1
     S2, S3 = 2.0 * S, S + 1.0
-    assert hist.push(S2, S3)
-    assert hist.push(S3, S3)
+    assert hist.push(S2, S3, S2)
+    assert hist.push(S3, S3, S3)
     assert len(hist) == 2                           # oldest pair dropped
     assert hist.pairs[0][0] is S2 and hist.pairs[1][0] is S3
 
@@ -74,7 +75,7 @@ def dense_bfgs_direction(pairs, grad, H0_inv):
     """Explicit inverse-Hessian BFGS oracle on flattened variables."""
     H = H0_inv.copy()
     n = H.shape[0]
-    for S, T, _ in pairs:                    # oldest first
+    for S, T, *_ in pairs:                   # oldest first
         s = S.ravel()[:, None]
         y = T.ravel()[:, None]
         rho = 1.0 / float(s.ravel() @ y.ravel())
@@ -96,20 +97,24 @@ def test_two_loop_matches_dense_bfgs():
         T = rng.normal(size=(4, 3))
         if float(np.sum(S * T)) < 0:
             T = -T
-        hist.push(S, T)
+        hist.push(S, T, (H0 @ S.ravel()).reshape(S.shape))
     grad = rng.normal(size=(4, 3))
-    d = two_loop_direction(hist, grad,
-                           lambda Q: np.linalg.solve(H0, Q.reshape(n)).reshape(Q.shape))
+    d, h0_d = two_loop_direction(hist, grad,
+                                 lambda Q: np.linalg.solve(H0, Q.reshape(n)).reshape(Q.shape))
     expected = dense_bfgs_direction(hist.pairs, grad, H0_inv)
     assert np.abs(d - expected).max() < 1e-8
+    # H0 d from the recursion, with no product by H0
+    H0d = (H0 @ d.ravel()).reshape(d.shape)
+    assert np.abs(h0_d - H0d).max() <= 1e-12 * np.abs(H0d).max()
 
 
 def test_two_loop_empty_history_is_newton():
     rng = np.random.default_rng(2)
     grad = rng.normal(size=(4, 3))
     hist = LbfgsHistory(5)
-    d = two_loop_direction(hist, grad, lambda Q: 0.5 * Q)
+    d, h0_d = two_loop_direction(hist, grad, lambda Q: 0.5 * Q)
     assert np.allclose(d, -0.5 * grad)
+    assert np.array_equal(h0_d, -grad)
 
 
 def test_line_search_accepts_newton_step_on_quadratic():
@@ -118,7 +123,7 @@ def test_line_search_accepts_newton_step_on_quadratic():
     A = M @ M.T + 6 * np.eye(6)
     x = rng.normal(size=6)
 
-    def f(z):
+    def f(z, lam=None):
         return 0.5 * float(z @ A @ z)
 
     g = A @ x
@@ -131,7 +136,7 @@ def test_line_search_accepts_newton_step_on_quadratic():
 
 
 def test_line_search_backtracks():
-    def f(z):
+    def f(z, lam=None):
         return float(np.sum(z ** 2))
 
     x = np.array([1.0])
@@ -336,6 +341,33 @@ def test_register_evaluates_each_point_once(monkeypatch):
     assert counts["projections"] == counts["trials"] + 1
     assert counts["moved"] > 0
     assert counts["deforms"] == counts["moved"] + 1
+
+
+def test_register_makes_no_band_product(monkeypatch):
+    """Registering the 25x25 twist of the acceptance criteria multiplies
+    by no band (no ``dsbmv``) and solves with H0 once per two-loop
+    direction: each direction's ``2 M d`` comes from the recursion."""
+    counts = {"dsbmv": 0, "solves": 0, "directions": 0}
+    dsbmv, solve, direction = (scipy.linalg.blas.dsbmv, nrreg.solver.H0Factor.solve,
+                               nrreg.solver.two_loop_direction)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg.blas, "dsbmv", counted("dsbmv", dsbmv))
+    monkeypatch.setattr(nrreg.solver.H0Factor, "solve", counted("solves", solve))
+    monkeypatch.setattr(nrreg.solver, "two_loop_direction", counted("directions", direction))
+    src = compute_normals(grid_mesh(25, 25))
+    g = build_graph(src)
+    target, _ = synthesize_deformation(src, g, *linear_twist(g, max_angle_deg=10.0, lift=0.02))
+    s_n, t_n, _ = normalize_pair(src, target)
+    res = register(compute_normals(s_n), compute_normals(t_n))
+    assert len(res.energy_trace) > 1
+    assert counts["dsbmv"] == 0
+    assert counts["solves"] == counts["directions"] > len(res.energy_trace)
 
 
 def test_register_builds_one_target_index(monkeypatch):
