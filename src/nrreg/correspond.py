@@ -1,11 +1,13 @@
 """Closest-point queries, and rigid ICP with its own pair rejection.
 
-The spatial index is exact: ties between equidistant target points resolve to
-the lowest index.  Hard distance/normal rejection is used only during the
-rigid initialization; the robust kernel takes over during non-rigid solves.
+Closest points are exact, queried on the target surface's own k-d tree
+(:func:`nrreg.mesh._kd_tree`): ties between equidistant target points
+resolve to the lowest index.  Hard distance/normal rejection is used only
+during the rigid initialization; the robust kernel takes over during
+non-rigid solves.
 
 Queries repeat with small moves (every outer iteration, every ICP iteration),
-so a query may be answered from the last one on the same index.  If the last
+so a query may be answered from the last one on the same tree.  If the last
 query point ``p`` had nearest target point ``u`` and every other target point
 lay at least ``m`` from it, every other point lies at least ``m - |q - p|``
 from the new query point ``q`` (triangle inequality); when ``|q - u|`` is
@@ -19,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from .energy import pack_state
 from .errors import InitializationError, InvalidInputError
 from .mesh import Surface, _kd_tree
 
@@ -30,90 +34,69 @@ DEFAULT_ICP_ITERS = 15
 ROUNDING_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 
 
-class SpatialIndex:
-    """Exact nearest-neighbor index over a fixed point set: a surface's
-    points, or an (n, 3) array's.  It queries the surface's own k-d tree
-    (:func:`nrreg.mesh._kd_tree`), built on the first query and shared with
-    everything else derived from the surface."""
-
-    def __init__(self, points):
-        surface = points if isinstance(points, Surface) else Surface(points)
-        if surface.n_vertices == 0:
-            raise InvalidInputError("cannot index an empty point set")
-        self.points = surface.vertices
-        self._surface = surface
-
-    @property
-    def _tree(self):
-        return _kd_tree(self._surface)
-
-    def query(self, queries):
-        """Nearest index and distance per query; equidistant ties give the
-        lowest index."""
-        idx, dist, _ = self._query_with_margin(queries)
-        return idx, dist
-
-    def _query_with_margin(self, queries):
-        """:meth:`query` plus each query's second-nearest distance, a lower
-        bound on its distance to every target point but the nearest; 0 where
-        there is none (one target point) or it is beyond the float range."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        k = min(2, len(self.points))
-        d, idx = self._tree.query(queries, k=k)
-        if k == 1:
-            return idx.ravel().astype(np.int64), d.ravel(), np.zeros(len(d))
-        dist = d[:, 0].copy()
-        best = idx[:, 0].copy()
-        tied = d[:, 0] == d[:, 1]
-        for q in np.where(tied)[0]:
-            cands = np.array(self._tree.query_ball_point(
-                queries[q], dist[q] * (1 + 1e-12) + 1e-300), dtype=np.int64)
-            # the tree's own distance formula: a dot product can round a tied
-            # candidate above dist[q] and drop it
-            at_min = cands[_distances(self.points[cands] - queries[q]) <= dist[q]]
-            best[q] = at_min.min(initial=best[q])
-        second = d[:, 1]
-        return best.astype(np.int64), dist, np.where(np.isfinite(second), second, 0.0)
-
-
 @dataclass
 class CorrespondenceSet:
     """Per-query nearest target point.
 
     A set made by :func:`find_correspondences` also keeps what certifies its
-    answers for the next query on the same index: the query points, a lower
+    answers for the next query on the same target: the query points, a lower
     bound ``margin`` on each query point's distance to every target point
-    but its nearest, and the index itself.  A set built by hand has none of
-    them and is never reused."""
+    but its nearest, and the k-d tree that answered.  A set built by hand
+    has none of them and is never reused."""
 
     indices: np.ndarray      # (n,) target index rho(i)
     positions: np.ndarray    # (n, 3) u_rho(i)
     distances: np.ndarray    # (n,)
     queries: np.ndarray | None = None    # (n, 3) the query points
     margin: np.ndarray | None = None     # (n,) distance bound to the other points
-    index: SpatialIndex | None = None    # the index that answered
+    tree: cKDTree | None = None          # the target's k-d tree that answered
 
 
-def find_correspondences(queries, target: Surface, index: SpatialIndex | None = None,
-                         previous: CorrespondenceSet | None = None):
+def find_correspondences(queries, target: Surface, previous: CorrespondenceSet | None = None):
     """Exact closest target point per query, with no pair rejected (rigid
-    ICP rejects its own pairs).  ``index`` is a :class:`SpatialIndex` over
-    the target, made here if omitted.
+    ICP rejects its own pairs); an empty target raises ``InvalidInputError``.
 
-    ``previous`` is the last set found on the same ``index`` for as many
+    ``previous`` is the last set found on the target's k-d tree for as many
     queries, row for row.  A row whose old nearest point is certified still
     nearest (see the module docstring) keeps it without a tree query; every
     other row is queried.  The result is bit for bit the one found without
-    ``previous``, which is ignored when it comes from another index or has
-    another number of rows."""
+    ``previous``, which is ignored when another tree answered it (another
+    surface's, even over equal points; a :func:`~nrreg.mesh.compute_normals`
+    copy shares its surface's) or it has another number of rows."""
+    if target.n_vertices == 0:
+        raise InvalidInputError("cannot query an empty point set")
     queries = np.array(queries, dtype=np.float64)   # a copy: the set keeps it
-    if index is None:
-        index = SpatialIndex(target)
-    if previous is None or previous.index is not index or len(previous.indices) != len(queries):
-        idx, dist, margin = index._query_with_margin(queries)
+    tree = _kd_tree(target)
+    if previous is None or previous.tree is not tree or len(previous.indices) != len(queries):
+        idx, dist, margin = _nearest(target, queries)
     else:
-        idx, dist, margin = _certified_query(index, queries, previous)
-    return CorrespondenceSet(idx, target.vertices[idx], dist, queries, margin, index)
+        idx, dist, margin = _certified_query(target, queries, previous)
+    return CorrespondenceSet(idx, target.vertices[idx], dist, queries, margin, tree)
+
+
+def _nearest(target: Surface, queries):
+    """Nearest target index and distance per query, equidistant ties giving
+    the lowest index, and each query's second-nearest distance: a lower
+    bound on its distance to every target point but the nearest, 0 where
+    there is none (one target point) or it is beyond the float range."""
+    queries = np.atleast_2d(queries)
+    tree = _kd_tree(target)
+    k = min(2, target.n_vertices)
+    d, idx = tree.query(queries, k=k)
+    if k == 1:
+        return idx.ravel().astype(np.int64), d.ravel(), np.zeros(len(d))
+    dist = d[:, 0].copy()
+    best = idx[:, 0].copy()
+    tied = d[:, 0] == d[:, 1]
+    for q in np.where(tied)[0]:
+        cands = np.array(tree.query_ball_point(
+            queries[q], dist[q] * (1 + 1e-12) + 1e-300), dtype=np.int64)
+        # the tree's own distance formula: a dot product can round a tied
+        # candidate above dist[q] and drop it
+        at_min = cands[_distances(target.vertices[cands] - queries[q]) <= dist[q]]
+        best[q] = at_min.min(initial=best[q])
+    second = d[:, 1]
+    return best.astype(np.int64), dist, np.where(np.isfinite(second), second, 0.0)
 
 
 def _distances(r):
@@ -122,7 +105,7 @@ def _distances(r):
     return np.sqrt(r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2])
 
 
-def _certified_query(index, queries, previous):
+def _certified_query(target, queries, previous):
     """Nearest point per query, keeping ``previous``'s wherever its margin,
     less the query's step, still exceeds the distance to it.  The step is
     taken off with an allowance of 8 eps of (margin + step) for the relative
@@ -137,10 +120,10 @@ def _certified_query(index, queries, previous):
         step = _distances(queries - previous.queries)
         margin = previous.margin - step - (8 * eps * (previous.margin + step)
                                            + ROUNDING_FLOOR)
-        dist = _distances(queries - index.points[idx])
+        dist = _distances(queries - target.vertices[idx])
         miss = ~(dist * (1 + 4 * eps) < margin)
     if miss.any():
-        idx[miss], dist[miss], margin[miss] = index._query_with_margin(queries[miss])
+        idx[miss], dist[miss], margin[miss] = _nearest(target, queries[miss])
     return idx, dist, margin
 
 
@@ -178,8 +161,7 @@ def best_rigid(src_pts, dst_pts):
 
 
 def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
-                   eps_d=DEFAULT_EPS_D, theta=DEFAULT_THETA_DEG,
-                   index: SpatialIndex | None = None):
+                   eps_d=DEFAULT_EPS_D, theta=DEFAULT_THETA_DEG):
     """Point-to-point ICP with distance/normal pair rejection.
 
     A pair is kept when its points lie at most ``eps_d`` apart and its
@@ -190,20 +172,17 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     (``|n . m| >= cos theta``).  Fewer than 3 pairs kept raise
     ``InitializationError``.
 
-    The iterations start from the identity.  ``index`` is a
-    :class:`SpatialIndex` over the target, made here if omitted.
+    The iterations start from the identity.
     """
     if source.normals is None or target.normals is None:
         raise InvalidInputError("rigid ICP needs normals on both surfaces")
-    if index is None:
-        index = SpatialIndex(target)
     rt = RigidTransform.identity()
     signed = source.has_faces and target.has_faces
     cos_lim = np.cos(np.deg2rad(theta))
     corr = None
     for it in range(iters):
         moved = rt.apply(source.vertices)
-        corr = find_correspondences(moved, target, index, previous=corr)
+        corr = find_correspondences(moved, target, previous=corr)
         dots = np.einsum("ij,ij->i", source.normals @ rt.rotation.T,
                          target.normals[corr.indices])
         if not signed:
@@ -219,8 +198,6 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
 def lift_rigid_to_state(rt: RigidTransform, g):
     """Per-node state that reproduces the rigid map exactly under blending:
     A_j = R and t_j = R p_j + t - p_j."""
-    from .energy import pack_state
-
     r = g.n_nodes
     A = np.broadcast_to(rt.rotation, (r, 3, 3)).copy()
     t = g.node_positions @ rt.rotation.T + rt.translation - g.node_positions

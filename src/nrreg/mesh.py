@@ -76,6 +76,8 @@ class Surface:
         n = len(v)
         if self.faces is not None:
             f = freeze("faces", self.faces, np.int64)
+            if f.ndim != 2 or f.shape[1] != 3:
+                raise InvalidInputError(f"faces must be an (f, 3) array, got shape {f.shape}")
             if f.size and (f.min() < 0 or f.max() >= n):
                 raise InvalidInputError("face index out of range")
         if self.edges is None:
@@ -83,6 +85,8 @@ class Surface:
                    else edges_from_faces(self.faces), np.int64)
         else:
             e = freeze("edges", self.edges, np.int64)
+            if e.ndim != 2 or e.shape[1] != 2:
+                raise InvalidInputError(f"edges must be an (e, 2) array, got shape {e.shape}")
             if e.size:
                 if e.min() < 0 or e.max() >= n:
                     raise InvalidInputError("edge index out of range")
@@ -119,8 +123,9 @@ class Surface:
 
 def _kd_tree(s: Surface):
     """The k-d tree over the surface's points, built on the first query and
-    kept with the surface: its k-NN graph, its PCA normals and the
-    :class:`~nrreg.correspond.SpatialIndex` over it all query this one."""
+    kept with the surface: its k-NN graph, its PCA normals and the closest
+    points found on it (:func:`~nrreg.correspond.find_correspondences`) all
+    query this one."""
     return s.derived("kd_tree", lambda s: cKDTree(s.vertices))
 
 

@@ -20,8 +20,7 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .correspond import (DEFAULT_EPS_D, DEFAULT_ICP_ITERS, DEFAULT_THETA_DEG,
-                         SpatialIndex, find_correspondences, lift_rigid_to_state,
-                         rigid_icp_init)
+                         find_correspondences, lift_rigid_to_state, rigid_icp_init)
 from .energy import KERNELS, EnergyParams, assemble_surrogate, deform, total_energy
 from .errors import InvalidInputError, SolverError
 from .graph import DEFAULT_RADIUS_FACTOR, SAMPLERS, build_graph
@@ -72,6 +71,12 @@ class SolverParams:
             raise InvalidInputError(f"unknown kernel {self.kernel!r}")
         if self.sampler not in SAMPLERS:
             raise InvalidInputError(f"unknown sampler {self.sampler!r}")
+        for name in ("m", "i_max", "icp_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.fixed_nu, (bool, np.bool_)):
+            raise InvalidInputError(f"fixed_nu must be a bool, got {self.fixed_nu!r}")
         for name, low in (("m", 1), ("i_max", 1), ("icp_iters", 0),
                           ("k_alpha", 0.0), ("k_beta", 0.0)):
             if not getattr(self, name) >= low:
@@ -310,17 +315,16 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
     if graph.n_nodes == 0:
         raise InvalidInputError("empty deformation graph")
 
-    index = SpatialIndex(target)
     rigid = None
     if initial_state is None:
         rigid = rigid_icp_init(source, target, iters=params.icp_iters,
-                               eps_d=params.eps_d, theta=params.theta, index=index)
+                               eps_d=params.eps_d, theta=params.theta)
         X = lift_rigid_to_state(rigid, graph)
     else:
         X = np.array(initial_state, dtype=np.float64)
 
     cur = deform(graph, X)
-    corr0 = find_correspondences(cur.points, target, index)
+    corr0 = find_correspondences(cur.points, target)
     d_bar = float(np.median(corr0.distances))
 
     nu_a_min = params.nu_a_min_factor * l_bar
@@ -351,7 +355,7 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
             new, inner_reason = solve_inner(sys, cur, params)
             inner_reasons.append(inner_reason)
             max_disp = float(np.max(np.linalg.norm(new.points - cur.points, axis=1)))
-            corr = find_correspondences(new.points, target, index, previous=corr)
+            corr = find_correspondences(new.points, target, previous=corr)
             energy = total_energy(new, corr, eparams)
             trace.append(TraceRow(stage, k, nu_a, nu_r, energy, max_disp,
                                   time.perf_counter() - t_start))

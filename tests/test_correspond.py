@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import nrreg.correspond
-from nrreg.correspond import (RigidTransform, SpatialIndex, best_rigid,
+from nrreg.correspond import (RigidTransform, best_rigid, find_correspondences,
                               lift_rigid_to_state, rigid_icp_init)
 from nrreg.errors import InitializationError, InvalidInputError
 from nrreg.graph import build_graph, transform_points
@@ -17,15 +17,20 @@ def brute_nearest(queries, points):
     return d.argmin(axis=1), d.min(axis=1)
 
 
+def nearest(queries, points):
+    corr = find_correspondences(queries, Surface(points))
+    return corr.indices, corr.distances
+
+
 def test_index_matches_brute_force():
-    """At any coordinate scale the index's distance is the row norm of the
-    difference to the bit, which warm-started queries rely on (see
+    """At any coordinate scale the closest point's distance is the row norm
+    of the difference to the bit, which warm-started queries rely on (see
     ``nrreg.correspond``)."""
     rng = np.random.default_rng(0)
     for scale in (1e-9, 1e-3, 1.0, 1e3, 1e9):
         pts = (rng.uniform(size=(300, 3)) + 7.3) * scale
         q = (rng.uniform(size=(100, 3)) + 7.3) * scale
-        got_i, got_d = SpatialIndex(pts).query(q)
+        got_i, got_d = nearest(q, pts)
         exp_i, exp_d = brute_nearest(q, pts)
         assert np.allclose(got_d, exp_d, rtol=1e-14, atol=0.0)
         assert np.array_equal(got_i, exp_i)
@@ -34,8 +39,7 @@ def test_index_matches_brute_force():
 
 def test_tie_break_lowest_index():
     pts = np.array([[2.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0]])
-    idx = SpatialIndex(pts)
-    i, d = idx.query(np.zeros((1, 3)))
+    i, d = nearest(np.zeros((1, 3)), pts)
     assert d[0] == pytest.approx(1.0)
     assert i[0] == 1  # indices 1 and 2 tie; lowest wins
     # two points at the same distance as the tree computes it: the lowest
@@ -47,7 +51,7 @@ def test_tie_break_lowest_index():
         v = rng.normal(size=3) * rng.choice([1e-2, 1.0, 1e2])
         pts = np.array([c + v, c - v, c + 3 * v])[rng.permutation(3)]
         d, i = cKDTree(pts).query(c, k=2)
-        got_i, got_d = SpatialIndex(pts).query(c)
+        got_i, got_d = nearest(c[None], pts)
         assert got_d[0] == d[0]
         if d[0] == d[1]:
             ties += 1
@@ -57,7 +61,33 @@ def test_tie_break_lowest_index():
 
 def test_empty_index_rejected():
     with pytest.raises(InvalidInputError):
-        SpatialIndex(np.empty((0, 3)))
+        nearest(np.zeros((1, 3)), np.empty((0, 3)))
+
+
+def test_previous_sets_are_reused_on_the_same_tree(monkeypatch):
+    """A set found on a surface is reused on its normals copy, which shares
+    its k-d tree, so fewer rows reach the tree; a surface over equal points
+    has its own tree and reuses none.  Every answer is the cold one."""
+    sent = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            sent.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(nrreg.mesh, "cKDTree", CountingTree)
+    rng = np.random.default_rng(6)
+    target = Surface(rng.uniform(size=(200, 3)))
+    queries = rng.uniform(size=(50, 3))
+    prev = find_correspondences(queries, target)
+    moved = queries + rng.normal(scale=1e-4, size=queries.shape)
+    cold = find_correspondences(moved, target)
+    for surface, reused in ((compute_normals(target), True), (Surface(target.vertices), False)):
+        sent.clear()
+        warm = find_correspondences(moved, surface, prev)
+        assert (sum(sent) < len(moved)) == reused
+        assert warm.indices.tobytes() == cold.indices.tobytes()
+        assert warm.distances.tobytes() == cold.distances.tobytes()
 
 
 def kept_pairs(monkeypatch, source, target, **reject):
@@ -170,19 +200,25 @@ def test_rigid_icp_with_outliers():
     assert np.abs(rt.translation - t).max() < 5e-2
 
 
-def test_rigid_icp_with_a_given_index_builds_none(monkeypatch):
+def test_rigid_icp_builds_one_tree_on_the_target(monkeypatch):
+    """Every ICP iteration queries the target's own k-d tree, built once at
+    the first query; the source gets none."""
     src = compute_normals(grid_mesh(10, 10, wavy=0.1))
     tgt = compute_normals(Surface(src.vertices @ rot_z(0.1).T, src.faces.copy()))
-    index = SpatialIndex(tgt.vertices)
-    expected = rigid_icp_init(src, tgt)
+    trees = []
 
-    def no_build(self, points):
-        raise AssertionError("rigid ICP built its own index")
+    class CountingTree(nrreg.mesh.cKDTree):
+        def __init__(self, points, *args, **kwargs):
+            trees.append(self)
+            super().__init__(points, *args, **kwargs)
 
-    monkeypatch.setattr(SpatialIndex, "__init__", no_build)
-    rt = rigid_icp_init(src, tgt, index=index)
-    assert np.array_equal(rt.rotation, expected.rotation)
-    assert np.array_equal(rt.translation, expected.translation)
+    monkeypatch.setattr(nrreg.mesh, "cKDTree", CountingTree)
+    rt = rigid_icp_init(src, tgt, iters=5)
+    assert len(trees) == 1 and trees[0] is nrreg.mesh._kd_tree(tgt)
+    again = rigid_icp_init(src, tgt, iters=5)
+    assert len(trees) == 1
+    assert np.array_equal(rt.rotation, again.rotation)
+    assert np.array_equal(rt.translation, again.translation)
 
 
 def test_rigid_icp_requires_normals():

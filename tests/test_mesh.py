@@ -57,6 +57,18 @@ def test_surface_rejects_wrongly_shaped_normals(normals):
         Surface(np.zeros((100, 3)), normals=normals())
 
 
+@pytest.mark.parametrize("faces, edges", [
+    (np.array([0, 1, 2]), None), ([[0, 1, 2, 3]], None), (np.empty(0), None),
+    (np.zeros((1, 3, 1)), None), (None, [[0, 1, 2]]), (None, np.array([0, 1])),
+    (None, np.empty(0))],
+    ids=["flat faces", "quad", "flat empty faces", "3-d faces", "edge of 3",
+         "flat edges", "flat empty edges"])
+def test_surface_rejects_wrongly_shaped_faces_and_edges(faces, edges):
+    name = "faces" if edges is None else "edges"
+    with pytest.raises(InvalidInputError, match=name + r" must be an \(\w, [23]\) array"):
+        Surface(np.zeros((4, 3)), faces, edges)
+
+
 def test_surface_is_immutable():
     mesh_ = compute_normals(grid_mesh(3, 3))
     cloud = Surface(np.eye(3), edges=np.array([[0, 1], [1, 2]]), normals=np.eye(3))

@@ -77,8 +77,8 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from nrreg.correspond import (CorrespondenceSet, RigidTransform, SpatialIndex,
-                              find_correspondences, lift_rigid_to_state)
+from nrreg.correspond import (CorrespondenceSet, RigidTransform, find_correspondences,
+                              lift_rigid_to_state)
 from nrreg.energy import (SPD_JITTER, EnergyParams, SurrogateSystem, Trial,
                           assemble_surrogate, deform, gaussian_weight, project_rotations,
                           total_energy)
@@ -273,16 +273,14 @@ def test_warm_correspondences_are_the_cold_ones(walk, scale, offset):
     """Along a walk of query sets, each found from the last, the closest
     points are bit for bit those found cold, and every margin is below the
     distance to every target point but the nearest.  A NaN query is never
-    certified (the tree refuses it), and a previous set from another index
-    or with another number of rows is ignored."""
+    certified (the tree refuses it), and a previous set from another surface's
+    tree or with another number of rows is ignored."""
     kind, pts, raw, steps, spacing, rng = walk
     target = Surface(pts * scale + offset)
-    index = SpatialIndex(target.vertices)
     # every query's nearest decoy point is the target's first point, and the
     # other decoy point is far: its sets would certify that point everywhere
     decoy = Surface(target.vertices[0] + np.array([[0.0] * 3, [1e3 * scale] * 3]))
-    decoy_index = SpatialIndex(decoy.vertices)
-    prev = find_correspondences(raw * scale + offset, target, index)
+    prev = find_correspondences(raw * scale + offset, target)
     for step in steps:
         moved = raw.copy()
         if step == "nan":
@@ -301,17 +299,16 @@ def test_warm_correspondences_are_the_cold_ones(walk, scale, offset):
         if step == "nan":
             for previous in (None, prev):
                 with pytest.raises(ValueError):
-                    find_correspondences(queries, target, index, previous)
+                    find_correspondences(queries, target, previous)
             continue
-        cold = find_correspondences(queries, target, index)
-        warm = find_correspondences(queries, target, index, prev)
+        cold = find_correspondences(queries, target)
+        warm = find_correspondences(queries, target, prev)
         assert _same_correspondences(warm, cold)
-        foreign = find_correspondences(queries, decoy, decoy_index)
-        assert _same_correspondences(find_correspondences(queries, target, index, foreign), cold)
+        foreign = find_correspondences(queries, decoy)
+        assert _same_correspondences(find_correspondences(queries, target, foreign), cold)
         if len(queries) > 1:
-            fewer = find_correspondences(queries[1:], target, index)
-            assert _same_correspondences(find_correspondences(queries, target, index, fewer),
-                                         cold)
+            fewer = find_correspondences(queries[1:], target)
+            assert _same_correspondences(find_correspondences(queries, target, fewer), cold)
         dist = np.linalg.norm(queries[:, None, :] - target.vertices[None, :, :], axis=2)
         dist[np.arange(len(queries)), warm.indices] = np.inf
         assert np.all(warm.margin <= dist.min(axis=1))

@@ -44,9 +44,19 @@ def test_params_reject_out_of_range_counts_and_factors(field, value):
         SolverParams(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 2.5), ("i_max", 2.5), ("icp_iters", 1.5), ("m", 5.0), ("i_max", True),
+    ("icp_iters", "3"), ("fixed_nu", "no"), ("fixed_nu", 1), ("fixed_nu", None)])
+def test_params_reject_wrongly_typed_counts_and_flags(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        SolverParams(**{field: value})
+
+
 def test_params_accept_boundary_values():
     p = SolverParams(icp_iters=0, k_alpha=0.0, k_beta=0.0, m=1, i_max=1)
     assert (p.icp_iters, p.m, p.i_max) == (0, 1, 1)
+    p = SolverParams(m=np.int64(3), fixed_nu=np.bool_(True))
+    assert p.m == 3 and p.fixed_nu
 
 
 def test_params_reject_unknown_kernel_and_sampler():
@@ -371,23 +381,22 @@ def test_register_makes_no_band_product(monkeypatch):
 
 
 def test_register_builds_one_target_index(monkeypatch):
-    """Rigid ICP queries the index the outer loop then uses, and the index
-    queries the target's own k-d tree."""
-    built = []
-    init = nrreg.correspond.SpatialIndex.__init__
+    """Rigid ICP and the outer loop query one k-d tree, the target's own;
+    between two meshes it is the only tree built."""
+    trees = []
 
-    def counted_init(self, points):
-        built.append(self)
-        init(self, points)
-        assert points is t_n
+    class CountingTree(nrreg.mesh.cKDTree):
+        def __init__(self, points, *args, **kwargs):
+            trees.append(self)
+            super().__init__(points, *args, **kwargs)
 
-    monkeypatch.setattr(nrreg.correspond.SpatialIndex, "__init__", counted_init)
+    monkeypatch.setattr(nrreg.mesh, "cKDTree", CountingTree)
     src = compute_normals(grid_mesh(8, 8))
     s_n, t_n, _ = normalize_pair(src, src)
     t_n = compute_normals(t_n)
     res = register(compute_normals(s_n), t_n)
     assert res.rigid_init is not None
-    assert len(built) == 1 and built[0]._tree is nrreg.mesh._kd_tree(t_n)
+    assert len(trees) == 1 and trees[0] is nrreg.mesh._kd_tree(t_n)
 
 
 def test_register_warm_closest_points_are_the_cold_ones(monkeypatch, tmp_path):
@@ -406,12 +415,12 @@ def test_register_warm_closest_points_are_the_cold_ones(monkeypatch, tmp_path):
             sent.append(len(x))
             return super().query(x, *args, **kwargs)
 
-    def counted_find(queries, target, index=None, previous=None):
+    def counted_find(queries, target, previous=None):
         asked.append(len(queries))
-        return find(queries, target, index, previous)
+        return find(queries, target, previous)
 
-    def cold_find(queries, target, index=None, previous=None):
-        return find(queries, target, index)
+    def cold_find(queries, target, previous=None):
+        return find(queries, target)
 
     monkeypatch.setattr(nrreg.mesh, "cKDTree", CountingTree)
     for module in (nrreg.correspond, nrreg.solver):
