@@ -64,7 +64,7 @@ def find_correspondences(queries, target: Surface, previous: CorrespondenceSet |
     surface's, even over equal points; a :func:`~nrreg.mesh.compute_normals`
     copy shares its surface's) or it has another number of rows."""
     if target.n_vertices == 0:
-        raise InvalidInputError("cannot query an empty point set")
+        raise InvalidInputError("cannot index an empty point set")
     queries = np.array(queries, dtype=np.float64)   # a copy: the set keeps it
     tree = _kd_tree(target)
     if previous is None or previous.tree is not tree or len(previous.indices) != len(queries):
@@ -176,6 +176,8 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     """
     if source.normals is None or target.normals is None:
         raise InvalidInputError("rigid ICP needs normals on both surfaces")
+    if target.n_vertices == 0:
+        raise InvalidInputError("cannot index an empty point set")
     rt = RigidTransform.identity()
     signed = source.has_faces and target.has_faces
     cos_lim = np.cos(np.deg2rad(theta))

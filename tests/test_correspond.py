@@ -62,6 +62,11 @@ def test_tie_break_lowest_index():
 def test_empty_index_rejected():
     with pytest.raises(InvalidInputError):
         nearest(np.zeros((1, 3)), np.empty((0, 3)))
+    src = compute_normals(grid_mesh(3, 3))
+    empty = Surface(np.empty((0, 3)), normals=np.empty((0, 3)))
+    for iters in (0, 1):
+        with pytest.raises(InvalidInputError):
+            rigid_icp_init(src, empty, iters=iters)
 
 
 def test_previous_sets_are_reused_on_the_same_tree(monkeypatch):
