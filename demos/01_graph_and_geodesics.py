@@ -45,9 +45,10 @@ def main(out_dir="demo_out"):
     # Geodesic distances respect the surface: compare the marching distance
     # from one corner to the opposite one against the straight-line chord.
     field = geodesic_from(s, 0)
-    far = int(np.argmax(field.distances))
+    k = int(np.argmax(field.distances))
+    far = int(field.indices[k])
     chord = np.linalg.norm(s.vertices[far] - s.vertices[0])
-    print(f"farthest vertex {far}: geodesic {field.distances[far]:.4f} "
+    print(f"farthest vertex {far}: geodesic {field.distances[k]:.4f} "
           f"vs Euclidean chord {chord:.4f} (the wave makes the surface longer)")
 
     # Node sampling at the default influence radius R = 5 * mean edge length.

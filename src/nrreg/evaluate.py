@@ -56,11 +56,10 @@ def add_gaussian_normal_noise(s: Surface, fraction, sigma, rng_seed=0):
 
 def remove_region(s: Surface, seed_vertex, geodesic_radius):
     """Delete all vertices within a geodesic ball of the seed, reindexing."""
-    if geodesic_radius <= 0:
+    if not geodesic_radius > 0:
         raise InvalidInputError("radius must be positive")
-    d = geodesic_from(s, seed_vertex).distances
-    keep = d > geodesic_radius
-    keep[seed_vertex] = False
+    keep = np.ones(s.n_vertices, dtype=bool)
+    keep[geodesic_from(s, seed_vertex, cap=geodesic_radius).indices] = False
     if not keep.any():
         raise InvalidInputError("removal would empty the surface")
     new_index = -np.ones(s.n_vertices, dtype=np.int64)

@@ -6,6 +6,9 @@ triangle update; every update is clamped from above by the corresponding edge
 Surfaces without faces fall back to Dijkstra, either on their explicit edges
 or on a k-nearest-neighbor graph for raw point clouds.
 
+A field holds only what its march reached, the vertices no farther than
+the cap, in ascending index order: no n-length array per march.
+
 What a surface is marched on is built on first use and kept with the
 surface, which never changes (:meth:`nrreg.mesh.Surface.derived`): for fast
 marching, each vertex's incident triangles with their edge lengths and
@@ -33,9 +36,11 @@ from .mesh import Surface, surface_edges
 
 @dataclass
 class GeodesicField:
-    """Distances from one seed vertex; entries beyond the march's cap are +inf."""
+    """The vertices one seed's march reached, ascending, and their distances;
+    a vertex on another component or beyond the march's cap is absent."""
 
-    distances: np.ndarray
+    indices: np.ndarray     # (k,) int64
+    distances: np.ndarray   # (k,) float64, each finite and at most the cap
 
 
 def _edge_graph(points, edges):
@@ -79,7 +84,8 @@ def _incident_triangles(points, faces):
 def _geometry(s: Surface):
     """What ``s`` is marched on, built once per surface: the
     :func:`_incident_triangles` table for fast marching on a mesh, the
-    surface graph's CSR matrix of edge lengths for Dijkstra otherwise."""
+    surface graph's CSR matrix of edge lengths for Dijkstra otherwise.  Each
+    march returns the :class:`GeodesicField` of what it reached."""
     if s.has_faces:
         return s.derived("fmm", lambda s: _incident_triangles(s.vertices, s.faces))
     return s.derived("dijkstra", lambda s: _edge_graph(s.vertices, surface_edges(s)))
@@ -89,9 +95,9 @@ def _dijkstra(graph, seed, cap):
     limit = np.inf if cap is None else cap
     d = _csgraph_dijkstra(graph, directed=False, indices=[seed],
                           limit=limit, min_only=True)
-    if cap is not None:
-        d = np.where(d > cap, np.inf, d)
-    return np.asarray(d, dtype=np.float64)
+    # an unreached vertex is at +inf, which an uncapped limit would keep
+    idx = np.flatnonzero(np.isfinite(d) & (d <= limit))
+    return GeodesicField(idx, d[idx])
 
 
 def _triangle_update(dc_a, dc_b, b_len, a_len, cab):
@@ -156,21 +162,17 @@ def _fast_marching(incident, seed, cap):
                 dist[c] = cand
                 heapq.heappush(heap, (cand, c))
     # a capped march reaches few of the vertices: convert only those
-    out = np.full(n, np.inf)
-    out[reached] = [dist[v] for v in reached]
-    if cap is not None:
-        out[out > cap] = np.inf
-    return out
+    idx = sorted(v for v in reached if dist[v] <= limit)
+    return GeodesicField(np.array(idx, dtype=np.int64), np.array([dist[v] for v in idx]))
 
 
 def geodesic_from(s: Surface, seed, cap=None):
-    """Single-source geodesic distances from ``seed``: fast marching on a
-    mesh, Dijkstra on its edges or k-NN graph otherwise.  With ``cap``
-    given, distances beyond the cap are reported as +inf.  Disconnected
-    vertices are +inf, not an error.
-    """
+    """The :class:`GeodesicField` of the vertices a march from ``seed``
+    reaches: fast marching on a mesh, Dijkstra on its edges or k-NN graph
+    otherwise, stopped at ``cap`` if given.  Vertices beyond the cap or on
+    another component are left out, which is not an error."""
     if not (0 <= seed < s.n_vertices):
         raise InvalidInputError(f"seed {seed} out of range")
     march = _fast_marching if s.has_faces else _dijkstra
-    return GeodesicField(march(_geometry(s), seed, cap))
+    return march(_geometry(s), seed, cap)
 

@@ -121,6 +121,7 @@ class DeformationGraph:
     radius: float
     influence: csr_matrix           # (n, r) normalized weights w_ij
     source_positions: np.ndarray    # (n, 3) the points the weights refer to
+    # always empty (every point has a node below R); perfbench's counter reads it
     fallback_points: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     # F and B are CSC views of the CSR transposes the gradient multiplies by
     F: csc_matrix = field(init=False, repr=False)   # (n, 4r)
@@ -241,20 +242,13 @@ def principal_axis(points):
     return axis
 
 
-def node_field(distances, R):
-    """A node's geodesic field as the (vertex indices, distances) of its
-    entries within R, the points the node influences."""
-    idx = np.flatnonzero(distances < R)
-    return idx, distances[idx]
-
-
 def sample_nodes_pca(s: Surface, R):
     """Scan points sorted by first-principal-axis projection; keep a point
     iff its geodesic distance to all kept points is at least ``R``.
 
-    Returns the nodes and their fields (see :func:`node_field`).  Each field
-    is marched once, capped at R, which leaves every distance below R
-    unchanged."""
+    Returns the nodes and their fields: the (vertex indices, distances) of
+    the points below R from each node, the points it influences, from one
+    march capped at R."""
     if not R > 0:
         raise InvalidInputError("R must be positive")
     n = s.n_vertices
@@ -264,7 +258,9 @@ def sample_nodes_pca(s: Surface, R):
     nodes, fields = [], []
     for i in np.argsort(s.vertices @ principal_axis(s.vertices), kind="stable"):
         if nearest[i] >= R:
-            idx, d = node_field(geodesic_from(s, int(i), cap=R).distances, R)
+            f = geodesic_from(s, int(i), cap=R)
+            inside = f.distances < R
+            idx, d = f.indices[inside], f.distances[inside]
             nearest[idx] = np.minimum(nearest[idx], d)
             nodes.append(int(i))
             fields.append((idx, d))
@@ -279,8 +275,8 @@ def sample_nodes_farthest(s: Surface, R):
     The half-radius coverage target is the conventional farthest-point
     stopping rule for deformation-graph nodes (each point then has several
     nodes inside its influence radius ``R``); it produces a denser node set
-    than the PCA scan at the same ``R``.  Returns the nodes and their fields
-    (see :func:`node_field`).
+    than the PCA scan at the same ``R``.  Returns the nodes and their fields,
+    cut to R as :func:`sample_nodes_pca` cuts them.
 
     Every node f is the argmax of the running minimum ``nearest``, so no
     vertex farther than ``nearest[f]`` from f can lower its minimum, and the
@@ -298,38 +294,24 @@ def sample_nodes_farthest(s: Surface, R):
         far = int(np.argmax(nearest))
         if nearest[far] <= 0.5 * R:
             return np.array(nodes, dtype=np.int64), fields
-        d = geodesic_from(s, far, cap=max(float(nearest[far]), R)).distances
-        np.minimum(nearest, d, out=nearest)
+        f = geodesic_from(s, far, cap=max(float(nearest[far]), R))
+        nearest[f.indices] = np.minimum(nearest[f.indices], f.distances)
+        inside = f.distances < R
         nodes.append(far)
-        fields.append(node_field(d, R))
+        fields.append((f.indices[inside], f.distances[inside]))
 
 
-def influence_weights(s: Surface, node_indices, fields, R):
-    """Per-point influence sets and normalized weights from the node fields
-    (see :func:`node_field`).
-
-    Points farther than ``R`` from every node get full weight on their
-    Euclidean nearest node; those fallbacks are reported separately.  A
-    graph the samplers built has none: the PCA scan makes a node of every
-    point not within ``R`` of an earlier node, and farthest-point sampling
-    stops only with every point within ``R/2`` of a node."""
-    n = s.n_vertices
+def influence_weights(n, fields, R):
+    """The (n, r) influence matrix from the node fields of a sampler: the
+    weights ``(1 - D^2/R^2)^3``, normalized per point.  Every point has a
+    node, since the PCA scan makes a node of every point not below R from an
+    earlier node, and farthest-point sampling covers every point to R/2."""
     node = np.repeat(np.arange(len(fields)), [len(idx) for idx, _ in fields])
     vert = np.concatenate([idx for idx, _ in fields])
     raw = (1.0 - (np.concatenate([d for _, d in fields]) / R) ** 2) ** 3
-
-    fallback = np.flatnonzero(np.bincount(vert, minlength=n) == 0)
-    if len(fallback) > 0:
-        extra = [np.argmin(np.linalg.norm(s.vertices[node_indices] - s.vertices[v], axis=1))
-                 for v in fallback]
-        node = np.concatenate([node, extra])
-        vert = np.concatenate([vert, fallback])
-        raw = np.concatenate([raw, np.ones(len(fallback))])
-
     # per-point sums accumulate in node order, as a dense column sum would
     sums = np.bincount(vert, weights=raw, minlength=n)
-    mat = csr_matrix((raw / sums[vert], (vert, node)), shape=(n, len(node_indices)))
-    return mat, fallback
+    return csr_matrix((raw / sums[vert], (vert, node)), shape=(n, len(fields)))
 
 
 def build_graph(s: Surface, R=None, sampler="pca"):
@@ -351,7 +333,7 @@ def build_graph(s: Surface, R=None, sampler="pca"):
     else:
         raise InvalidInputError(f"unknown sampler {sampler!r}")
 
-    weights, fallback = influence_weights(s, nodes, fields, R)
+    weights = influence_weights(s.n_vertices, fields, R)
 
     # nodes j < k are joined when they share a point of positive weight; a
     # sparse product leaves its indices in no particular order
@@ -366,7 +348,6 @@ def build_graph(s: Surface, R=None, sampler="pca"):
         radius=float(R),
         influence=weights,
         source_positions=s.vertices,
-        fallback_points=fallback,
     )
 
 

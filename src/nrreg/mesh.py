@@ -12,6 +12,7 @@ k-d tree.  An ascii PLY body is converted to float64 in one pass.
 
 from __future__ import annotations
 
+import numbers
 import re
 import struct
 from dataclasses import dataclass, field, replace
@@ -68,6 +69,17 @@ class Surface:
             object.__setattr__(self, name, value)
             return value
 
+        def freeze_indices(name, value):
+            a = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+            if a.dtype == object:
+                # numpy would read True as 1 and "2" as 2: only numbers pass
+                a = np.array([x if isinstance(x, numbers.Real) and not isinstance(x, bool)
+                              else np.nan for x in a.flat]).reshape(a.shape)
+            if not (a.dtype.kind in "iu" or a.dtype.kind == "f"
+                    and np.all(np.isfinite(a) & (a == np.trunc(a)))):
+                raise InvalidInputError(f"{name} must hold integer indices")
+            return freeze(name, a, np.int64)
+
         v = freeze("vertices", self.vertices, np.float64)
         if v.ndim != 2 or v.shape[1] != 3:
             raise InvalidInputError("vertices must be an (n, 3) array")
@@ -75,7 +87,7 @@ class Surface:
             raise InvalidInputError("vertices must be finite")
         n = len(v)
         if self.faces is not None:
-            f = freeze("faces", self.faces, np.int64)
+            f = freeze_indices("faces", self.faces)
             if f.ndim != 2 or f.shape[1] != 3:
                 raise InvalidInputError(f"faces must be an (f, 3) array, got shape {f.shape}")
             if f.size and (f.min() < 0 or f.max() >= n):
@@ -84,7 +96,7 @@ class Surface:
             freeze("edges", np.empty((0, 2)) if self.faces is None
                    else edges_from_faces(self.faces), np.int64)
         else:
-            e = freeze("edges", self.edges, np.int64)
+            e = freeze_indices("edges", self.edges)
             if e.ndim != 2 or e.shape[1] != 2:
                 raise InvalidInputError(f"edges must be an (e, 2) array, got shape {e.shape}")
             if e.size:

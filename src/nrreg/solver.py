@@ -9,6 +9,8 @@ outlier suppression.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, fields
@@ -57,33 +59,34 @@ class SolverParams:
     icp_iters: int = DEFAULT_ICP_ITERS
 
     def __post_init__(self):
+        # each field is checked by its annotation, read as a string
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise InvalidInputError(f"{f.name} must be finite")
+            if f.type == "float" and (isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) and math.isfinite(value))):
+                raise InvalidInputError(f"{f.name} must be a finite real number, got {value!r}")
+            elif f.type == "int" and (isinstance(value, bool)
+                                      or not isinstance(value, (int, np.integer))):
+                raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
+            elif f.type == "bool" and not isinstance(value, (bool, np.bool_)):
+                raise InvalidInputError(f"{f.name} must be a bool, got {value!r}")
         if not (0.0 < self.gamma < 1.0):
             raise InvalidInputError("gamma must lie in (0, 1)")
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise InvalidInputError("tolerances must be positive")
         if self.nu_a_max_factor < self.nu_a_min_factor or self.nu_a_min_factor <= 0:
             raise InvalidInputError("need nu_a_max >= nu_a_min > 0")
         if self.kernel not in KERNELS:
             raise InvalidInputError(f"unknown kernel {self.kernel!r}")
         if self.sampler not in SAMPLERS:
             raise InvalidInputError(f"unknown sampler {self.sampler!r}")
-        for name in ("m", "i_max", "icp_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.fixed_nu, (bool, np.bool_)):
-            raise InvalidInputError(f"fixed_nu must be a bool, got {self.fixed_nu!r}")
         for name, low in (("m", 1), ("i_max", 1), ("icp_iters", 0),
                           ("k_alpha", 0.0), ("k_beta", 0.0)):
             if not getattr(self, name) >= low:
                 raise InvalidInputError(f"{name} must be at least {low}")
-        for name in ("radius_factor", "nu_r_max_factor"):
+        for name in ("eps1", "eps2", "radius_factor", "nu_r_max_factor", "eps_d"):
             if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be positive")
+        if not 0.0 < self.theta <= 180.0:
+            raise InvalidInputError("theta must lie in (0, 180] degrees")
 
 
 class LbfgsHistory:

@@ -31,8 +31,9 @@ blended node by node, one edge residual per directed edge, and each node's
 rotation projected on its own by SVD.
 
 The farthest-point sampler below marches every node's field uncapped, as
-the definition reads; the package caps each march at ``max(nearest[f], R)``,
-which leaves uncapped only the first march on each component.
+the definition reads, and reads it as a dense array (``dense``); the package
+caps each march at ``max(nearest[f], R)``, which leaves uncapped only the
+first march on each component, and reads only the vertices a march reached.
 
 The package evaluates each state once (``energy.deform``) and lets the
 surrogate energy, its gradient and the inner solver read that record; the
@@ -56,7 +57,7 @@ from scipy.spatial import cKDTree
 
 from nrreg.energy import POLAR_ITERS, POLAR_TOL, SPD_JITTER, pack_state, unpack_state
 from nrreg.geodesic import geodesic_from
-from nrreg.graph import directed_edges, node_field
+from nrreg.graph import directed_edges
 from nrreg.solver import (MAX_INNER_ITERS, LbfgsHistory, factor_h0, line_search,
                           two_loop_direction)
 from nrreg.errors import FormatError, InvalidInputError
@@ -261,20 +262,29 @@ def solve_inner_expanded(sys, X0, params):
     return X, "iteration_cap"
 
 
+def dense(field, n):
+    """A :class:`nrreg.geodesic.GeodesicField` as an (n,) array of distances,
+    +inf at every vertex the march did not reach."""
+    out = np.full(n, np.inf)
+    out[field.indices] = field.distances
+    return out
+
+
 def sample_nodes_farthest_uncapped(s, R):
     """Farthest-point sampling from vertex 0 to half-radius coverage of every
     component, every node's field marched uncapped; returns the nodes and
-    their fields as ``nrreg.graph.node_field`` cuts them."""
+    their fields as the (vertex indices, distances) of the points below R."""
     nearest = np.full(s.n_vertices, np.inf)
     nodes, fields = [], []
     while True:
         far = int(np.argmax(nearest))
         if nearest[far] <= 0.5 * R:
             return np.array(nodes, dtype=np.int64), fields
-        d = geodesic_from(s, far).distances
+        d = dense(geodesic_from(s, far), s.n_vertices)
         np.minimum(nearest, d, out=nearest)
         nodes.append(far)
-        fields.append(node_field(d, R))
+        idx = np.flatnonzero(d < R)
+        fields.append((idx, d[idx]))
 
 
 def triangle_update(dc_a, dc_b, p_c, p_a, p_b):

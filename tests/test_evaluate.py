@@ -5,10 +5,12 @@ from nrreg.errors import InvalidInputError
 from nrreg.evaluate import (GroundTruth, add_gaussian_normal_noise,
                             random_node_rotations, remove_region, rmse,
                             synthesize_deformation)
+from nrreg.geodesic import geodesic_from
 from nrreg.graph import build_graph
 from nrreg.mesh import compute_normals
 
 from conftest import grid_mesh
+from oracles import dense
 
 
 def test_rmse_arithmetic():
@@ -49,13 +51,16 @@ def test_remove_region():
     s = grid_mesh(10, 10)
     out, keep = remove_region(s, seed_vertex=44, geodesic_radius=0.3)
     assert not keep[44]
+    # the capped march removes the ball of the uncapped field
+    assert np.array_equal(keep, dense(geodesic_from(s, 44), s.n_vertices) > 0.3)
     assert out.n_vertices == int(keep.sum())
     assert out.n_vertices < s.n_vertices
     # surviving vertices keep their coordinates; faces are valid reindexes
     assert np.array_equal(out.vertices, s.vertices[keep])
     assert out.faces.min() >= 0 and out.faces.max() < out.n_vertices
-    with pytest.raises(InvalidInputError):
-        remove_region(s, 0, -1.0)
+    for radius in (-1.0, 0.0, float("nan")):
+        with pytest.raises(InvalidInputError, match="radius must be positive"):
+            remove_region(s, 0, radius)
     with pytest.raises(InvalidInputError):
         remove_region(s, 0, 100.0)   # would remove everything
 

@@ -7,20 +7,20 @@ from nrreg.geodesic import geodesic_from
 from nrreg.mesh import Surface, compute_normals, normalize_pair
 
 from conftest import grid_mesh, polyline_surface
-from oracles import fast_marching, knn_geodesics
+from oracles import dense, fast_marching, knn_geodesics
 
 
 def test_polyline_distances():
     s = polyline_surface(4, spacing=2.0)
-    d = geodesic_from(s, 0).distances
+    d = dense(geodesic_from(s, 0), 4)
     assert np.allclose(d, [0.0, 2.0, 4.0, 6.0])
-    d = geodesic_from(s, 2).distances
+    d = dense(geodesic_from(s, 2), 4)
     assert np.allclose(d, [4.0, 2.0, 0.0, 2.0])
 
 
 def test_fmm_flat_grid_close_to_euclidean():
     s = grid_mesh(9, 9, wavy=0.0)
-    d = geodesic_from(s, 0).distances
+    d = dense(geodesic_from(s, 0), s.n_vertices)
     exact = np.linalg.norm(s.vertices - s.vertices[0], axis=1)
     rel = np.abs(d[1:] - exact[1:]) / exact[1:]
     # planar convex domain: geodesics are straight lines.  The right-triangle
@@ -33,30 +33,30 @@ def test_fmm_flat_grid_close_to_euclidean():
 
 def test_fmm_never_exceeds_dijkstra():
     s = grid_mesh(9, 9, wavy=0.1)
-    fmm = geodesic_from(s, 0).distances
-    dij = geodesic_from(Surface(s.vertices, edges=s.edges), 0).distances
+    fmm = dense(geodesic_from(s, 0), s.n_vertices)
+    dij = dense(geodesic_from(Surface(s.vertices, edges=s.edges), 0), s.n_vertices)
     assert np.all(fmm <= dij + 1e-12)
 
 
 def test_cap_semantics():
     s = grid_mesh(9, 9, wavy=0.0)
-    full = geodesic_from(s, 0).distances
-    capped = geodesic_from(s, 0, cap=0.5)
+    full = dense(geodesic_from(s, 0), s.n_vertices)
+    capped = dense(geodesic_from(s, 0, cap=0.5), s.n_vertices)
     inside = full <= 0.5
-    assert np.allclose(capped.distances[inside], full[inside])
-    assert np.all(np.isinf(capped.distances[full > 0.5 + 1e-9]))
+    assert np.allclose(capped[inside], full[inside])
+    assert np.all(np.isinf(capped[full > 0.5 + 1e-9]))
 
 
 def test_repeated_edges_count_once():
     s = polyline_surface(4, spacing=2.0)
     twice = Surface(s.vertices, edges=np.vstack([s.edges, s.edges[:, ::-1], s.edges]))
-    assert np.array_equal(geodesic_from(twice, 0).distances, [0.0, 2.0, 4.0, 6.0])
+    assert np.array_equal(dense(geodesic_from(twice, 0), 4), [0.0, 2.0, 4.0, 6.0])
 
 
 def test_disconnected_vertices_are_inf():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [10, 10, 10]], dtype=float)
     s = Surface(verts, np.array([[0, 1, 2]]))
-    d = geodesic_from(s, 0).distances
+    d = dense(geodesic_from(s, 0), 4)
     assert np.isfinite(d[:3]).all()
     assert np.isinf(d[3])
 
@@ -72,7 +72,7 @@ def test_bad_arguments():
 def test_point_cloud_falls_back_to_knn():
     rng = np.random.default_rng(3)
     pts = rng.uniform(size=(60, 3))
-    d = geodesic_from(Surface(pts), 0).distances
+    d = dense(geodesic_from(Surface(pts), 0), 60)
     assert d[0] == 0.0
     assert np.isfinite(d).all()
 
@@ -83,14 +83,14 @@ def test_point_cloud_geodesics_match_dijkstra_on_the_knn_graph(seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(size=(150, 3)) * [1.0, 1.0, 0.1]
     for v in (0, 77):
-        assert np.allclose(geodesic_from(Surface(pts), v).distances,
+        assert np.allclose(dense(geodesic_from(Surface(pts), v), 150),
                            knn_geodesics(pts, v), rtol=1e-12, atol=0.0)
 
 
 def test_flat_grid_cloud_geodesics_are_path_lengths():
     xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0), indexing="ij")
     cloud = Surface(np.column_stack([xs.ravel(), ys.ravel(), np.zeros(400)]))
-    d = geodesic_from(cloud, 0).distances
+    d = dense(geodesic_from(cloud, 0), 400)
     assert d[1] == 1.0
     # the diagonal steps, the straight line to the far corner
     assert d[-1] == pytest.approx(19.0 * np.sqrt(2.0), rel=1e-12)
@@ -101,7 +101,7 @@ def test_derived_surfaces_march_their_own_geometry():
     by normalizing or adding noise gets its own."""
     s = compute_normals(grid_mesh(9, 9))
     for t in (s, normalize_pair(s, s)[0], add_gaussian_normal_noise(s, 0.5, 0.05, 1)):
-        assert np.array_equal(geodesic_from(t, 3).distances,
+        assert np.array_equal(dense(geodesic_from(t, 3), t.n_vertices),
                               fast_marching(t.vertices, t.faces, 3, None))
 
 
@@ -110,7 +110,7 @@ def test_fmm_matches_pointwise_oracle_on_test_grids(n):
     s = grid_mesh(n, n)
     for seed in range(0, n * n, n + 2):
         for cap in (None, 0.3):
-            assert np.array_equal(geodesic_from(s, seed, cap=cap).distances,
+            assert np.array_equal(dense(geodesic_from(s, seed, cap=cap), n * n),
                                   fast_marching(s.vertices, s.faces, seed, cap))
 
 

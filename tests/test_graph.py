@@ -7,18 +7,23 @@ from nrreg.correspond import RigidTransform, lift_rigid_to_state
 from nrreg.energy import identity_state, pack_state
 from nrreg.errors import InvalidInputError
 from nrreg.geodesic import geodesic_from
-from nrreg.graph import (build_graph, influence_weights, node_field,
-                         principal_axis, sample_nodes_farthest,
-                         sample_nodes_pca, transform_points)
+from nrreg.graph import (build_graph, influence_weights, principal_axis,
+                         sample_nodes_farthest, sample_nodes_pca, transform_points)
 from nrreg.mesh import Surface, mean_edge_length, surface_edges
 
 from conftest import grid_mesh, polyline_surface, rot_z
-from oracles import influence_list
+from oracles import dense, influence_list
 
 
 def fields(s, nodes, R):
-    """Node fields as the samplers return them, for hand-picked nodes."""
-    return [node_field(geodesic_from(s, v).distances, R) for v in nodes]
+    """Node fields as the samplers return them, the (vertex indices,
+    distances) of the points below R, for hand-picked nodes."""
+    out = []
+    for v in nodes:
+        d = dense(geodesic_from(s, v), s.n_vertices)
+        idx = np.flatnonzero(d < R)
+        out.append((idx, d[idx]))
+    return out
 
 
 def test_principal_axis_sign_fixed():
@@ -58,7 +63,7 @@ def test_sampling_separation(grid25):
     for sampler, sep in ((sample_nodes_pca, R), (sample_nodes_farthest, R / 2)):
         nodes, _ = sampler(grid25, R)
         for v in nodes:
-            d = geodesic_from(grid25, int(v)).distances[nodes]
+            d = dense(geodesic_from(grid25, int(v)), grid25.n_vertices)[nodes]
             others = d[nodes != v]
             assert others.min() >= 0.9 * sep
 
@@ -68,12 +73,12 @@ def test_influence_weights_hand_example():
     # 1 and 1.5, so raw weights (1 - (d/R)^2)^3 with R = 2 normalize to
     # 0.421875 / 0.083740 ~ 0.8344 / 0.1656.
     s = polyline_surface(6, spacing=0.5)   # x = 0, .5, 1, 1.5, 2, 2.5
-    W, fallback = influence_weights(s, np.array([0, 5]), fields(s, [0, 5], 2.0), R=2.0)
+    W = influence_weights(s.n_vertices, fields(s, [0, 5], 2.0), R=2.0)
+    assert W.shape == (6, 2)
     w = W.toarray()[2]
     raw = np.array([(1 - (1.0 / 2) ** 2) ** 3, (1 - (1.5 / 2) ** 2) ** 3])
     assert np.allclose(w, raw / raw.sum())
     assert w[0] == pytest.approx(1728.0 / 2071.0)  # (27/64) / (27/64 + 343/4096)
-    assert len(fallback) == 0
 
 
 def test_weights_partition_of_unity(grid25):
@@ -85,19 +90,9 @@ def test_weights_partition_of_unity(grid25):
 def test_weights_locality(grid25):
     g = build_graph(grid25)
     W = g.influence.toarray()
-    covered = np.setdiff1d(np.arange(g.n_points), g.fallback_points)
     for j, v in enumerate(g.node_indices[:4]):
-        d = geodesic_from(grid25, int(v)).distances
-        outside = covered[d[covered] >= g.radius]
-        assert np.all(W[outside, j] == 0.0)
-
-
-def test_fallback_gets_nearest_node():
-    # last point is farther than R from both nodes
-    s = polyline_surface(5)  # x = 0..4
-    W, fallback = influence_weights(s, np.array([0, 1]), fields(s, [0, 1], 1.5), R=1.5)
-    assert fallback.tolist() == [3, 4]
-    assert W.toarray()[4].tolist() == [0.0, 1.0]
+        d = dense(geodesic_from(grid25, int(v)), grid25.n_vertices)
+        assert np.all(W[d >= g.radius, j] == 0.0)
 
 
 def test_build_graph_defaults(grid25):
@@ -163,17 +158,18 @@ def dense_graph_oracle(s, R, sampler):
         for i in np.argsort(s.vertices @ principal_axis(s.vertices), kind="stable"):
             if nearest[i] >= R:
                 nodes.append(int(i))
-                np.minimum(nearest, geodesic_from(s, int(i), cap=R).distances, out=nearest)
+                np.minimum(nearest, dense(geodesic_from(s, int(i), cap=R), s.n_vertices),
+                           out=nearest)
     else:
         nodes = [0]
         while True:
-            np.minimum(nearest, geodesic_from(s, nodes[-1]).distances, out=nearest)
+            np.minimum(nearest, dense(geodesic_from(s, nodes[-1]), s.n_vertices), out=nearest)
             finite = np.where(np.isfinite(nearest), nearest, -1.0)
             if finite.max() <= 0.5 * R:
                 break
             nodes.append(int(np.argmax(finite)))
     nodes = np.array(nodes, dtype=np.int64)
-    dists = np.stack([geodesic_from(s, int(v), cap=R).distances for v in nodes])
+    dists = np.stack([dense(geodesic_from(s, int(v), cap=R), s.n_vertices) for v in nodes])
     raw = np.zeros_like(dists)
     inside = dists < R
     raw[inside] = (1.0 - (dists[inside] / R) ** 2) ** 3

@@ -69,6 +69,27 @@ def test_surface_rejects_wrongly_shaped_faces_and_edges(faces, edges):
         Surface(np.zeros((4, 3)), faces, edges)
 
 
+@pytest.mark.parametrize("faces, edges", [
+    ([[0.5, 1, 2]], None), ([[0, 1, 2.9]], None), (np.array([[0.0, 1.0, 2.5]]), None),
+    ([[True, 1, 2]], None), (np.ones((1, 3), dtype=bool), None), ([["0", "1", "2"]], None),
+    ([[0, 1, None]], None), (np.array([[0.0, 1.0, np.nan]]), None), ([[0, 1, 2], [0, 1]], None),
+    (None, [[0.5, 1.7]]), (None, [[False, 1]]), (None, np.array([["0", "1"]]))],
+    ids=["half", "2.9", "float array", "True", "bool array", "strings", "None", "nan",
+         "ragged", "edge fractions", "edge False", "edge strings"])
+def test_surface_rejects_non_integral_indices(faces, edges):
+    name = "faces" if edges is None else "edges"
+    with pytest.raises(InvalidInputError, match=name + " must hold integer indices"):
+        Surface(np.zeros((4, 3)), faces, edges)
+
+
+@pytest.mark.parametrize("faces", [
+    [[0.0, 1.0, 2.0]], np.array([[0.0, 1.0, 2.0]]), [[np.int32(0), np.float64(1.0), 2]],
+    np.array([[0, 1, 2]], dtype=np.uint8)])
+def test_surface_accepts_whole_float_and_integer_indices(faces):
+    s = Surface(np.zeros((4, 3)), faces)
+    assert s.faces.dtype == np.int64 and s.faces.tolist() == [[0, 1, 2]]
+
+
 def test_surface_is_immutable():
     mesh_ = compute_normals(grid_mesh(3, 3))
     cloud = Surface(np.eye(3), edges=np.array([[0, 1], [1, 2]]), normals=np.eye(3))

@@ -2,12 +2,13 @@
 
 The graph marches each node's field once, capped at R, and reads both the
 sampling test and the influence weights from it.  That is exact only if a
-capped field equals the uncapped one with every entry beyond the cap set to
-+inf.  Farthest-point sampling caps every march at ``max(nearest[f], R)``,
+capped field is the uncapped one cut at the cap; a field holds only the
+vertices its march reached, so it holds nothing of another component.
+Farthest-point sampling caps every march at ``max(nearest[f], R)``,
 and must pick the nodes and fields of a sampler that marches every field
-uncapped.  Two nodes are joined exactly when some point
-lies below R from both by their uncapped fields; a fallback point, which no
-node reaches, joins none.  Fast marching runs on lengths and dots
+uncapped.  Two nodes are joined exactly when some point lies below R from
+both by their uncapped fields, and every point lies below R from some node,
+so every point has a weight.  Fast marching runs on lengths and dots
 precomputed per surface, and must give the fields of a march that takes
 them from the points as it goes, to the last bit.
 
@@ -18,8 +19,7 @@ majorizes it; and each L-BFGS step needs a descent direction.  L-BFGS is
 seeded with ``H0 = 2 M + 2 beta I_A + jitter I``.  The graph's plan fills
 the quadratic part's Hessian ``2 M`` from pair moments of the influence
 offsets: it must be the dense ``2 (F^T W_a F + alpha B^T W_r B)`` on any
-graph (no edges, points on one node, fallback points, coordinates far from
-the origin), exactly symmetric, with its product that of the dense matrix,
+graph (no edges, points on one node, coordinates far from the origin), exactly symmetric, with its product that of the dense matrix,
 and the band Cholesky factor of it plus H0's diagonal must solve the dense
 H0.  It is stored as a band in an order of the nodes, each node's four rows
 together, that holds every node pair sharing a point or an edge inside the
@@ -92,11 +92,11 @@ from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
                           two_loop_direction)
 
 from conftest import grid_mesh
-from oracles import (edges_unique_keys, edges_unique_rows, fast_marching, load_obj_rows,
-                     load_ply_rows, neighbour_covariances, project_rotations_einsum,
-                     project_rotations_newton, robust_energy, sample_nodes_farthest_uncapped,
-                     save_ply_rows, solve_inner_expanded, surrogate_energy,
-                     surrogate_gradient, upper_entries)
+from oracles import (dense, edges_unique_keys, edges_unique_rows, fast_marching,
+                     load_obj_rows, load_ply_rows, neighbour_covariances,
+                     project_rotations_einsum, project_rotations_newton, robust_energy,
+                     sample_nodes_farthest_uncapped, save_ply_rows, solve_inner_expanded,
+                     surrogate_energy, surrogate_gradient, upper_entries)
 from test_energy import random_graph, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -121,9 +121,9 @@ def test_capped_field_is_uncapped_field_cut_at_cap(case, cap_share, point_cloud)
     s, seed = case
     if point_cloud:
         s = Surface(s.vertices)     # Dijkstra on the k-NN surface graph
-    full = geodesic_from(s, seed).distances
+    full = dense(geodesic_from(s, seed), s.n_vertices)
     cap = cap_share * float(full.max())
-    capped = geodesic_from(s, seed, cap=cap).distances
+    capped = dense(geodesic_from(s, seed, cap=cap), s.n_vertices)
     assert np.array_equal(capped, np.where(full > cap, np.inf, full))
 
 
@@ -150,7 +150,7 @@ def odd_meshes(draw):
 @given(odd_meshes(), st.one_of(st.none(), st.floats(0.0, 1.5)))
 def test_fmm_matches_pointwise_oracle(case, cap):
     s, seed = case
-    assert np.array_equal(geodesic_from(s, seed, cap=cap).distances,
+    assert np.array_equal(dense(geodesic_from(s, seed, cap=cap), s.n_vertices),
                           fast_marching(s.vertices, s.faces, seed, cap))
 
 
@@ -186,20 +186,40 @@ def two_grids():
 def test_edges_join_the_nodes_that_share_a_point(case, point_cloud, sampler, radius_share):
     """Node edges are the pairs j < k with a point below R from both, by
     uncapped fields, on meshes and point clouds, with more than one component
-    and isolated vertices."""
+    and isolated vertices; and every point has a node below R, so none
+    falls back."""
     s, _ = case
     if point_cloud:
         s = Surface(s.vertices)
     R = radius_share * float(np.linalg.norm(np.ptp(s.vertices, axis=0)))
     g = build_graph(s, R=R, sampler=sampler)
-    inside = np.stack([geodesic_from(s, int(v)).distances < R for v in g.node_indices])
+    inside = np.stack([dense(geodesic_from(s, int(v)), s.n_vertices) < R
+                       for v in g.node_indices])
     pairs = [(j, k) for j in range(g.n_nodes) for k in range(j + 1, g.n_nodes)
              if np.any(inside[j] & inside[k])]
     assert g.node_edges.dtype == np.int64
     assert g.node_edges.tobytes() == np.array(pairs, dtype=np.int64).tobytes()
-    # a fallback point lies below R from no node and has one node's weight
-    assert not inside[:, g.fallback_points].any()
-    assert np.all(np.diff(g.influence.indptr)[g.fallback_points] == 1)
+    assert inside.any(axis=0).all()
+    assert np.all(np.diff(g.influence.indptr) > 0)
+    assert len(g.fallback_points) == 0
+
+
+@pytest.mark.parametrize("kind", ["mesh", "cloud", "edges"])
+@pytest.mark.parametrize("seed", [0, 37])
+def test_uncapped_field_holds_its_component_only(kind, seed):
+    """An uncapped march reaches all of its own grid and nothing of the
+    other: no +inf entry for an unreached vertex, indices ascending."""
+    s = two_grids()
+    if kind == "cloud":
+        s = Surface(s.vertices)
+    elif kind == "edges":
+        s = Surface(s.vertices, edges=s.edges)
+    f = geodesic_from(s, seed)
+    own = np.arange(25) + 25 * (seed // 25)
+    assert f.indices.tobytes() == own.tobytes()
+    assert np.all(np.diff(f.indices) > 0)
+    assert np.isfinite(f.distances).all()
+    assert len(f.distances) == 25 and f.distances[seed % 25] == 0.0
 
 
 def test_farthest_sampler_seeds_every_component():
@@ -214,8 +234,8 @@ def test_farthest_sampler_seeds_every_component():
 @given(wavy_grids())
 def test_fmm_between_euclidean_and_dijkstra(case):
     s, seed = case
-    fmm = geodesic_from(s, seed).distances
-    dij = geodesic_from(Surface(s.vertices, edges=s.edges), seed).distances
+    fmm = dense(geodesic_from(s, seed), s.n_vertices)
+    dij = dense(geodesic_from(Surface(s.vertices, edges=s.edges), seed), s.n_vertices)
     euclid = np.linalg.norm(s.vertices - s.vertices[seed], axis=1)
     assert np.all(euclid <= fmm + 1e-12)
     assert np.all(fmm <= dij + 1e-12)
@@ -339,8 +359,7 @@ def test_surrogate_majorizes_energy(seed, nu_a, nu_r, alpha, beta, step):
 def odd_graphs(draw):
     """A deformation graph of 1 to 6 nodes over 1 to 30 points.  Every node
     influences a point; each point's weights sit on 1 to 4 nodes, a drawn
-    share of points on one node only, and these may be listed as fallback
-    points; the edge set may be empty; the whole geometry may sit 1e3 away
+    share of points on one node only; the edge set may be empty; the whole geometry may sit 1e3 away
     from the origin, where raw moments of the points would cancel."""
     rng = np.random.default_rng(draw(seeds))
     r = draw(st.integers(1, 6))
@@ -357,14 +376,12 @@ def odd_graphs(draw):
         cols += list(js)
         vals += list(w / w.sum())
     W = csr_matrix((vals, (rows, cols)), shape=(n, r))
-    single = np.flatnonzero(np.diff(W.indptr) == 1)
-    fallback = single if draw(st.booleans()) else np.empty(0, dtype=np.int64)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     keep = draw(st.sampled_from([0.0, 0.5, 1.0]))
     edges = np.array([e for e in pairs if rng.uniform() < keep], dtype=np.int64).reshape(-1, 2)
     offset = draw(st.sampled_from([0.0, 1e3]))
     return DeformationGraph(np.arange(r), rng.uniform(size=(r, 3)) + offset, edges, 1.0, W,
-                            rng.uniform(size=(n, 3)) + offset, fallback_points=fallback)
+                            rng.uniform(size=(n, 3)) + offset)
 
 
 @settings(max_examples=150, deadline=None)

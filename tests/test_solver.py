@@ -52,11 +52,30 @@ def test_params_reject_wrongly_typed_counts_and_flags(field, value):
         SolverParams(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gamma", "0.3"), ("eps1", None), ("eps2", None), ("k_alpha", "1"), ("k_beta", True),
+    ("nu_a_max_factor", "10"), ("nu_a_min_factor", None), ("nu_r_max_factor", False),
+    ("radius_factor", "5"), ("eps_d", None), ("theta", "60"), ("theta", np.bool_(True))])
+def test_params_reject_non_numeric_floats(field, value):
+    with pytest.raises(InvalidInputError, match=field + " must be a finite real number"):
+        SolverParams(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps_d", -1.0), ("eps_d", 0.0), ("theta", 0.0), ("theta", -30.0), ("theta", 180.5),
+    ("theta", 500.0)])
+def test_params_reject_out_of_range_icp_limits(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        SolverParams(**{field: value})
+
+
 def test_params_accept_boundary_values():
     p = SolverParams(icp_iters=0, k_alpha=0.0, k_beta=0.0, m=1, i_max=1)
     assert (p.icp_iters, p.m, p.i_max) == (0, 1, 1)
     p = SolverParams(m=np.int64(3), fixed_nu=np.bool_(True))
     assert p.m == 3 and p.fixed_nu
+    p = SolverParams(theta=180.0, eps_d=1e-9, k_alpha=2, gamma=np.float32(0.5))
+    assert (p.theta, p.eps_d, p.k_alpha) == (180.0, 1e-9, 2)
 
 
 def test_params_reject_unknown_kernel_and_sampler():
