@@ -19,7 +19,8 @@ from .geodesic import GeodesicField, geodesic_from
 from .graph import (DeformationGraph, build_graph, sample_nodes_farthest,
                     sample_nodes_pca, transform_points)
 from .mesh import (NormalizationRecord, Surface, compute_normals, load_surface,
-                   mean_edge_length, normalize_pair, save_ply, write_error_mesh)
+                   mean_edge_length, normalize_pair, save_ply, surface_edges,
+                   write_error_mesh)
 from .solver import (RegistrationResult, SolverParams, register, solve_inner,
                      two_loop_direction)
 

@@ -11,13 +11,15 @@ the cap, in ascending index order: no n-length array per march.
 
 What a surface is marched on is built on first use and kept with the
 surface, which never changes (:meth:`nrreg.mesh.Surface.derived`): for fast
-marching, each vertex's incident triangles with their edge lengths and
-corner dot products as plain floats, so the marching loop makes no numpy
-call; for Dijkstra, the CSR matrix of the surface graph.  Each length and
-dot comes from numpy's 3-vector dot (BLAS ``ddot``), as when the loop took
-them from the points on the fly.  That dot fuses its multiply-adds, so a
-plain ``x*x + y*y + z*z`` rounds differently in about a third of cases and
-would move fields in the last bit.
+marching, one flat list per vertex v holding a 7-value record
+``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)`` for each triangle (v, q, r) at
+v, its edge lengths and corner dot products as plain floats, so the
+marching loop makes no numpy call; for Dijkstra, the CSR matrix of the
+surface graph.  Each length and dot comes from numpy's 3-vector dot (BLAS
+``ddot``), as when the loop took them from the points on the fly.  That
+dot fuses its multiply-adds, so a plain ``x*x + y*y + z*z`` rounds
+differently in about a third of cases and would move fields in the last
+bit.
 """
 
 from __future__ import annotations
@@ -61,10 +63,13 @@ def _dots(a, b):
 
 
 def _incident_triangles(points, faces):
-    """Per vertex v, one ``(c, o, |vc|, |oc|, (v - c).(o - c))`` entry for each
-    ordered pair (c, o) of the other two corners of every triangle at v;
+    """Per vertex v, one flat list of 7-value records
+    ``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)``, one for each triangle
+    (v, q, r) at v in face order, where ``dot_q = (v - q).(r - q)`` and
+    ``dot_r = (v - r).(q - r)`` are the dots at the two other corners;
     triangles that repeat v are skipped.  The lengths and dots are plain
-    floats, computed once per triangle edge and corner."""
+    floats, computed once per triangle edge and corner and shared by the
+    triangle's three records."""
     p = [points[faces[:, k]] for k in range(3)]
     # column k: the length of edge (k, k + 1) and the dot at corner k
     edge = np.column_stack([np.sqrt(_dots(e, e))
@@ -76,8 +81,7 @@ def _incident_triangles(points, faces):
         for k, q, r in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             v = f[k]
             if f[q] != v != f[r]:
-                incident[v].append((f[q], f[r], el[k], el[q], cd[q]))
-                incident[v].append((f[r], f[q], el[r], el[q], cd[r]))
+                incident[v] += (f[q], f[r], el[k], el[r], el[q], cd[q], cd[r])
     return incident
 
 
@@ -148,19 +152,31 @@ def _fast_marching(incident, seed, cap):
         if d > limit:
             break
         done[v] = True
-        for c, o, vc, oc, cvo in incident[v]:
-            if done[c]:
-                continue
-            cand = d + vc           # edge update from the newly accepted vertex
-            if done[o]:
-                tu = _triangle_update(d, dist[o], vc, oc, cvo)
-                if tu < cand:
-                    cand = tu
-            if cand < dist[c]:
-                if dist[c] == math.inf:
-                    reached.append(c)
-                dist[c] = cand
-                heapq.heappush(heap, (cand, c))
+        it = iter(incident[v])
+        for q, r, vq, vr, qr, dot_q, dot_r in zip(it, it, it, it, it, it, it):
+            # triangle (v, q, r) updates q, then r
+            if not done[q]:
+                cand = d + vq       # edge update from the newly accepted vertex
+                if done[r]:
+                    tu = _triangle_update(d, dist[r], vq, qr, dot_q)
+                    if tu < cand:
+                        cand = tu
+                if cand < dist[q]:
+                    if dist[q] == math.inf:
+                        reached.append(q)
+                    dist[q] = cand
+                    heapq.heappush(heap, (cand, q))
+            if not done[r]:
+                cand = d + vr
+                if done[q]:
+                    tu = _triangle_update(d, dist[q], vr, qr, dot_r)
+                    if tu < cand:
+                        cand = tu
+                if cand < dist[r]:
+                    if dist[r] == math.inf:
+                        reached.append(r)
+                    dist[r] = cand
+                    heapq.heappush(heap, (cand, r))
     # a capped march reaches few of the vertices: convert only those
     idx = sorted(v for v in reached if dist[v] <= limit)
     return GeodesicField(np.array(idx, dtype=np.int64), np.array([dist[v] for v in idx]))

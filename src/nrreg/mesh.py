@@ -2,12 +2,11 @@
 
 Supported formats are OBJ (``v``/``f`` records, 1-based indices) and PLY
 (ascii and binary_little_endian).  A surface is a vertex array with optional
-triangle faces; edges are always derived from the faces when present.  A
-surface never changes, so what is derived from it (its k-d tree, a point
-cloud's k-NN graph, the geodesic tables) is built on first use and kept
-with it.  Normals are computed on their first read (:class:`LazyNormals`):
-a mesh's all at once, a point cloud's PCA normals row by row over the one
-k-d tree.  An ascii PLY body is converted to float64 in one pass.
+triangle faces and optional edges.  A surface never changes, so what is
+derived from it (a mesh's edges, its k-d tree, a point cloud's k-NN graph,
+the geodesic tables) is built on first use and kept with it.  Normals are
+computed on their first read (:class:`LazyNormals`): a mesh's all at once,
+a point cloud's PCA normals row by row over the one k-d tree.  An ascii PLY body is converted to float64 in one pass.
 """
 
 from __future__ import annotations
@@ -46,19 +45,21 @@ def edges_from_faces(faces):
 
 @dataclass(frozen=True, eq=False)
 class Surface:
-    """A sampled surface: points, optional triangles, derived edges, normals.
+    """A sampled surface: points, optional triangles, optional edges, normals.
 
     A surface does not change: its fields cannot be reassigned, and its
     arrays are read-only views (the caller's own arrays keep their flags).
-    Normals are (n, 3): an array, or the read-only :class:`LazyNormals`
-    of :func:`compute_normals`, whose rows are computed as they are read.
-    What is derived from it is built on first use and kept with it, see
-    :meth:`derived`.
+    ``edges`` holds only the edges the caller gave; the graph a surface is
+    measured on, a mesh's edges derived from its faces included, is
+    :func:`surface_edges`.  Normals are (n, 3): an array, or the read-only
+    :class:`LazyNormals` of :func:`compute_normals`, whose rows are
+    computed as they are read.  What is derived from it is built on first
+    use and kept with it, see :meth:`derived`.
     """
 
     vertices: np.ndarray                    # (n, 3) float64
     faces: np.ndarray | None = None         # (f, 3) int64 or None
-    edges: np.ndarray = None                # (e, 2) int64, derived if None
+    edges: np.ndarray | None = None         # (e, 2) int64 as given, or None
     normals: np.ndarray | LazyNormals | None = None  # (n, 3) unit vectors or None
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -92,10 +93,7 @@ class Surface:
                 raise InvalidInputError(f"faces must be an (f, 3) array, got shape {f.shape}")
             if f.size and (f.min() < 0 or f.max() >= n):
                 raise InvalidInputError("face index out of range")
-        if self.edges is None:
-            freeze("edges", np.empty((0, 2)) if self.faces is None
-                   else edges_from_faces(self.faces), np.int64)
-        else:
+        if self.edges is not None:
             e = freeze_indices("edges", self.edges)
             if e.ndim != 2 or e.shape[1] != 2:
                 raise InvalidInputError(f"edges must be an (e, 2) array, got shape {e.shape}")
@@ -158,13 +156,22 @@ def _knn_edges(s: Surface):
     return edges
 
 
+def _face_edges(s: Surface):
+    """The read-only :func:`edges_from_faces` of a mesh."""
+    edges = edges_from_faces(s.faces)
+    edges.flags.writeable = False
+    return edges
+
+
 def surface_edges(s: Surface):
     """The surface graph that geodesics and mesh scale are measured on: the
-    surface's own edges, or for a raw point cloud the directed edges from
-    each point to its ``KNN_GRAPH_K`` nearest neighbors, built once per
-    surface."""
-    if len(s.edges) > 0:
+    edges the caller gave, else a mesh's edges from its faces, else the
+    directed edges from each point to its ``KNN_GRAPH_K`` nearest neighbors.
+    Derived edges are built on the first call and kept with the surface."""
+    if s.edges is not None and len(s.edges) > 0:
         return s.edges
+    if s.has_faces:
+        return s.derived("edges", _face_edges)
     return s.derived("knn_edges", _knn_edges)
 
 
@@ -655,7 +662,8 @@ def load_ply(path):
     """Load an ascii or binary_little_endian PLY surface.
 
     Polygons are fan-triangulated, and ``nx``/``ny``/``nz`` vertex properties
-    become normals.  A malformed file raises :class:`FormatError`.
+    become normals.  A malformed file raises :class:`FormatError`, and so
+    does a face index that is not a whole number.
     """
     with open(path, "rb") as fh:
         fmt, elements = _parse_ply_header(fh, path)
@@ -688,7 +696,10 @@ def load_ply(path):
         key = next((k for k in _FACE_LISTS if k in lists), None)
         if key is None:
             raise FormatError("face element has no vertex_indices list", path)
-        tri = np.trunc(_fan(*lists[key]))
+        tri = _fan(*lists[key])
+        # a float list may hold 2.0, which Surface takes as 2, but not 1.9
+        if not (tri == np.trunc(tri)).all():
+            raise FormatError("non-integral vertex index in element 'face'", path)
         if not ((tri >= 0) & (tri < len(verts))).all():
             raise FormatError("face index out of range", path)
         faces = tri.astype(np.int64)

@@ -469,6 +469,8 @@ def load_ply_rows(path):
     if "face" in data and data["face"]:
         tri = []
         for r in data["face"]:
+            if any(i != int(i) for i in r["vertex_indices"]):
+                raise FormatError("non-integral vertex index in element 'face'", path)
             idx = [int(i) for i in r["vertex_indices"]]
             for a, b in zip(idx[1:-1], idx[2:]):
                 tri.append([idx[0], a, b])

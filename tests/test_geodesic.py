@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nrreg.errors import InvalidInputError
 from nrreg.evaluate import add_gaussian_normal_noise
-from nrreg.geodesic import geodesic_from
-from nrreg.mesh import Surface, compute_normals, normalize_pair
+from nrreg.geodesic import _incident_triangles, geodesic_from
+from nrreg.mesh import Surface, compute_normals, normalize_pair, surface_edges
 
 from conftest import grid_mesh, polyline_surface
 from oracles import dense, fast_marching, knn_geodesics
@@ -34,7 +36,7 @@ def test_fmm_flat_grid_close_to_euclidean():
 def test_fmm_never_exceeds_dijkstra():
     s = grid_mesh(9, 9, wavy=0.1)
     fmm = dense(geodesic_from(s, 0), s.n_vertices)
-    dij = dense(geodesic_from(Surface(s.vertices, edges=s.edges), 0), s.n_vertices)
+    dij = dense(geodesic_from(Surface(s.vertices, edges=surface_edges(s)), 0), s.n_vertices)
     assert np.all(fmm <= dij + 1e-12)
 
 
@@ -114,3 +116,33 @@ def test_fmm_matches_pointwise_oracle_on_test_grids(n):
                                   fast_marching(s.vertices, s.faces, seed, cap))
 
 
+
+
+def test_fast_marching_table_holds_one_record_per_incident_triangle():
+    """Each vertex's list holds ``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)``
+    per triangle (v, q, r) at it, in face order; a triangle that repeats a
+    vertex gives that vertex no record."""
+    points = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 2, 0]])
+    table = _incident_triangles(points, np.array([[0, 1, 2], [1, 3, 2], [3, 3, 0]]))
+    r5 = np.sqrt(5.0)
+    assert table[0] == [1, 2, 1.0, 2.0, r5, 1.0, 4.0, 3, 3, r5, r5, 0.0, 0.0, 0.0]
+    assert table[1] == [2, 0, r5, 1.0, 2.0, 4.0, 0.0, 3, 2, 2.0, r5, 1.0, 0.0, 1.0]
+    assert table[2] == [0, 1, 2.0, r5, 1.0, 0.0, 1.0, 1, 3, r5, 1.0, 2.0, 4.0, 0.0]
+    assert table[3] == [2, 1, 1.0, 2.0, r5, 1.0, 4.0]
+    assert all(type(x) is (int if k % 7 < 2 else float)
+               for row in table for k, x in enumerate(row))
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_fast_marching_table_is_compact(n):
+    """The table is the largest structure of a graph build: at most 500 B
+    per face, where 5-tuples of Python objects took about 800."""
+    s = grid_mesh(n, n)
+    tracemalloc.start()
+    try:
+        table = _incident_triangles(s.vertices, s.faces)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == s.n_vertices
+    assert size <= 500 * len(s.faces)

@@ -8,7 +8,8 @@ from scipy.spatial import cKDTree
 
 from nrreg import mesh
 from nrreg.errors import DegenerateInputError, FormatError, InvalidInputError
-from nrreg.evaluate import add_gaussian_normal_noise
+from nrreg.evaluate import add_gaussian_normal_noise, synthesize_deformation
+from nrreg.graph import build_graph
 from nrreg.mesh import (LazyNormals, NormalizationRecord, Surface, compute_normals,
                         edges_from_faces, error_colors, load_obj, load_ply,
                         load_surface, mean_edge_length, normalize_pair,
@@ -172,8 +173,57 @@ def test_point_cloud_surface_graph_has_no_self_loops():
 
 def test_surface_edges_derived_from_faces():
     s = grid_mesh(3, 3)
-    assert len(s.edges) == 16  # 12 axis-aligned + 4 diagonals
-    assert s.edges.dtype == np.int64
+    e = surface_edges(s)
+    assert len(e) == 16  # 12 axis-aligned + 4 diagonals
+    assert e.dtype == np.int64
+    assert s.edges is None
+    with pytest.raises(ValueError, match="read-only"):
+        e[0, 0] = 1
+    assert np.array_equal(e, edges_from_faces(s.faces))
+
+
+@pytest.fixture
+def edge_derivations(monkeypatch):
+    """The face lists ``edges_from_faces`` is called on from here on."""
+    calls = []
+
+    def counting(faces):
+        calls.append(len(faces))
+        return edges_from_faces(faces)
+
+    monkeypatch.setattr(mesh, "edges_from_faces", counting)
+    return calls
+
+
+def test_mesh_edges_are_derived_only_when_read(tmp_path, edge_derivations):
+    """Loading, normals, normalizing, deforming and writing a mesh read no
+    edges, so none is derived."""
+    g = grid_mesh(6, 5)
+    graph = build_graph(g, R=0.5)
+    save_obj_rows(g, tmp_path / "m.obj")
+    save_ply(g, tmp_path / "m.ply", binary=True)
+    surfaces = [load_obj(tmp_path / "m.obj"), load_ply(tmp_path / "m.ply")]
+    surfaces += [compute_normals(s) for s in surfaces]
+    surfaces += normalize_pair(surfaces[2], surfaces[3])[:2]
+    rots = np.tile(np.eye(3), (graph.n_nodes, 1, 1))
+    surfaces.append(synthesize_deformation(g, graph, rots, np.zeros((graph.n_nodes, 3)))[0])
+    for k, s in enumerate(surfaces):
+        assert s.has_faces and s.edges is None
+        save_ply(s, tmp_path / f"out{k}.ply")
+    assert edge_derivations == []
+
+
+def test_mesh_edges_are_derived_once_and_shared(edge_derivations):
+    """The first read derives a mesh's edges; the surface compute_normals
+    gives shares them."""
+    s = grid_mesh(4, 4)
+    mean_edge_length(s)
+    assert edge_derivations == [len(s.faces)]
+    e = surface_edges(compute_normals(s))
+    assert surface_edges(s) is e
+    assert edge_derivations == [len(s.faces)]
+    assert not e.flags.writeable
+    assert np.array_equal(e, edges_from_faces(s.faces))
 
 
 def test_mean_edge_length_unit_square():
@@ -546,6 +596,32 @@ def test_ply_face_list_named_vertex_index(tmp_path):
     p.write_bytes(_binary_triangle())
     assert load_ply(p).faces.tolist() == [[0, 1, 2]]
 
+
+
+@pytest.mark.parametrize("ltype", [b"int", b"float"])
+def test_ply_ascii_face_index_must_be_whole(tmp_path, ltype):
+    """A face index is a whole number in any list type: 1.9 is not read as 1,
+    while 2.0 is 2."""
+    p = tmp_path / "m.ply"
+    head = _PLY_XYZ + _PLY_FACE.replace(b"int", ltype) + _PLY_BODY
+    p.write_bytes(head + b"3 0 1 1.9\n")
+    with pytest.raises(FormatError, match="non-integral vertex index in element 'face'") as exc:
+        load_ply(p)
+    assert exc.value.path == p
+    p.write_bytes(head + b"3 0 1.0 2.0\n")
+    assert load_ply(p).faces.tolist() == [[0, 1, 2]]
+
+
+def test_ply_binary_face_index_must_be_whole(tmp_path):
+    head = (_PLY_XYZ.replace(b"ascii", b"binary_little_endian")
+            + _PLY_FACE.replace(b"int", b"float") + b"end_header\n"
+            + np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype="<f4").tobytes() + bytes([3]))
+    p = tmp_path / "m.ply"
+    p.write_bytes(head + np.array([0, 1, 1.9], dtype="<f4").tobytes())
+    with pytest.raises(FormatError, match="non-integral vertex index in element 'face'"):
+        load_ply(p)
+    p.write_bytes(head + np.array([0, 1, 2], dtype="<f4").tobytes())
+    assert load_ply(p).faces.tolist() == [[0, 1, 2]]
 
 
 def test_binary_ply_rows_of_differing_length_load_without_a_warning(tmp_path):
