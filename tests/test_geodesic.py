@@ -116,8 +116,6 @@ def test_fmm_matches_pointwise_oracle_on_test_grids(n):
                                   fast_marching(s.vertices, s.faces, seed, cap))
 
 
-
-
 def test_fast_marching_table_holds_one_record_per_incident_triangle():
     """Each vertex's list holds ``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)``
     per triangle (v, q, r) at it, in face order; a triangle that repeats a

@@ -177,9 +177,6 @@ def test_surface_edges_derived_from_faces():
     assert len(e) == 16  # 12 axis-aligned + 4 diagonals
     assert e.dtype == np.int64
     assert s.edges is None
-    with pytest.raises(ValueError, match="read-only"):
-        e[0, 0] = 1
-    assert np.array_equal(e, edges_from_faces(s.faces))
 
 
 @pytest.fixture
