@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas
 from scipy.sparse import csc_matrix, csr_matrix, triu
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -50,19 +49,6 @@ class BandMatrix:
 
     band: np.ndarray    # (bw + 1, n) Fortran-ordered
     rows: np.ndarray    # (n,) the row of the matrix at each band position
-
-    def __matmul__(self, S):
-        """``self @ S`` for an (n, k) array: one ``dsbmv`` per column."""
-        x = S[self.rows]
-        y = np.empty(x.shape)
-        bw, k = len(self.band) - 1, x.shape[1]
-        xs, ys = x.ravel(), y.ravel()
-        for col in range(k):
-            # positional: incx, offx, beta, y, incy, offy, lower, overwrite_y
-            blas.dsbmv(bw, 1.0, self.band, xs, k, col, 0.0, ys, k, col, 1, 1)
-        out = np.empty(y.shape)
-        out[self.rows] = y
-        return out
 
     def toarray(self):
         """The dense (n, n) matrix."""

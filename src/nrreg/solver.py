@@ -191,12 +191,11 @@ def solve_inner(sys, start, params: SolverParams):
     trial is evaluated in state space (:meth:`nrreg.energy.Trial.along`):
     one batched rotation projection, no pass over the source points and no
     product with ``2 M``, since each direction's ``2 M d`` is ``H0 d - c d``
-    with ``H0 d`` from the two-loop recursion.  An accepted step ``S = lam d``
-    is stored with ``H0 S`` from one band product: ``lam H0 d`` would carry
-    the rounding of every earlier pair's ``H0 S`` into the next, and the
-    difference of its trials' ``2 M S`` would lose to cancellation once
-    steps are small.  The trial evaluation serves the gradient at the
-    accepted point too.  Only the state the solve stops at is deformed.
+    with ``H0 d`` from the two-loop recursion.  An accepted step ``lam d`` is
+    stored with ``H0 S = lam H0 d``; the difference of its trials' ``2 M S``
+    would lose to cancellation once steps are small.  The trial evaluation
+    serves the gradient at the accepted point too.  Only the state the
+    solve stops at is deformed.
 
     Returns ``(end, reason)``: the evaluated state it stops at and why it
     stopped: ``tolerance`` (the energy decrease fell below ``eps1``),
@@ -205,8 +204,7 @@ def solve_inner(sys, start, params: SolverParams):
     other gives a descent direction, see :class:`LbfgsHistory`).
     """
     c = sys.h0_diagonal()[:, None]
-    two_m = sys.assemble_H0()
-    h0_solve = factor_h0(two_m, c.ravel()).solve
+    h0_solve = factor_h0(sys.assemble_H0(), c.ravel()).solve
     first = cur = sys.expand(start)
 
     trial = None
@@ -234,13 +232,12 @@ def solve_inner(sys, start, params: SolverParams):
             break
         lam, _, E_new = step
         G_new = sys.gradient(trial)
+        hist.push(lam * d, G_new - G, lam * h0_d)
         decrease = E - E_new
-        cur, E, T, G = trial, E_new, G_new - G, G_new
+        cur, E, G = trial, E_new, G_new
         if decrease < params.eps1:
             reason = "tolerance"
             break
-        S = lam * d
-        hist.push(S, T, two_m @ S + c * S)
     if cur is first:
         return start, reason
     return deform(sys.graph, cur.X, cur.rot), reason

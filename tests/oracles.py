@@ -210,15 +210,14 @@ def solve_inner_expanded(sys, X0, params):
     direction's ``2 M d`` is ``H0 d - c d``, with ``H0 d`` from the two-loop
     recursion; a trial ``lam`` along ``d`` from ``(S, C)`` is
     ``(S + lam d, C + lam 2 M d)``, and the pair stored for an accepted
-    step is ``(lam d, G_new - G)`` with ``H0 S`` from the band product.  Energy and
+    step is ``(lam d, G_new - G)`` with ``H0 S = lam H0 d``.  Energy and
     gradient are evaluated separately at every point, the rotation term
     with the scalar projection and added to the A rows of the gradient in
     place; inner products are BLAS dots.  Returns the final state and why
     the solve stopped."""
     p = sys.params
     c = np.tile([2.0 * p.beta] * 3 + [0.0], sys.graph.n_nodes) + SPD_JITTER
-    two_m = sys.assemble_H0()
-    h0_solve = factor_h0(two_m, c).solve
+    h0_solve = factor_h0(sys.assemble_H0(), c).solve
     c = c[:, None]
     E0, G0 = quadratic_energy(sys, X0), quadratic_gradient(sys, X0)
 
@@ -255,7 +254,7 @@ def solve_inner_expanded(sys, X0, params):
         lam, X_new, E_new = step
         S_new, C_new = S + lam * d, C + lam * two_m_d
         G_new = gradient(X_new, C_new)
-        hist.push(lam * d, G_new - G, two_m @ (lam * d) + c * (lam * d))
+        hist.push(lam * d, G_new - G, lam * h0_d)
         decrease = E - E_new
         X, S, C, E, G = X_new, S_new, C_new, E_new, G_new
         if decrease < params.eps1:

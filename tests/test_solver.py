@@ -372,15 +372,13 @@ def test_register_evaluates_each_point_once(monkeypatch):
     assert counts["deforms"] == counts["moved"] + 1
 
 
-def test_register_makes_one_band_product_per_stored_pair(monkeypatch):
-    """Registering the 25x25 twist of the acceptance criteria solves with H0
-    once per two-loop direction, whose ``2 M d`` comes from the recursion,
-    and multiplies by the band (three ``dsbmv``, one per column) only for
-    the ``H0 S`` of each pair offered to the history."""
-    counts = {"dsbmv": 0, "solves": 0, "directions": 0, "pairs": 0}
-    dsbmv, solve, direction, push = (scipy.linalg.blas.dsbmv, nrreg.solver.H0Factor.solve,
-                                     nrreg.solver.two_loop_direction,
-                                     nrreg.solver.LbfgsHistory.push)
+def test_register_makes_no_band_product(monkeypatch):
+    """Registering the 25x25 twist of the acceptance criteria multiplies
+    by no band (no ``dsbmv``) and solves with H0 once per two-loop
+    direction: each direction's ``2 M d`` comes from the recursion."""
+    counts = {"dsbmv": 0, "solves": 0, "directions": 0}
+    dsbmv, solve, direction = (scipy.linalg.blas.dsbmv, nrreg.solver.H0Factor.solve,
+                               nrreg.solver.two_loop_direction)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -391,16 +389,14 @@ def test_register_makes_one_band_product_per_stored_pair(monkeypatch):
     monkeypatch.setattr(scipy.linalg.blas, "dsbmv", counted("dsbmv", dsbmv))
     monkeypatch.setattr(nrreg.solver.H0Factor, "solve", counted("solves", solve))
     monkeypatch.setattr(nrreg.solver, "two_loop_direction", counted("directions", direction))
-    monkeypatch.setattr(nrreg.solver.LbfgsHistory, "push", counted("pairs", push))
     src = compute_normals(grid_mesh(25, 25))
     g = build_graph(src)
     target, _ = synthesize_deformation(src, g, *linear_twist(g, max_angle_deg=10.0, lift=0.02))
     s_n, t_n, _ = normalize_pair(src, target)
     res = register(compute_normals(s_n), compute_normals(t_n))
     assert len(res.energy_trace) > 1
+    assert counts["dsbmv"] == 0
     assert counts["solves"] == counts["directions"] > len(res.energy_trace)
-    assert 0 < counts["pairs"] < counts["directions"]
-    assert counts["dsbmv"] == 3 * counts["pairs"]
 
 
 def test_register_builds_one_target_index(monkeypatch):
