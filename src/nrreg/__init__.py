@@ -6,7 +6,7 @@ Welsch-robust alignment and smoothness energies with a
 majorization-minimization outer loop and an L-BFGS inner solver.
 """
 
-from .correspond import (CorrespondenceSet, RigidTransform, best_rigid,
+from .correspond import (CorrespondenceSet, RigidIcpResult, RigidTransform, best_rigid,
                          find_correspondences, lift_rigid_to_state, rigid_icp_init)
 from .energy import (Deformed, EnergyParams, SurrogateSystem, assemble_surrogate,
                      deform, identity_state, pack_state, total_energy, unpack_state,

@@ -18,6 +18,8 @@ bit for bit as the tree returns it; ties are never certified.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +162,21 @@ def best_rigid(src_pts, dst_pts):
     return RigidTransform(Rm, cd - Rm @ cs)
 
 
+@dataclass
+class RigidIcpResult:
+    """What :func:`rigid_icp_init` found: the transform, the closest points of
+    its last iteration (None when none ran), how many iterations ran and why
+    it stopped, ``fixed_point`` or ``iteration_cap``.  The closest points
+    are a set found on the target's k-d tree for the source points as the
+    last iteration moved them, so the next query of the moved source may
+    take them as ``previous`` (:func:`find_correspondences`)."""
+
+    transform: RigidTransform
+    correspondences: CorrespondenceSet | None
+    iterations: int
+    reason: str
+
+
 def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
                    eps_d=DEFAULT_EPS_D, theta=DEFAULT_THETA_DEG):
     """Point-to-point ICP with distance/normal pair rejection.
@@ -172,8 +189,22 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     (``|n . m| >= cos theta``).  Fewer than 3 pairs kept raise
     ``InitializationError``.
 
-    The iterations start from the identity.
+    The iterations start from the identity, and ``iters`` caps them: ICP
+    stops at the first iteration that keeps the same pairs as the one before
+    (the same rows, each with the same closest point).  The last update was
+    the least-squares fit of just those pairs, so fitting them again gives
+    the identity, up to rounding: the transform is ICP's fixed point.
+    Returns a :class:`RigidIcpResult`.  ``iters`` must be a non-negative
+    integer, ``eps_d`` finite and positive and ``theta`` in (0, 180], or
+    ``InvalidInputError`` is raised.
     """
+    if (isinstance(iters, (bool, np.bool_)) or not isinstance(iters, (int, np.integer))
+            or iters < 0):
+        raise InvalidInputError(f"iters must be a non-negative integer, got {iters!r}")
+    if not (_real(eps_d) and math.isfinite(eps_d) and eps_d > 0):
+        raise InvalidInputError(f"eps_d must be finite and positive, got {eps_d!r}")
+    if not (_real(theta) and 0.0 < theta <= 180.0):
+        raise InvalidInputError(f"theta must lie in (0, 180] degrees, got {theta!r}")
     if source.normals is None or target.normals is None:
         raise InvalidInputError("rigid ICP needs normals on both surfaces")
     if target.n_vertices == 0:
@@ -181,7 +212,7 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     rt = RigidTransform.identity()
     signed = source.has_faces and target.has_faces
     cos_lim = np.cos(np.deg2rad(theta))
-    corr = None
+    corr = pairs = None
     for it in range(iters):
         moved = rt.apply(source.vertices)
         corr = find_correspondences(moved, target, previous=corr)
@@ -193,8 +224,17 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
         if int(keep.sum()) < 3:
             raise InitializationError(
                 f"rigid ICP iteration {it}: fewer than 3 valid pairs")
+        if (pairs is not None and np.array_equal(keep, pairs[0])
+                and np.array_equal(corr.indices[keep], pairs[1])):
+            return RigidIcpResult(rt, corr, it + 1, "fixed_point")
+        pairs = keep, corr.indices[keep]
         rt = best_rigid(moved[keep], corr.positions[keep]).compose(rt)
-    return rt
+    return RigidIcpResult(rt, corr, iters, "iteration_cap")
+
+
+def _real(x):
+    """A real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
 
 
 def lift_rigid_to_state(rt: RigidTransform, g):

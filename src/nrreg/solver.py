@@ -56,7 +56,7 @@ class SolverParams:
     kernel: str = "welsch"
     eps_d: float = DEFAULT_EPS_D
     theta: float = DEFAULT_THETA_DEG
-    icp_iters: int = DEFAULT_ICP_ITERS
+    icp_iters: int = DEFAULT_ICP_ITERS   # cap on rigid ICP; it stops once its pairs repeat
 
     def __post_init__(self):
         # each field is checked by its annotation, read as a string
@@ -262,7 +262,9 @@ class RegistrationResult:
     termination_reasons: list[str]      # one per annealing stage
     inner_reasons: list[str]            # one per outer iteration, see solve_inner
     graph: object = None
-    rigid_init: object = None
+    rigid_init: object = None           # rigid ICP's transform; None on a warm start
+    icp_iterations: int = 0             # rigid ICP iterations run
+    icp_reason: str | None = None       # why ICP stopped: fixed_point or iteration_cap
 
     def write_trace_csv(self, path, include_timing=False):
         """One row per outer iteration.  Timing is off by default so that
@@ -318,17 +320,19 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
     if graph.n_nodes == 0:
         raise InvalidInputError("empty deformation graph")
 
-    rigid = None
+    icp = corr = None
     if initial_state is None:
-        rigid = rigid_icp_init(source, target, iters=params.icp_iters,
-                               eps_d=params.eps_d, theta=params.theta)
-        X = lift_rigid_to_state(rigid, graph)
+        icp = rigid_icp_init(source, target, iters=params.icp_iters,
+                             eps_d=params.eps_d, theta=params.theta)
+        X = lift_rigid_to_state(icp.transform, graph)
+        corr = icp.correspondences
     else:
         X = np.array(initial_state, dtype=np.float64)
 
     cur = deform(graph, X)
-    corr0 = find_correspondences(cur.points, target)
-    d_bar = float(np.median(corr0.distances))
+    # ICP's last closest points certify most rows of the rigidly moved source
+    corr = find_correspondences(cur.points, target, previous=corr)
+    d_bar = float(np.median(corr.distances))
 
     nu_a_min = params.nu_a_min_factor * l_bar
     stages = anneal_schedule(max(params.nu_a_max_factor * d_bar, nu_a_min), nu_a_min,
@@ -349,7 +353,6 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
     inner_reasons = []
     # the evaluated state and the correspondences of the current X carry
     # over from one outer iteration, and from one stage, to the next
-    corr = corr0
     for stage, (nu_a, nu_r) in enumerate(stages):
         eparams = EnergyParams(nu_a, nu_r, alpha, beta, params.kernel)
         reason = "i_max"
@@ -375,5 +378,7 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
         termination_reasons=reasons,
         inner_reasons=inner_reasons,
         graph=graph,
-        rigid_init=rigid,
+        rigid_init=None if icp is None else icp.transform,
+        icp_iterations=0 if icp is None else icp.iterations,
+        icp_reason=None if icp is None else icp.reason,
     )

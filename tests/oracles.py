@@ -30,6 +30,11 @@ The robust energy below sums its three terms from the definitions: points
 blended node by node, one edge residual per directed edge, and each node's
 rotation projected on its own by SVD.
 
+The package's rigid ICP queries each iteration's closest points from the
+last iteration's and stops once its pairs repeat; the loop below queries
+every iteration cold, on a k-d tree of its own, fits each by SVD and runs
+every iteration it is given.
+
 The farthest-point sampler below marches every node's field uncapped, as
 the definition reads, and reads it as a dense array (``dense``); the package
 caps each march at ``max(nearest[f], R)``, which leaves uncapped only the
@@ -260,6 +265,30 @@ def solve_inner_expanded(sys, X0, params):
         if decrease < params.eps1:
             return X, "tolerance"
     return X, "iteration_cap"
+
+
+def rigid_icp_full_cap(source, target, iters, eps_d, theta):
+    """Rigid ICP from the identity, for exactly ``iters`` iterations: each
+    keeps the pairs within ``eps_d`` whose normals lie within ``theta``
+    degrees (with sign only between two meshes) and composes the SVD
+    least-squares fit of them.  Returns the rotation and translation."""
+    tree = cKDTree(target.vertices)
+    cos_lim = math.cos(math.radians(theta))
+    R, t = np.eye(3), np.zeros(3)
+    for _ in range(iters):
+        moved = source.vertices @ R.T + t
+        dist, idx = tree.query(moved)
+        dots = np.einsum("ij,ij->i", source.normals @ R.T, target.normals[idx])
+        if not (source.has_faces and target.has_faces):
+            dots = np.abs(dots)
+        keep = (dist <= eps_d) & (dots >= cos_lim)
+        p, q = moved[keep], target.vertices[idx[keep]]
+        cp, cq = p.mean(axis=0), q.mean(axis=0)
+        U, _, Vt = np.linalg.svd((p - cp).T @ (q - cq))
+        sign = np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))])
+        step = Vt.T @ sign @ U.T
+        R, t = step @ R, step @ (t - cp) + cq
+    return R, t
 
 
 def dense(field, n):

@@ -10,6 +10,7 @@ from nrreg.graph import build_graph, transform_points
 from nrreg.mesh import Surface, compute_normals
 
 from conftest import grid_mesh, rot_z
+from oracles import rigid_icp_full_cap
 
 
 def brute_nearest(queries, points):
@@ -93,6 +94,69 @@ def test_previous_sets_are_reused_on_the_same_tree(monkeypatch):
         assert (sum(sent) < len(moved)) == reused
         assert warm.indices.tobytes() == cold.indices.tobytes()
         assert warm.distances.tobytes() == cold.distances.tobytes()
+
+
+def counted_queries(monkeypatch):
+    """The row count of each closest-point query rigid ICP makes."""
+    asked = []
+    find = nrreg.correspond.find_correspondences
+
+    def counted(queries, target, previous=None):
+        asked.append(len(queries))
+        return find(queries, target, previous)
+
+    monkeypatch.setattr(nrreg.correspond, "find_correspondences", counted)
+    return asked
+
+
+@pytest.mark.parametrize("reject", [dict(iters=-3), dict(iters=True), dict(iters=2.5),
+                                    dict(iters="3"), dict(iters=np.bool_(True)),
+                                    dict(eps_d=0.0), dict(eps_d=-0.1), dict(eps_d=np.inf),
+                                    dict(eps_d=np.nan), dict(eps_d=True), dict(eps_d="0.3"),
+                                    dict(theta=0.0), dict(theta=-30.0), dict(theta=720.0),
+                                    dict(theta=np.nan), dict(theta=None)])
+def test_rigid_icp_rejects_bad_arguments(monkeypatch, reject):
+    """Arguments are checked before any query, with a typed error naming
+    the argument: a negative count would return the identity, a bool run
+    one iteration, and a theta beyond 180 degrees reject every pair."""
+    src = compute_normals(grid_mesh(5, 5))
+    asked = counted_queries(monkeypatch)
+    (name, _), = reject.items()
+    with pytest.raises(InvalidInputError, match=name):
+        rigid_icp_init(src, src, **reject)
+    assert asked == []
+
+
+def test_rigid_icp_stops_at_its_fixed_point(monkeypatch):
+    """Under a small rigid motion the pairs change for a few iterations,
+    then repeat, and a fit of repeated pairs is the identity: ICP stops
+    there, after fewer queries than its cap, at the transform the loop run
+    to the cap reaches."""
+    src = compute_normals(grid_mesh(15, 15, wavy=0.1))
+    R = rot_z(np.deg2rad(5.0))
+    t = np.array([0.03, -0.02, 0.01])
+    tgt = compute_normals(Surface(src.vertices @ R.T + t, src.faces.copy()))
+    asked = counted_queries(monkeypatch)
+    res = rigid_icp_init(src, tgt, iters=15, eps_d=0.3, theta=60.0)
+    assert res.reason == "fixed_point"
+    assert 2 < len(asked) == res.iterations < 15
+    R_ref, t_ref = rigid_icp_full_cap(src, tgt, 15, eps_d=0.3, theta=60.0)
+    assert np.abs(res.transform.rotation - R_ref).max() < 1e-12
+    assert np.abs(res.transform.translation - t_ref).max() < 1e-12
+    # the last closest points are those of the source the transform moves
+    moved = res.transform.apply(src.vertices)
+    assert np.array_equal(res.correspondences.indices,
+                          find_correspondences(moved, tgt).indices)
+
+
+def test_rigid_icp_without_iterations_is_the_identity(monkeypatch):
+    src = compute_normals(grid_mesh(5, 5))
+    asked = counted_queries(monkeypatch)
+    res = rigid_icp_init(src, src, iters=0)
+    assert asked == [] and res.correspondences is None
+    assert (res.iterations, res.reason) == (0, "iteration_cap")
+    assert np.array_equal(res.transform.rotation, np.eye(3))
+    assert np.array_equal(res.transform.translation, np.zeros(3))
 
 
 def kept_pairs(monkeypatch, source, target, **reject):
@@ -182,15 +246,16 @@ def test_rigid_icp_recovers_transform():
     t = np.array([0.03, -0.02, 0.01])
     tgt = Surface(src.vertices @ R.T + t, src.faces.copy())
     tgt = compute_normals(tgt)
-    rt = rigid_icp_init(src, tgt, iters=50)
+    rt = rigid_icp_init(src, tgt, iters=50).transform
     assert np.abs(rt.rotation - R).max() < 1e-3
     assert np.abs(rt.translation - t).max() < 1e-3
 
 
-def test_rigid_icp_with_outliers():
+def test_rigid_icp_with_outliers(monkeypatch):
     # with 30% of the target corrupted the pair rejection keeps the estimate
     # close; the init only needs to land in the non-rigid solver's basin, so
-    # the tolerance is coarse (the corruption scale is 0.5)
+    # the tolerance is coarse (the corruption scale is 0.5).  Its pairs keep
+    # changing, so ICP runs to its cap
     rng = np.random.default_rng(4)
     src = compute_normals(grid_mesh(15, 15, wavy=0.1))
     R = rot_z(np.deg2rad(6.0))
@@ -200,7 +265,10 @@ def test_rigid_icp_with_outliers():
     v = v.copy()
     v[out] += rng.normal(scale=0.5, size=(len(out), 3))
     tgt = compute_normals(Surface(v, src.faces.copy()))
-    rt = rigid_icp_init(src, tgt)
+    asked = counted_queries(monkeypatch)
+    res = rigid_icp_init(src, tgt)
+    assert len(asked) == res.iterations == 15 and res.reason == "iteration_cap"
+    rt = res.transform
     assert np.abs(rt.rotation - R).max() < 5e-2
     assert np.abs(rt.translation - t).max() < 5e-2
 
@@ -218,9 +286,9 @@ def test_rigid_icp_builds_one_tree_on_the_target(monkeypatch):
             super().__init__(points, *args, **kwargs)
 
     monkeypatch.setattr(nrreg.mesh, "cKDTree", CountingTree)
-    rt = rigid_icp_init(src, tgt, iters=5)
+    rt = rigid_icp_init(src, tgt, iters=5).transform
     assert len(trees) == 1 and trees[0] is nrreg.mesh._kd_tree(tgt)
-    again = rigid_icp_init(src, tgt, iters=5)
+    again = rigid_icp_init(src, tgt, iters=5).transform
     assert len(trees) == 1
     assert np.array_equal(rt.rotation, again.rotation)
     assert np.array_equal(rt.translation, again.translation)

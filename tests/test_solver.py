@@ -420,8 +420,10 @@ def test_register_builds_one_target_index(monkeypatch):
 
 def test_register_warm_closest_points_are_the_cold_ones(monkeypatch, tmp_path):
     """Rigid ICP and the outer loop pass each query their last
-    correspondences, and send fewer points to the tree than they ask for;
-    the registration is the one made with every query cold."""
+    correspondences, ICP's last set included: only ICP's first query sends
+    the k-d tree every row, and each later one only the rows its previous
+    set cannot certify.  The registration is the one made with every query
+    cold."""
     src = grid_mesh(10, 10)
     target = Surface(src.vertices @ rot_z(0.3).T + [0.0, 0.0, 0.05], src.faces)
     s_n, t_n, _ = normalize_pair(compute_normals(src), compute_normals(target))
@@ -431,11 +433,12 @@ def test_register_warm_closest_points_are_the_cold_ones(monkeypatch, tmp_path):
 
     class CountingTree(nrreg.mesh.cKDTree):
         def query(self, x, *args, **kwargs):
-            sent.append(len(x))
+            sent[-1] += len(x)
             return super().query(x, *args, **kwargs)
 
     def counted_find(queries, target, previous=None):
         asked.append(len(queries))
+        sent.append(0)
         return find(queries, target, previous)
 
     def cold_find(queries, target, previous=None):
@@ -445,7 +448,11 @@ def test_register_warm_closest_points_are_the_cold_ones(monkeypatch, tmp_path):
     for module in (nrreg.correspond, nrreg.solver):
         monkeypatch.setattr(module, "find_correspondences", counted_find)
     warm = register(s_n, t_n)
-    assert 0 < sum(sent) < sum(asked)
+    assert warm.icp_reason == "fixed_point" and len(asked) > warm.icp_iterations + 1
+    assert sent[0] == asked[0] == s_n.n_vertices
+    assert all(s < a for s, a in zip(sent[1:], asked[1:]))
+    # the outer loop's first query takes ICP's last set
+    assert sent[warm.icp_iterations] < asked[warm.icp_iterations] // 10
     for module in (nrreg.correspond, nrreg.solver):
         monkeypatch.setattr(module, "find_correspondences", cold_find)
     cold = register(s_n, t_n)
@@ -456,6 +463,7 @@ def test_register_warm_closest_points_are_the_cold_ones(monkeypatch, tmp_path):
     assert warm.final_state.tobytes() == cold.final_state.tobytes()
     assert warm.rigid_init.rotation.tobytes() == cold.rigid_init.rotation.tobytes()
     assert warm.rigid_init.translation.tobytes() == cold.rigid_init.translation.tobytes()
+    assert (warm.icp_iterations, warm.icp_reason) == (cold.icp_iterations, cold.icp_reason)
 
 
 def test_register_point_cloud_source():
@@ -565,6 +573,7 @@ def test_warm_started_register_computes_no_mesh_normals(monkeypatch):
     warm = register(compute_normals(s_n), compute_normals(t_n), graph=cold.graph,
                     initial_state=cold.final_state)
     assert calls == [] and warm.rigid_init is None
+    assert (warm.icp_iterations, warm.icp_reason) == (0, None)
 
 
 def test_register_refuses_wrongly_shaped_normals():
