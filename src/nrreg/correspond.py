@@ -212,11 +212,14 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     rt = RigidTransform.identity()
     signed = source.has_faces and target.has_faces
     cos_lim = np.cos(np.deg2rad(theta))
+    # taken once as an array (each iteration rotates all of them), and only
+    # if an iteration runs
+    normals = np.asarray(source.normals) if iters else None
     corr = pairs = None
     for it in range(iters):
         moved = rt.apply(source.vertices)
         corr = find_correspondences(moved, target, previous=corr)
-        dots = np.einsum("ij,ij->i", source.normals @ rt.rotation.T,
+        dots = np.einsum("ij,ij->i", normals @ rt.rotation.T,
                          target.normals[corr.indices])
         if not signed:
             dots = np.abs(dots)

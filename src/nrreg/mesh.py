@@ -6,7 +6,10 @@ triangle faces and optional edges.  A surface never changes, so what is
 derived from it (a mesh's edges, its k-d tree, a point cloud's k-NN graph,
 the geodesic tables) is built on first use and kept with it.  Normals are
 computed on their first read (:class:`LazyNormals`): a mesh's all at once,
-a point cloud's PCA normals row by row over the one k-d tree.  An ascii PLY body is converted to float64 in one pass.
+a point cloud's PCA normals row by row over the one k-d tree.  An ascii PLY
+body written one row per line is converted one element at a time, each
+element from its own lines as one typed block; any other layout is
+converted whole, as one stream of float64 values.
 """
 
 from __future__ import annotations
@@ -460,11 +463,20 @@ def load_obj(path):
 # PLY
 #
 # A body is read one element at a time, as one block: every row of the
-# element taken at once as a float64 array with one column per value (an
-# ascii body is converted whole first, in one pass).
-# That takes each row to have the first row's list lengths, which is checked;
-# an element whose rows differ (triangles mixed with quads) is walked row by
-# row instead.
+# element taken at once as an array with one column per value.  That takes
+# each row to have the first row's list lengths, which is checked.
+#
+# An ascii body written one row per line is split into lines, and each
+# element's block is converted from its own lines in one call: int64 where
+# every type of the element is an integer (faces), float64 otherwise and for
+# the vertex coordinates.  An ascii body laid out any other way (rows across
+# lines, blank lines, rows of differing length, an integer written as 2.0, a
+# token that is not a number) is converted whole, in one pass, as one stream
+# of float64 values, which the elements are read from by position.  That
+# token path is the reference: the line path gives the same values, and
+# hands every body it cannot convert to the token path, which raises the
+# error if there is one.  An element whose rows differ in length (triangles
+# mixed with quads) is walked row by row on the token path.
 
 _PLY_TYPES = {
     "char": "b", "int8": "b",
@@ -649,9 +661,84 @@ def _read_element(body, pos, count, props):
     return (scalars, lists), end
 
 
+def _read_body(data, fmt, elements, path):
+    """Scalar and list columns of every element, read by position from the
+    whole body (see :func:`_read_element`)."""
+    try:
+        body = (_AsciiBody if fmt == "ascii" else _BinaryBody)(data)
+    except ValueError:
+        raise FormatError("non-numeric value in the body", path) from None
+    cols, pos = {}, 0
+    for name, count, props in elements:
+        try:
+            cols[name], pos = _read_element(body, pos, count, props)
+        except (IndexError, struct.error):
+            raise FormatError(f"body ends inside element {name!r}", path) from None
+        except ValueError:
+            raise FormatError(f"bad value in element {name!r}", path) from None
+    return cols
+
+
+def _line_block(lines, count, props, dtype):
+    """Scalar and list columns of an element whose ``count`` rows are the
+    ``lines``, one row per line, converted as one ``dtype`` block; None if
+    they are not."""
+    # loadtxt warns of a block that holds no value
+    if not (lines and lines[0].strip()):
+        return None
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # the first row's list lengths give the width of every row
+    lengths, width = {}, 0
+    for pname, _, ltype in props:
+        if ltype is not None:
+            n = rows[0, width] if width < rows.shape[1] else -1
+            if not (n >= 0 and float(n).is_integer()):
+                return None
+            lengths[pname] = [int(n)]
+            width += int(n)
+        width += 1
+    # loadtxt skips blank lines, so a short block had one
+    if rows.shape != (count, width):
+        return None
+    return _split_rows(rows, props, lengths)
+
+
+def _read_lines(data, elements):
+    """Scalar and list columns of every element of an ascii body written one
+    row per line (see :func:`_line_block`), or None if it is laid out
+    otherwise.  The lines of each element hold exactly its values, so they
+    are the values the token path reads."""
+    try:
+        lines = data.decode("ascii").split("\n")
+    except UnicodeDecodeError:
+        return None
+    cols, pos = {}, 0
+    for name, count, props in elements:
+        if count == 0 or not props:
+            cols[name] = {}, {}
+            continue
+        # the vertex scalars are coordinates, kept as float64 so that -0 keeps its sign
+        integer = name != "vertex" and all(_PLY_TYPES[t] in "bBhHiI" for _, t, _ in props)
+        cols[name] = _line_block(lines[pos:pos + count], count, props,
+                                 np.int64 if integer else np.float64)
+        if cols[name] is None:
+            return None
+        pos += count
+    # the token path also reads what follows the last element, and fails on
+    # a token there that is not a number
+    if any(line.strip() for line in lines[pos:]):
+        return None
+    return cols
+
+
 def _fan(lengths, indices):
     """Fan triangles (v0, vj, vj+1) of polygons given by their sizes and their
     vertex indices end to end, in polygon order."""
+    if (lengths == 3).all():
+        return indices.reshape(-1, 3)
     ntri = np.maximum(lengths - 2, 0)
     first = np.repeat(np.cumsum(lengths) - lengths, ntri)
     j = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(ntri) - ntri, ntri)
@@ -667,19 +754,11 @@ def load_ply(path):
     """
     with open(path, "rb") as fh:
         fmt, elements = _parse_ply_header(fh, path)
-        try:
-            body = (_AsciiBody if fmt == "ascii" else _BinaryBody)(fh.read())
-        except ValueError:
-            raise FormatError("non-numeric value in the body", path) from None
-    cols, counts, pos = {}, {}, 0
-    for name, count, props in elements:
-        try:
-            cols[name], pos = _read_element(body, pos, count, props)
-        except (IndexError, struct.error):
-            raise FormatError(f"body ends inside element {name!r}", path) from None
-        except ValueError:
-            raise FormatError(f"bad value in element {name!r}", path) from None
-        counts[name] = count
+        data = fh.read()
+    cols = _read_lines(data, elements) if fmt == "ascii" else None
+    if cols is None:
+        cols = _read_body(data, fmt, elements, path)
+    counts = {name: count for name, count, _ in elements}
 
     if not counts.get("vertex"):
         raise InvalidInputError(f"{path}: no vertices")
@@ -698,11 +777,11 @@ def load_ply(path):
             raise FormatError("face element has no vertex_indices list", path)
         tri = _fan(*lists[key])
         # a float list may hold 2.0, which Surface takes as 2, but not 1.9
-        if not (tri == np.trunc(tri)).all():
+        if tri.dtype.kind == "f" and not (tri == np.trunc(tri)).all():
             raise FormatError("non-integral vertex index in element 'face'", path)
         if not ((tri >= 0) & (tri < len(verts))).all():
             raise FormatError("face index out of range", path)
-        faces = tri.astype(np.int64)
+        faces = tri.astype(np.int64, copy=False)
     return Surface(verts, faces, normals=normals)
 
 

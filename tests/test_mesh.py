@@ -480,6 +480,32 @@ def test_ply_ascii_roundtrip(tmp_path):
     assert np.array_equal(back.faces, s.faces)
 
 
+@pytest.mark.parametrize("normals", [False, True])
+@pytest.mark.parametrize("colors", [False, True])
+@pytest.mark.parametrize("faces", [None, "empty", "grid"])
+def test_saved_ascii_ply_loads_line_by_line(tmp_path, monkeypatch, normals, colors, faces):
+    """save_ply writes an ascii body one row per line, so it loads one block
+    per element from its own lines, never as one whole-body stream."""
+    g = grid_mesh(3, 4)
+    f = {None: None, "empty": np.empty((0, 3), dtype=np.int64), "grid": g.faces}[faces]
+    s = Surface(g.vertices, f, normals=compute_normals(g).normals if normals else None)
+    p = tmp_path / "m.ply"
+    save_ply(s, p, colors=np.arange(36).reshape(12, 3) if colors else None)
+
+    def whole(data):
+        raise AssertionError("the body was read whole")
+
+    monkeypatch.setattr(mesh, "_AsciiBody", whole)
+    back = load_ply(p)
+    assert back.vertices.tolist() == [[float("%.9g" % x) for x in v] for v in s.vertices]
+    assert (back.normals is None) == (not normals)
+    if normals:
+        assert back.normals.tolist() == [[float("%.9g" % x) for x in v] for v in s.normals]
+    assert (back.faces is None) == (faces != "grid")
+    if faces == "grid":
+        assert back.faces.dtype == np.int64 and np.array_equal(back.faces, s.faces)
+
+
 def test_ply_binary_roundtrip(tmp_path):
     s = grid_mesh(3, 4)
     p = tmp_path / "m.ply"

@@ -58,9 +58,12 @@ last bit.
 
 Surfaces are read and written as PLY one block per element, and must load
 and save exactly as a reader and writer that go row by row do.  An ascii
-body is converted in one pass: every value, written by ``repr`` or by
-``%.9g`` and set between any runs of whitespace and line breaks, must load
-as ``float`` reads its token, to the last bit.  Edges are
+body written one row per line is converted one element at a time from its
+own lines, any other one whole, as one stream of values: every value,
+written by ``repr`` or by ``%.9g`` and set between any runs of whitespace
+and line breaks, must load as ``float`` reads its token, to the last bit,
+and whatever the layout, the lines must load, or fail with the message, as
+the stream does.  Edges are
 deduplicated by sorting one integer key per index pair, and must come out as
 the sorted unique rows, byte for byte as ``np.unique`` of the keys gives them.
 """
@@ -77,6 +80,7 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+from nrreg import mesh
 from nrreg.correspond import (CorrespondenceSet, RigidTransform, find_correspondences,
                               lift_rigid_to_state)
 from nrreg.energy import (SPD_JITTER, EnergyParams, SurrogateSystem, Trial,
@@ -923,6 +927,121 @@ def test_ascii_ply_values_load_as_float_reads_them(case):
         path = Path(d) / "v.ply"
         path.write_bytes(data)
         assert load_ply(path).vertices.tobytes() == expected.tobytes()
+
+
+_INT_TOKENS = st.integers(-300, 300).map(str) | st.sampled_from(["-0", "+7", "007"])
+_FLOAT_TOKENS = st.sampled_from([repr, "%.9g".__mod__]).flatmap(
+    lambda fmt: st.floats(-1e30, 1e30, allow_nan=False).map(lambda x: fmt(float(x))))
+_BAD_TOKENS = st.sampled_from(["x", "2.5", "2.0", "-1", "nan", "inf", "1e400", "99", "#",
+                               "99999999999999999999", "\xe9"])
+_PLY_LAYOUTS = ["lines"] * 4 + ["split", "joined", "blank", "tail", "truncated", "bad"]
+
+
+@st.composite
+def ascii_ply_layouts(draw):
+    """Bytes of an ascii PLY, and whether it is well formed, written one row
+    per line and free of polygons of mixed sizes.
+
+    The vertices, 1 to 8 of them, hold x, y and z, each a float, double, int
+    or short, and optionally normals, an int property and uchar colors; a
+    mesh adds a face element of triangles, quads or mixed polygons in an int,
+    uint, uchar or float list.  Values are set apart by spaces or tabs, lines
+    end in LF or CRLF.  The body is written one row per line, or once
+    otherwise: one row split across two lines, two rows on one line, a blank
+    line between rows, numbers or a word after the last element, its last 1
+    to 3 characters lost, or one token replaced by one that is not a number,
+    not whole, negative or out of range (the list length of a row, half the
+    time)."""
+    n = draw(st.integers(1, 8))
+    head = ["ply", "format ascii 1.0", "element vertex %d" % n]
+    vertex_types = [(name, draw(st.sampled_from(["float", "double", "int", "short"])))
+                    for name in "xyz"]
+    if draw(st.booleans()):
+        vertex_types += [(name, "float") for name in ("nx", "ny", "nz")]
+    if draw(st.booleans()):
+        vertex_types.append(("quality", "int"))
+    if draw(st.booleans()):
+        vertex_types += [(name, "uchar") for name in ("red", "green", "blue")]
+    head += ["property %s %s" % (t, name) for name, t in vertex_types]
+    rows = [[draw(_FLOAT_TOKENS if t in ("float", "double") else
+                  st.integers(0, 255).map(str) if t == "uchar" else _INT_TOKENS)
+             for _, t in vertex_types] for _ in range(n)]
+    polygons = []
+    if draw(st.booleans()):
+        sizes = draw(st.sampled_from([[3], [4], [3, 4, 5]]))
+        polygons = draw(st.lists(st.sampled_from(sizes), min_size=1, max_size=8))
+        ltype = draw(st.sampled_from(["int", "uint", "uchar", "float"]))
+        head += ["element face %d" % len(polygons),
+                 "property list uchar %s vertex_indices" % ltype]
+        rows += [[str(k)] + [str(draw(st.integers(0, n - 1))) for _ in range(k)]
+                 for k in polygons]
+    head.append("end_header")
+    layout = draw(st.sampled_from(_PLY_LAYOUTS))
+    r = draw(st.integers(0, len(rows) - 1))
+    if layout == "bad":
+        c = draw(st.sampled_from([0, draw(st.integers(0, len(rows[r]) - 1))]))
+        rows[r][c] = draw(_BAD_TOKENS)
+    space = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [space.join(row) for row in rows]
+    if layout == "split":
+        k = draw(st.integers(1, len(rows[r]) - 1))
+        lines[r] = space.join(rows[r][:k]) + eol + space.join(rows[r][k:])
+    if layout == "joined" and r + 1 < len(lines):
+        lines[r:r + 2] = [lines[r] + space + lines[r + 1]]
+    if layout == "blank":
+        lines.insert(r, "")
+    body = "".join(line + eol for line in lines)
+    if layout == "tail":
+        body += draw(st.sampled_from(["7 8.5", "-9" + eol, "x" + eol, eol + "1"]))
+    if layout == "truncated":
+        body = body.rstrip()[:-draw(st.integers(1, 3))]
+    body += draw(st.sampled_from(["", eol, space + eol + eol]))
+    plain = layout == "lines" and len(set(polygons)) <= 1
+    return ("\n".join(head) + "\n" + body).encode("utf-8"), plain
+
+
+def _ply_outcome(path):
+    """The loaded vertices, normals and faces, each as its dtype, shape and
+    bytes, or the type and message of the error raised."""
+    try:
+        s = load_ply(path)
+    except (FormatError, InvalidInputError) as exc:
+        return type(exc).__name__, str(exc)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes())
+            for a in (s.vertices, s.normals, s.faces)]
+
+
+_FLOAT_LIST_TRIANGLE = (b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                        b"property float y\nproperty float z\nelement face 1\n"
+                        b"property list uchar float vertex_indices\nend_header\n"
+                        b"0 0 0\n1 0 0\n0 1 0\n%s 0 1 2\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ascii_ply_layouts())
+@example((_FLOAT_LIST_TRIANGLE % b"3", True))
+@example((_FLOAT_LIST_TRIANGLE % b"nan", False))
+@example((_FLOAT_LIST_TRIANGLE % b"inf", False))
+@example((_FLOAT_LIST_TRIANGLE % b"-3", False))
+def test_ascii_ply_loads_as_the_token_path_loads_it(case):
+    """Loading an ascii body line by line gives what reading it whole, as one
+    stream of values, gives, or fails with its message; a well-formed body
+    written one row per line, with no polygons of mixed sizes, is never read
+    whole."""
+    data, plain = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "a.ply"
+        path.write_bytes(data)
+        whole = []
+        with pytest.MonkeyPatch.context() as mp:
+            ascii_body = mesh._AsciiBody
+            mp.setattr(mesh, "_AsciiBody", lambda body: whole.append(body) or ascii_body(body))
+            got = _ply_outcome(path)
+            read_whole = bool(whole)
+            mp.setattr(mesh, "_read_lines", lambda body, elements: None)
+            assert got == _ply_outcome(path)
+    assert not (plain and read_whole)
 
 
 @settings(max_examples=60, deadline=None)
