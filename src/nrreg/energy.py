@@ -10,14 +10,15 @@ iterations.
 
 A state is evaluated once: :func:`deform` returns a :class:`Deformed` record
 holding ``F X + P``, ``B X - Y`` and each node's ``A_j - proj(A_j)``, and the
-surrogate energy and gradient, the surrogate's weights and the total energy
-all read it instead of recomputing them.  :func:`total_energy` is the one
+surrogate's weights, its expansion at the start and the total energy all
+read it instead of recomputing them.  :func:`total_energy` is the one
 place the robust energy is summed.
 
 Within one majorization step the weights and targets are frozen, so the
-surrogate is a fixed quadratic form plus the rotation term.  An inner solve
-expands the quadratic part once around its start ``X0``
-(:meth:`SurrogateSystem.expand`, from the start's residuals) and evaluates
+surrogate is a fixed quadratic form plus the rotation term.  A
+:class:`SurrogateSystem` is that majorizer at the evaluated state ``X0`` it
+was assembled at, its ``start``: it takes the quadratic part's value ``E0``
+and gradient ``G0`` there once, from the start's residuals, and evaluates
 every trial ``X = X0 + S`` in the 4r-dimensional state space: energy
 ``E0 + <G0, S> + <S, C> / 2`` and gradient ``G0 + C``, where ``C = 2 M S`` is
 carried along, never multiplied out (:meth:`Trial.along`; the inner solver
@@ -39,7 +40,7 @@ that is not finite, and one whose last step still moved an entry by more than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -220,16 +221,6 @@ def deform(g, X, rot=None):
 
 
 @dataclass(frozen=True)
-class Expansion:
-    """The quadratic part of a surrogate around a start state ``X0``: its
-    energy and gradient at ``X0``."""
-
-    X0: np.ndarray           # (4r, 3) the start state
-    energy: float            # the quadratic part at X0
-    gradient: np.ndarray     # (4r, 3) its gradient at X0
-
-
-@dataclass(frozen=True)
 class Trial:
     """One state of an inner solve, evaluated around the solve's start."""
 
@@ -237,13 +228,12 @@ class Trial:
     step: np.ndarray           # (4r, 3) X - X0
     curv: np.ndarray           # (4r, 3) 2 M step
     rot: np.ndarray            # (r, 3, 3) rotation residuals, A_j - proj(A_j)
-    expansion: Expansion
 
     def along(self, X, lam, d, two_m_d):
         """The trial ``X = self.X + lam d``, given ``two_m_d = 2 M d``: one
         batched rotation projection and no product with ``2 M``."""
         return Trial(X, self.step + lam * d, self.curv + lam * two_m_d,
-                     rotation_residual(X), self.expansion)
+                     rotation_residual(X))
 
 
 def total_energy(d: Deformed, corr, params: EnergyParams):
@@ -259,44 +249,41 @@ def total_energy(d: Deformed, corr, params: EnergyParams):
 
 @dataclass
 class SurrogateSystem:
-    """Frozen targets and Gaussian weights of one majorization step.
+    """The majorizer of one MM step at the evaluated state ``start``: frozen
+    targets and Gaussian weights, and the quadratic part's energy ``E0`` and
+    gradient ``G0`` at the start, from its residuals.
 
-    The energy and gradient read an evaluated state: a :class:`Deformed`
-    record through its residuals, or a :class:`Trial` through its
-    :class:`Expansion`, in state space.  The rotation term is exact either
-    way."""
+    The energy and gradient read a :class:`Trial` around the start, in state
+    space; the rotation term is exact."""
 
     graph: DeformationGraph
+    start: Deformed          # the state the quadratic part is expanded around
     U: np.ndarray            # (n, 3) frozen correspondence targets
     wa: np.ndarray           # (n,) squared diagonal of W_a
     wr: np.ndarray           # (2e,) squared diagonal of W_r
     params: EnergyParams
+    E0: float = field(init=False)
+    G0: np.ndarray = field(init=False)
 
-    def _quadratic_energy(self, d):
-        if isinstance(d, Trial):
-            q = d.expansion
-            return q.energy + np.vdot(q.gradient, d.step) + 0.5 * np.vdot(d.step, d.curv)
+    def __post_init__(self):
+        d, g, alpha = self.start, self.graph, self.params.alpha
         ra = d.points - self.U
         ea = float(np.sum(self.wa * np.sum(ra * ra, axis=1)))
         er = float(np.sum(self.wr * np.sum(d.edges * d.edges, axis=1)))
-        return ea + self.params.alpha * er
+        self.E0 = ea + alpha * er
+        self.G0 = 2.0 * (g.FT @ (self.wa[:, None] * ra)
+                         + alpha * (g.BT @ (self.wr[:, None] * d.edges)))
 
-    def _quadratic_gradient(self, d):
-        if isinstance(d, Trial):
-            return d.expansion.gradient + d.curv
-        g = self.graph
-        return 2.0 * (g.FT @ (self.wa[:, None] * (d.points - self.U))
-                      + self.params.alpha * (g.BT @ (self.wr[:, None] * d.edges)))
+    def energy(self, t: Trial):
+        return (self.E0 + np.vdot(self.G0, t.step) + 0.5 * np.vdot(t.step, t.curv)
+                + self.params.beta * np.vdot(t.rot, t.rot))
 
-    def energy(self, d):
-        return self._quadratic_energy(d) + self.params.beta * np.vdot(d.rot, d.rot)
-
-    def gradient(self, d):
-        G = self._quadratic_gradient(d)
+    def gradient(self, t: Trial):
+        G = self.G0 + t.curv
         if self.params.beta != 0.0:
             # the rotation term acts on the A rows only
             A = _a_blocks(G)
-            A += 2.0 * self.params.beta * d.rot
+            A += 2.0 * self.params.beta * t.rot
         return G
 
     def h0_diagonal(self):
@@ -314,13 +301,6 @@ class SurrogateSystem:
         (:meth:`h0_diagonal`) to the copy it factors."""
         # doubling every weight is exact, so this is the doubled sum
         return self.graph.h0_plan.assemble(2.0 * self.wa, 2.0 * self.params.alpha * self.wr)
-
-    def expand(self, d0: Deformed):
-        """The quadratic part around the evaluated state ``d0``, from its
-        residuals, as the :class:`Trial` of a zero step from ``d0``."""
-        quad = Expansion(d0.X, self._quadratic_energy(d0), self._quadratic_gradient(d0))
-        zero = np.zeros(d0.X.shape)
-        return Trial(d0.X, zero, zero, d0.rot, quad)
 
 
 def gaussian_weight(sq_dist, nu):
@@ -344,4 +324,4 @@ def assemble_surrogate(g, d_k: Deformed, corr_k, params: EnergyParams) -> Surrog
         ra = d_k.points - U
         wa = gaussian_weight(np.sum(ra * ra, axis=1), params.nu_a)
         wr = gaussian_weight(np.sum(d_k.edges * d_k.edges, axis=1), params.nu_r)
-    return SurrogateSystem(g, U, wa, wr, params)
+    return SurrogateSystem(g, d_k, U, wa, wr, params)

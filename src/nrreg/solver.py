@@ -23,7 +23,8 @@ from scipy.sparse.linalg import splu  # noqa: F401
 
 from .correspond import (DEFAULT_EPS_D, DEFAULT_ICP_ITERS, DEFAULT_THETA_DEG,
                          find_correspondences, lift_rigid_to_state, rigid_icp_init)
-from .energy import KERNELS, EnergyParams, assemble_surrogate, deform, total_energy
+from .energy import (KERNELS, EnergyParams, Trial, assemble_surrogate, deform,
+                     total_energy)
 from .errors import InvalidInputError, SolverError
 from .graph import DEFAULT_RADIUS_FACTOR, SAMPLERS, build_graph
 # perfbench traces transform_points at this lookup site too; the solver itself
@@ -182,20 +183,19 @@ def factor_h0(two_m, c):
     return H0Factor(L, two_m.rows)
 
 
-def solve_inner(sys, start, params: SolverParams):
+def solve_inner(sys, params: SolverParams):
     """Minimize one surrogate with L-BFGS; H0 is factored once and reused.
 
-    ``start`` is the evaluated state (:func:`nrreg.energy.deform`) to start
-    from.  The surrogate's quadratic part is expanded once around it
-    (:meth:`nrreg.energy.SurrogateSystem.expand`), and every line-search
-    trial is evaluated in state space (:meth:`nrreg.energy.Trial.along`):
-    one batched rotation projection, no pass over the source points and no
-    product with ``2 M``, since each direction's ``2 M d`` is ``H0 d - c d``
-    with ``H0 d`` from the two-loop recursion.  An accepted step ``lam d`` is
-    stored with ``H0 S = lam H0 d``; the difference of its trials' ``2 M S``
-    would lose to cancellation once steps are small.  The trial evaluation
-    serves the gradient at the accepted point too.  Only the state the
-    solve stops at is deformed.
+    The solve starts from the surrogate's own ``start``, the evaluated state
+    (:func:`nrreg.energy.deform`) whose quadratic part it holds, and every
+    line-search trial is evaluated in state space
+    (:meth:`nrreg.energy.Trial.along`): one batched rotation projection, no
+    pass over the source points and no product with ``2 M``, since each
+    direction's ``2 M d`` is ``H0 d - c d`` with ``H0 d`` from the two-loop
+    recursion.  An accepted step ``lam d`` is stored with ``H0 S = lam H0 d``;
+    the difference of its trials' ``2 M S`` would lose to cancellation once
+    steps are small.  The trial evaluation serves the gradient at the
+    accepted point too.  Only the state the solve stops at is deformed.
 
     Returns ``(end, reason)``: the evaluated state it stops at and why it
     stopped: ``tolerance`` (the energy decrease fell below ``eps1``),
@@ -205,7 +205,9 @@ def solve_inner(sys, start, params: SolverParams):
     """
     c = sys.h0_diagonal()[:, None]
     h0_solve = factor_h0(sys.assemble_H0(), c.ravel()).solve
-    first = cur = sys.expand(start)
+    start = sys.start
+    zero = np.zeros(start.X.shape)
+    first = cur = Trial(start.X, zero, zero, start.rot)
 
     trial = None
 
@@ -304,13 +306,19 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
     of a point cloud's it reads the source's rows and the target's rows at
     its closest points, each estimated on its first read.  Closest points
     are queried on the target's one k-d tree, which a cloud target's
-    normals share.  Returns the final node transforms, the deformed source
-    points, and the per-outer-iteration trace.
+    normals share.  A given ``graph`` must have as many points as the
+    source, and an ``initial_state`` must be a finite (4r, 3) state of the
+    graph's r nodes, or ``InvalidInputError`` is raised.  Returns the final
+    node transforms, the deformed source points, and the
+    per-outer-iteration trace.
     """
     if params is None:
         params = SolverParams()
     if source.n_vertices == 0 or target.n_vertices == 0:
         raise InvalidInputError("empty surface")
+    if graph is not None and graph.n_points != source.n_vertices:
+        raise InvalidInputError(f"the graph was built on {graph.n_points} points, "
+                                f"the source has {source.n_vertices}")
 
     t_start = time.perf_counter()
     l_bar = mean_edge_length(source)
@@ -328,6 +336,11 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
         corr = icp.correspondences
     else:
         X = np.array(initial_state, dtype=np.float64)
+        if X.shape != (4 * graph.n_nodes, 3):
+            raise InvalidInputError(f"initial_state must be ({4 * graph.n_nodes}, 3) for the "
+                                    f"graph's {graph.n_nodes} nodes, got {X.shape}")
+        if not np.isfinite(X).all():
+            raise InvalidInputError("initial_state must be finite")
 
     cur = deform(graph, X)
     # ICP's last closest points certify most rows of the rigidly moved source
@@ -358,7 +371,7 @@ def register(source: Surface, target: Surface, params: SolverParams | None = Non
         reason = "i_max"
         for k in range(params.i_max):
             sys = assemble_surrogate(graph, cur, corr, eparams)
-            new, inner_reason = solve_inner(sys, cur, params)
+            new, inner_reason = solve_inner(sys, params)
             inner_reasons.append(inner_reason)
             max_disp = float(np.max(np.linalg.norm(new.points - cur.points, axis=1)))
             corr = find_correspondences(new.points, target, previous=corr)

@@ -49,9 +49,13 @@ inner solver restates the same expansion on arrays and calls energy and
 gradient separately at every point, and the rotations are projected one
 matrix at a time: the package's Newton polar iteration restated on nine
 Python floats, with its cofactors written out from the definition, and the
-SVD fallback as a LAPACK determinant and one three-operand einsum.
+SVD fallback as a LAPACK determinant and one three-operand einsum.  A test
+that reads the package's surrogate at another state than its start moves
+the surrogate there (``surrogate_at``): at its zero step it reads the
+state's residuals.
 """
 
+import dataclasses
 import heapq
 import math
 import struct
@@ -60,7 +64,8 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from nrreg.energy import POLAR_ITERS, POLAR_TOL, SPD_JITTER, pack_state, unpack_state
+from nrreg.energy import (POLAR_ITERS, POLAR_TOL, SPD_JITTER, Trial, deform, pack_state,
+                          unpack_state)
 from nrreg.geodesic import geodesic_from
 from nrreg.graph import directed_edges
 from nrreg.solver import (MAX_INNER_ITERS, LbfgsHistory, factor_h0, line_search,
@@ -204,6 +209,15 @@ def surrogate_gradient(sys, X):
     """A ``SurrogateSystem``'s gradient at the array ``X``, every term from X."""
     G = quadratic_gradient(sys, X)
     return G + rotation_gradient(sys, X) if sys.params.beta != 0.0 else G
+
+
+def surrogate_at(sys, X):
+    """The package's energy and gradient of the surrogate ``sys`` at the
+    array ``X``: ``sys`` moved to start at ``X``, at its zero step."""
+    moved = dataclasses.replace(sys, start=deform(sys.graph, X))
+    zero = np.zeros(X.shape)
+    trial = Trial(moved.start.X, zero, zero, moved.start.rot)
+    return moved.energy(trial), moved.gradient(trial)
 
 
 def solve_inner_expanded(sys, X0, params):

@@ -20,6 +20,7 @@ from nrreg.solver import (LbfgsHistory, RegistrationResult, SolverParams,
                           solve_inner, two_loop_direction)
 
 from conftest import grid_mesh, linear_twist, rot_z
+from oracles import surrogate_at
 from test_energy import random_graph, random_state
 
 
@@ -182,7 +183,8 @@ def test_line_search_backtracks():
 def test_factor_h0_rejects_an_h0_that_is_not_positive_definite(wa_sign, wr_sign):
     rng = np.random.default_rng(5)
     g = random_graph(rng, 4, 40)
-    sys = SurrogateSystem(g, np.zeros((40, 3)), wa_sign * rng.uniform(1.0, 2.0, size=40),
+    sys = SurrogateSystem(g, deform(g, identity_state(4)), np.zeros((40, 3)),
+                          wa_sign * rng.uniform(1.0, 2.0, size=40),
                           wr_sign * rng.uniform(1.0, 2.0, size=g.B.shape[0]),
                           EnergyParams(1.0, 1.0, 1.0, 0.0))
     H = sys.assemble_H0().toarray() + np.diag(sys.h0_diagonal())
@@ -201,10 +203,11 @@ def test_solve_inner_decreases_surrogate():
     start = deform(g, X0)
     sys = assemble_surrogate(g, start, corr, EnergyParams(0.3, 0.3, 1.0, 1.0))
     params = SolverParams(eps1=1e-10)
-    end, reason = solve_inner(sys, start, params)
+    end, reason = solve_inner(sys, params)
     assert reason == "tolerance"
-    assert sys.energy(end) < sys.energy(start)
-    assert np.linalg.norm(sys.gradient(end)) < 1e-2 * max(1, np.linalg.norm(sys.gradient(start)))
+    (E_end, G_end), (E_start, G_start) = surrogate_at(sys, end.X), surrogate_at(sys, X0)
+    assert E_end < E_start
+    assert np.linalg.norm(G_end) < 1e-2 * max(1, np.linalg.norm(G_start))
 
 
 def test_solve_inner_started_at_a_zero_gradient_is_stationary():
@@ -215,8 +218,8 @@ def test_solve_inner_started_at_a_zero_gradient_is_stationary():
     start = deform(g, random_state(rng, 4, spread=0.2))
     corr = CorrespondenceSet(np.zeros(80, dtype=np.int64), start.points, np.zeros(80))
     sys = assemble_surrogate(g, start, corr, EnergyParams(0.3, 0.3, 0.0, 0.0, "l2"))
-    assert not sys.gradient(start).any()
-    end, reason = solve_inner(sys, start, SolverParams())
+    assert not surrogate_at(sys, start.X)[1].any()
+    end, reason = solve_inner(sys, SolverParams())
     assert (end, reason) == (start, "stationary")
 
 
@@ -230,7 +233,7 @@ def test_line_search_give_up_is_reported(monkeypatch):
                              np.zeros(80))
     start = deform(g, random_state(rng, 4, spread=0.2))
     sys = assemble_surrogate(g, start, corr, EnergyParams(0.3, 0.3, 1.0, 1.0))
-    assert solve_inner(sys, start, SolverParams()) == (start, "line_search")
+    assert solve_inner(sys, SolverParams()) == (start, "line_search")
 
     src = compute_normals(grid_mesh(8, 8))
     s_n, t_n, _ = normalize_pair(src, src)
@@ -351,9 +354,9 @@ def test_register_evaluates_each_point_once(monkeypatch):
         counts["deforms"] += 1
         return evaluate(*args)
 
-    def counted_inner(sys, start, params):
-        end, reason = inner(sys, start, params)
-        counts["moved"] += end is not start
+    def counted_inner(sys, params):
+        end, reason = inner(sys, params)
+        counts["moved"] += end is not sys.start
         return end, reason
 
     monkeypatch.setattr(nrreg.energy, "project_rotations", counted_project)
@@ -632,6 +635,33 @@ def test_register_empty_graph_raises():
                          np.empty((0, 2), dtype=np.int64), 1.0, csr_matrix((25, 0)), s.vertices)
     with pytest.raises(InvalidInputError, match="empty deformation graph"):
         register(s, s, graph=g)
+
+
+def _refuse_work(monkeypatch):
+    for name in ("build_graph", "rigid_icp_init", "find_correspondences"):
+        monkeypatch.setattr(nrreg.solver, name, lambda *a, **k: pytest.fail("work started"))
+
+
+def test_register_rejects_a_graph_of_another_surface(monkeypatch):
+    s = compute_normals(grid_mesh(8, 8))
+    g = build_graph(compute_normals(grid_mesh(6, 6)))
+    _refuse_work(monkeypatch)
+    with pytest.raises(InvalidInputError, match="36 points, the source has 64"):
+        register(s, s, graph=g)
+
+
+@pytest.mark.parametrize("bad", ["shape", "non-finite"])
+def test_register_rejects_an_initial_state_that_does_not_fit(monkeypatch, bad):
+    s = compute_normals(grid_mesh(8, 8))
+    g = build_graph(s)
+    X = identity_state(g.n_nodes)
+    if bad == "shape":
+        X, message = X[:-1], rf"\({4 * g.n_nodes}, 3\) for the graph's {g.n_nodes} nodes"
+    else:
+        X[5, 1], message = np.nan, "must be finite"
+    _refuse_work(monkeypatch)
+    with pytest.raises(InvalidInputError, match=message):
+        register(s, s, graph=g, initial_state=X)
 
 
 def test_trace_csv_roundtrip(tmp_path, small_self_registration):
