@@ -9,7 +9,8 @@ computed on their first read (:class:`LazyNormals`): a mesh's all at once,
 a point cloud's PCA normals row by row over the one k-d tree.  An ascii PLY
 body written one row per line is converted one element at a time, each
 element from its own lines as one typed block; any other layout is
-converted whole, as one stream of float64 values.
+converted whole to float64, and those values are read by position as a
+binary body's are.
 """
 
 from __future__ import annotations
@@ -464,19 +465,19 @@ def load_obj(path):
 #
 # A body is read one element at a time, as one block: every row of the
 # element taken at once as an array with one column per value.  That takes
-# each row to have the first row's list lengths, which is checked.
+# each row to have the first row's list lengths, which is checked; rows that
+# differ in length (triangles mixed with quads) are walked one by one.
 #
-# An ascii body written one row per line is split into lines, and each
-# element's block is converted from its own lines in one call: int64 where
+# One reader, _BinaryBody, reads values by position: a binary body's as
+# packed, an ascii body's once the whole body is converted in one pass to
+# float64 values, read as doubles.  That whole-body path is the reference.
+# An ascii body written one row per line is first split into lines, each
+# element's block converted from its own lines in one call: int64 where
 # every type of the element is an integer (faces), float64 otherwise and for
-# the vertex coordinates.  An ascii body laid out any other way (rows across
-# lines, blank lines, rows of differing length, an integer written as 2.0, a
-# token that is not a number) is converted whole, in one pass, as one stream
-# of float64 values, which the elements are read from by position.  That
-# token path is the reference: the line path gives the same values, and
-# hands every body it cannot convert to the token path, which raises the
-# error if there is one.  An element whose rows differ in length (triangles
-# mixed with quads) is walked row by row on the token path.
+# the vertex coordinates.  This line path gives the same values, and hands
+# every body it cannot convert (rows across lines, blank lines, rows of
+# differing length, an integer written as 2.0, a token that is not a number)
+# to the whole-body path, which raises the error if there is one.
 
 _PLY_TYPES = {
     "char": "b", "int8": "b",
@@ -488,6 +489,8 @@ _PLY_TYPES = {
     "float": "f", "float32": "f",
     "double": "d", "float64": "d",
 }
+_PLY_SIZES = {t: struct.calcsize("<" + c) for t, c in _PLY_TYPES.items()}
+_PLY_UNPACK = {t: struct.Struct("<" + c).unpack_from for t, c in _PLY_TYPES.items()}
 
 _FACE_LISTS = ("vertex_indices", "vertex_index")
 
@@ -529,6 +532,8 @@ def _parse_ply_header(fh, path):
                     prop = (parts[2], parts[1], None)
                 if prop[1] not in _PLY_TYPES:
                     raise FormatError(f"unknown property type {prop[1]!r}", path, lineno)
+                if any(prop[0] == p for p, _, _ in elements[-1][2]):
+                    raise FormatError(f"duplicate property {prop[0]!r}", path, lineno)
                 elements[-1][2].append(prop)
             elif parts[0] == "end_header":
                 break
@@ -541,102 +546,92 @@ def _parse_ply_header(fh, path):
     return fmt, elements
 
 
-class _AsciiBody:
-    """Whitespace-separated values, all converted to float64 in one pass; a
-    value's position is its index.  A token that is not a number raises
-    ValueError, wherever it lies."""
-
-    _FOLD = bytes.maketrans(b"\r\n", b"  ")
-
-    def __init__(self, data):
-        # the body as one line, which loadtxt splits at any whitespace (and
-        # warns of if it holds no value)
-        text = data.translate(self._FOLD).decode("ascii", errors="replace")
-        self.values = (np.loadtxt([text], comments=None, ndmin=1)
-                       if text and not text.isspace() else np.empty(0))
-        self.end = len(self.values)
-
-    def size(self, ptype):
-        return 1
-
-    def length(self, p, ltype):
-        n = self.values[p]
-        if not n.is_integer():
-            raise ValueError("list length is not an integer")
-        return int(n)
-
-    def block(self, pos, types, count):
-        return self.values[pos:pos + count * len(types)].reshape(count, len(types))
-
-    def take(self, offsets, ptype):
-        return self.values[np.asarray(offsets, dtype=np.int64)]
+def _ascii_values(data):
+    """The whitespace-separated values of an ascii body, converted to float64
+    in one pass.  A token that is not a number raises ValueError, wherever
+    it lies."""
+    # the body as one line, which loadtxt splits at any whitespace (and warns
+    # of if it holds no value)
+    text = data.translate(bytes.maketrans(b"\r\n", b"  ")).decode("ascii", errors="replace")
+    return (np.loadtxt([text], comments=None, ndmin=1)
+            if text and not text.isspace() else np.empty(0))
 
 
 class _BinaryBody:
-    """Little-endian values packed back to back."""
+    """Little-endian values packed back to back; a value's position is the
+    offset of its first byte."""
 
     def __init__(self, data):
         self.data = data
         self.end = len(data)
 
-    def size(self, ptype):
-        return struct.calcsize("<" + _PLY_TYPES[ptype])
-
     def length(self, p, ltype):
-        return struct.unpack_from("<" + _PLY_TYPES[ltype], self.data, p)[0]
+        (n,) = _PLY_UNPACK[ltype](self.data, p)
+        # an ascii body's lengths are read as doubles
+        if not float(n).is_integer():
+            raise ValueError("list length is not an integer")
+        return int(n)
 
     def block(self, pos, types, count):
         row = np.dtype([(f"v{k}", "<" + _PLY_TYPES[t]) for k, t in enumerate(types)])
         rows = np.frombuffer(self.data, row, count, pos)
+        out = np.empty((count, len(types)))
         # a float32 signalling NaN, in the file or in bytes read across rows
         # whose list lengths differ, warns as the cast quiets it
         with np.errstate(invalid="ignore"):
-            rows = rows.astype([(f, np.float64) for f in row.names])
-        return rows.view(np.float64).reshape(count, -1)
+            for k, name in enumerate(row.names):
+                out[:, k] = rows[name]
+        return out
 
     def take(self, offsets, ptype):
-        code = "<" + _PLY_TYPES[ptype]
-        spans = np.add.outer(np.asarray(offsets, dtype=np.int64), np.arange(struct.calcsize(code)))
+        size = _PLY_SIZES[ptype]
+        # the value that starts at each byte, unaligned as offsets may be
+        at = np.ndarray((max(self.end - size + 1, 0),), "<" + _PLY_TYPES[ptype], self.data, 0, (1,))
         with np.errstate(invalid="ignore"):      # as in block
-            return np.frombuffer(self.data, np.uint8)[spans].view(code)[:, 0].astype(np.float64)
+            return at[np.asarray(offsets, dtype=np.int64)].astype(np.float64)
 
 
 def _walk(body, pos, count, props):
-    """Row by row, the offset of every property value in ``count`` rows from
-    ``pos``, the lengths of each list, and the position after the rows."""
-    offsets = {p: [] for p, _, _ in props}
+    """Row by row, the position of each property's first value in ``count``
+    rows from ``pos``, the lengths of each list, and the position after the
+    rows."""
+    starts = {p: [] for p, _, _ in props}
     lengths = {p: [] for p, _, ltype in props if ltype}
+    steps = [(starts[p], lengths.get(p), _PLY_SIZES[ptype], ltype) for p, ptype, ltype in props]
     for _ in range(count):
-        for pname, ptype, ltype in props:
-            step, n = body.size(ptype), 1
+        for first, lens, step, ltype in steps:
+            n = 1
             if ltype is not None:
                 n = body.length(pos, ltype)
                 if n < 0:
                     raise ValueError("negative list length")
-                lengths[pname].append(n)
-                pos += body.size(ltype)
+                lens.append(n)
+                pos += _PLY_SIZES[ltype]
             if pos + n * step > body.end:
                 raise IndexError("body ends inside an element")
-            offsets[pname].extend(range(pos, pos + n * step, step))
+            first.append(pos)
             pos += n * step
-    return offsets, lengths, pos
+    return starts, lengths, pos
 
 
-def _split_rows(rows, props, lengths):
+def _split_rows(rows, props):
     """Columns of a block whose rows all have the first row's list lengths,
-    or None if one differs."""
+    or None if one differs or the rows hold more or fewer values."""
     scalars, lists, c = {}, {}, 0
     for pname, _, ltype in props:
+        if c >= rows.shape[1]:
+            return None
         if ltype is None:
             scalars[pname] = rows[:, c]
             c += 1
         else:
-            n = lengths[pname][0]
-            if not (rows[:, c] == n).all():
+            n = rows[0, c]
+            if not (n >= 0 and float(n).is_integer() and (rows[:, c] == n).all()):
                 return None
+            n = int(n)
             lists[pname] = (np.full(len(rows), n), rows[:, c + 1:c + 1 + n].ravel())
             c += 1 + n
-    return scalars, lists
+    return (scalars, lists) if c == rows.shape[1] else None
 
 
 def _read_element(body, pos, count, props):
@@ -651,23 +646,34 @@ def _read_element(body, pos, count, props):
         types = []
         for pname, ptype, ltype in props:
             types += [ptype] if ltype is None else [ltype] + [ptype] * lengths[pname][0]
-        cols = _split_rows(body.block(pos, types, count), props, lengths)
+        cols = _split_rows(body.block(pos, types, count), props)
         if cols is not None:
             return cols, end
-    offsets, lengths, end = _walk(body, pos, count, props)
-    scalars = {p: body.take(offsets[p], t) for p, t, ltype in props if ltype is None}
-    lists = {p: (np.array(lengths[p], dtype=np.int64), body.take(offsets[p], t))
-             for p, t, ltype in props if ltype is not None}
+    starts, lengths, end = _walk(body, pos, count, props)
+    scalars = {p: body.take(starts[p], t) for p, t, ltype in props if ltype is None}
+    lists = {}
+    for p, t, ltype in props:
+        if ltype is not None:
+            n = np.array(lengths[p], dtype=np.int64)
+            # the offset of each value: its row's start plus its rank in the row
+            rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            lists[p] = n, body.take(np.repeat(starts[p], n) + _PLY_SIZES[t] * rank, t)
     return (scalars, lists), end
 
 
 def _read_body(data, fmt, elements, path):
     """Scalar and list columns of every element, read by position from the
-    whole body (see :func:`_read_element`)."""
-    try:
-        body = (_AsciiBody if fmt == "ascii" else _BinaryBody)(data)
-    except ValueError:
-        raise FormatError("non-numeric value in the body", path) from None
+    whole body (see :func:`_read_element`).  An ascii body is first converted
+    whole to float64 (:func:`_ascii_values`), and its values are then read
+    as doubles packed back to back."""
+    if fmt == "ascii":
+        try:
+            data = _ascii_values(data).tobytes()
+        except ValueError:
+            raise FormatError("non-numeric value in the body", path) from None
+        elements = [(name, count, [(p, "double", ltype and "double") for p, _, ltype in props])
+                    for name, count, props in elements]
+    body = _BinaryBody(data)
     cols, pos = {}, 0
     for name, count, props in elements:
         try:
@@ -690,27 +696,15 @@ def _line_block(lines, count, props, dtype):
         rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
     except ValueError:
         return None
-    # the first row's list lengths give the width of every row
-    lengths, width = {}, 0
-    for pname, _, ltype in props:
-        if ltype is not None:
-            n = rows[0, width] if width < rows.shape[1] else -1
-            if not (n >= 0 and float(n).is_integer()):
-                return None
-            lengths[pname] = [int(n)]
-            width += int(n)
-        width += 1
     # loadtxt skips blank lines, so a short block had one
-    if rows.shape != (count, width):
-        return None
-    return _split_rows(rows, props, lengths)
+    return _split_rows(rows, props) if len(rows) == count else None
 
 
 def _read_lines(data, elements):
     """Scalar and list columns of every element of an ascii body written one
     row per line (see :func:`_line_block`), or None if it is laid out
     otherwise.  The lines of each element hold exactly its values, so they
-    are the values the token path reads."""
+    are the values the whole-body path reads."""
     try:
         lines = data.decode("ascii").split("\n")
     except UnicodeDecodeError:
@@ -727,8 +721,8 @@ def _read_lines(data, elements):
         if cols[name] is None:
             return None
         pos += count
-    # the token path also reads what follows the last element, and fails on
-    # a token there that is not a number
+    # the whole-body path also reads what follows the last element, and
+    # fails on a token there that is not a number
     if any(line.strip() for line in lines[pos:]):
         return None
     return cols

@@ -495,7 +495,7 @@ def test_saved_ascii_ply_loads_line_by_line(tmp_path, monkeypatch, normals, colo
     def whole(data):
         raise AssertionError("the body was read whole")
 
-    monkeypatch.setattr(mesh, "_AsciiBody", whole)
+    monkeypatch.setattr(mesh, "_ascii_values", whole)
     back = load_ply(p)
     assert back.vertices.tolist() == [[float("%.9g" % x) for x in v] for v in s.vertices]
     assert (back.normals is None) == (not normals)
@@ -609,6 +609,57 @@ def test_ply_ascii_list_length_must_be_a_count(tmp_path, length):
     with pytest.raises(FormatError) as exc:
         load_ply(p)
     assert exc.value.path == p
+
+
+_PLY_X_TWICE = (b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float x\n"
+                b"property float y\nproperty float z\nproperty list uchar float w\nend_header\n")
+
+
+@pytest.mark.parametrize("body", [
+    b"0 0 0 0 1 0.5\n1 1 0 0 1 0.5\n0 0 1 0 1 0.5\n",
+    b"0 0 0\n0 1 0.5\n1 1 0 0 1 0.5\n0 0 1 0 1 0.5\n",
+    b"0 0 0 0 1 0.5\n1 1 0 0 2 0.5 0.5\n0 0 1 0 0\n"],
+    ids=["one-row-per-line", "row-split-over-lines", "ragged-rows"])
+def test_ply_repeated_property_name_is_format_error(tmp_path, body):
+    """A property named twice in one element fails in the header, whatever
+    the body's layout: no column silently wins over the other."""
+    p = tmp_path / "m.ply"
+    p.write_bytes(_PLY_X_TWICE + body)
+    with pytest.raises(FormatError, match="duplicate property 'x'") as exc:
+        load_ply(p)
+    assert exc.value.path == p and exc.value.line == 5
+
+
+@pytest.mark.parametrize("layout", ["ascii", "binary", "split-rows"])
+@pytest.mark.parametrize("normals", [False, True])
+@pytest.mark.parametrize("colors", [False, True])
+@pytest.mark.parametrize("faces", [None, "empty", "grid"])
+def test_fixed_width_ply_elements_take_the_block_path(tmp_path, monkeypatch, layout, normals,
+                                                      colors, faces):
+    """Every row of an element save_ply writes has the first row's width, so
+    each element is read as one block and none is walked row by row: ascii
+    or binary, and with each ascii row split over two lines."""
+    g = grid_mesh(3, 4)
+    f = {None: None, "empty": np.empty((0, 3), dtype=np.int64), "grid": g.faces}[faces]
+    s = Surface(g.vertices, f, normals=compute_normals(g).normals if normals else None)
+    p = tmp_path / "m.ply"
+    save_ply(s, p, colors=np.arange(36).reshape(12, 3) if colors else None,
+             binary=layout == "binary")
+    want = load_ply(p)
+    if layout == "split-rows":
+        head, body = p.read_bytes().split(b"end_header\n")
+        rows = body.splitlines(keepends=True)
+        p.write_bytes(head + b"end_header\n" + b"".join(r.replace(b" ", b"\n", 1) for r in rows))
+    walks = []
+    walk = mesh._walk
+    monkeypatch.setattr(mesh, "_walk", lambda body, pos, count, props:
+                        walks.append(count) or walk(body, pos, count, props))
+    got = load_ply(p)
+    assert [c for c in walks if c > 1] == []
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert (got.faces is None) == (faces != "grid")
+    if faces == "grid":
+        assert np.array_equal(got.faces, s.faces)
 
 
 def test_ply_face_list_named_vertex_index(tmp_path):

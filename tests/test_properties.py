@@ -1017,6 +1017,11 @@ _FLOAT_LIST_TRIANGLE = (b"ply\nformat ascii 1.0\nelement vertex 3\nproperty floa
                         b"property float y\nproperty float z\nelement face 1\n"
                         b"property list uchar float vertex_indices\nend_header\n"
                         b"0 0 0\n1 0 0\n0 1 0\n%s 0 1 2\n")
+# the first row spans two lines, so the body is read whole
+_SPLIT_TRIANGLE = (b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                   b"property float y\nproperty float z\nelement face 1\n"
+                   b"property list uchar int vertex_indices\nend_header\n"
+                   b"0 0\n0\n1 0 0\n0 1 0\n%s 0 1 2\n")
 
 
 @settings(max_examples=300, deadline=None)
@@ -1025,6 +1030,11 @@ _FLOAT_LIST_TRIANGLE = (b"ply\nformat ascii 1.0\nelement vertex 3\nproperty floa
 @example((_FLOAT_LIST_TRIANGLE % b"nan", False))
 @example((_FLOAT_LIST_TRIANGLE % b"inf", False))
 @example((_FLOAT_LIST_TRIANGLE % b"-3", False))
+@example((_SPLIT_TRIANGLE % b"2.5", False))
+@example((_SPLIT_TRIANGLE % b"-1", False))
+@example((_SPLIT_TRIANGLE % b"nan", False))
+@example((_SPLIT_TRIANGLE % b"inf", False))
+@example((_SPLIT_TRIANGLE % b"1e400", False))
 def test_ascii_ply_loads_as_the_token_path_loads_it(case):
     """Loading an ascii body line by line gives what reading it whole, as one
     stream of values, gives, or fails with its message; a well-formed body
@@ -1036,8 +1046,8 @@ def test_ascii_ply_loads_as_the_token_path_loads_it(case):
         path.write_bytes(data)
         whole = []
         with pytest.MonkeyPatch.context() as mp:
-            ascii_body = mesh._AsciiBody
-            mp.setattr(mesh, "_AsciiBody", lambda body: whole.append(body) or ascii_body(body))
+            ascii_values = mesh._ascii_values
+            mp.setattr(mesh, "_ascii_values", lambda body: whole.append(body) or ascii_values(body))
             got = _ply_outcome(path)
             read_whole = bool(whole)
             mp.setattr(mesh, "_read_lines", lambda body, elements: None)
