@@ -86,7 +86,7 @@ def identity_state(r):
 
 def welsch(x, nu):
     """1 - exp(-x^2 / (2 nu^2)); bounded robust kernel."""
-    if nu <= 0:
+    if not nu > 0:
         raise InvalidInputError("nu must be positive")
     x = np.asarray(x, dtype=np.float64)
     out = 1.0 - np.exp(-(x * x) / (2.0 * nu * nu))
@@ -96,11 +96,9 @@ def welsch(x, nu):
 def _kernel(x, nu, kernel):
     if kernel == "welsch":
         return welsch(x, nu)
-    if kernel == "l2":
-        x = np.asarray(x, dtype=np.float64)
-        out = x * x
-        return float(out) if out.ndim == 0 else out
-    raise InvalidInputError(f"unknown kernel {kernel!r}")
+    x = np.asarray(x, dtype=np.float64)     # l2, the one other kernel
+    out = x * x
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -112,8 +110,13 @@ class EnergyParams:
     kernel: str = "welsch"
 
     def __post_init__(self):
-        if self.nu_a <= 0 or self.nu_r <= 0:
-            raise InvalidInputError("nu_a and nu_r must be positive")
+        # each test fails on NaN
+        if not (0 < self.nu_a < np.inf and 0 < self.nu_r < np.inf):
+            raise InvalidInputError("nu_a and nu_r must be finite and positive")
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise InvalidInputError("alpha and beta must be finite and at least 0")
+        if self.kernel not in KERNELS:
+            raise InvalidInputError(f"unknown kernel {self.kernel!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +232,10 @@ class Trial:
     curv: np.ndarray           # (4r, 3) 2 M step
     rot: np.ndarray            # (r, 3, 3) rotation residuals, A_j - proj(A_j)
 
-    def along(self, X, lam, d, two_m_d):
+    def along(self, lam, d, two_m_d):
         """The trial ``X = self.X + lam d``, given ``two_m_d = 2 M d``: one
         batched rotation projection and no product with ``2 M``."""
+        X = self.X + lam * d
         return Trial(X, self.step + lam * d, self.curv + lam * two_m_d,
                      rotation_residual(X))
 

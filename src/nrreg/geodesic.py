@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +187,13 @@ def geodesic_from(s: Surface, seed, cap=None):
     """The :class:`GeodesicField` of the vertices a march from ``seed``
     reaches: fast marching on a mesh, Dijkstra on its edges or k-NN graph
     otherwise, stopped at ``cap`` if given.  Vertices beyond the cap or on
-    another component are left out, which is not an error."""
+    another component are left out, which is not an error.  The seed must be
+    an integer (not a bool), the cap ``None`` or a real number, at least 0."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, numbers.Real)
+                            or not cap >= 0):
+        raise InvalidInputError(f"cap must be None or a real number at least 0, got {cap!r}")
     if not (0 <= seed < s.n_vertices):
         raise InvalidInputError(f"seed {seed} out of range")
     march = _fast_marching if s.has_faces else _dijkstra

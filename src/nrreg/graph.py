@@ -13,7 +13,7 @@ every deformed point is a row of ``F X + P`` and every edge residual a row of
 ``B X - Y``.  It also carries the plan that fills the surrogate's quadratic
 form ``F^T W_a F + alpha B^T W_r B`` into a fixed symmetric band, in a
 node order chosen once per graph (:class:`H0Plan`), since only the diagonal
-weights change between MM steps.
+weights change between MM steps; F, B and the plan are built in one pass.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ class H0Plan:
 @dataclass
 class DeformationGraph:
     """Sampled nodes, the per-source-point influence weights, and the linear
-    map they define, built once from them."""
+    map they define: F, B and the H0 plan, built in one pass over the influence
+    entries in (point, node) order, whatever their storage order, and the edges."""
 
     node_indices: np.ndarray        # (r,) indices into the source vertices
     node_positions: np.ndarray      # (r, 3)
@@ -133,35 +134,31 @@ class DeformationGraph:
     h0_plan: H0Plan = field(init=False, repr=False)
 
     def __post_init__(self):
-        shape = (self.n_points, 4 * self.n_nodes)
-        Pn = self.node_positions
-        W = self.influence.tocoo()
-        # row i of F holds w_ij [v_i - p_j, 1] on the four state columns of node j
-        offsets = self.source_positions[W.row] - Pn[W.col]
-        vals = np.column_stack([offsets, np.ones(W.nnz)]) * W.data[:, None]
-        cols = 4 * W.col[:, None] + np.arange(4)
-        self.FT = csr_matrix((vals.ravel(), (cols.ravel(), np.repeat(W.row, 4))),
-                             shape=shape[::-1])
-        self.F = self.FT.T
-        self.P = np.asarray(self.influence @ Pn)
-        # D_ij = A_j (p_i - p_j) + p_j + t_j - (p_i + t_i): [p_i - p_j, 1] on
-        # node j's columns and -1 on node i's translation column
-        i, j = directed_edges(self).T
-        k, ones = np.arange(len(i)), np.ones(len(i))
-        self.Y = Pn[i] - Pn[j]
-        vals = np.concatenate([np.column_stack([self.Y, ones]).ravel(), -ones])
-        rows = np.concatenate([np.repeat(k, 4), k])
-        cols = np.concatenate([(4 * j[:, None] + np.arange(4)).ravel(), 4 * i + 3])
-        self.BT = csr_matrix((vals, (cols, rows)), shape=(shape[1], len(k)))
-        self.B = self.BT.T
-        self.h0_plan = self._h0_plan(W)
-
-    def _h0_plan(self, W):
         r, Pn = self.n_nodes, self.node_positions
+        # the influence entries (i, j, w_ij) in (point, node) order
+        W = self.influence.tocoo()
         order = np.lexsort((W.col, W.row))
         point = W.row[order].astype(np.int32)
         node = W.col[order].astype(np.int32)
         w = W.data[order]
+        offsets = self.source_positions[point] - Pn[node]
+        # row i of F holds w_ij [v_i - p_j, 1] on the four state columns of node j
+        vals = np.column_stack([offsets, np.ones(len(w))]) * w[:, None]
+        cols = 4 * node[:, None] + np.arange(4)
+        self.FT = csr_matrix((vals.ravel(), (cols.ravel(), np.repeat(point, 4))),
+                             shape=(4 * r, self.n_points))
+        self.F = self.FT.T
+        self.P = np.asarray(self.influence @ Pn)
+        # D_ij = A_j (p_i - p_j) + p_j + t_j - (p_i + t_i): row k of B (edge (i, j))
+        # is v5 = [p_i - p_j, 1] on node j's columns, -1 on node i's translation column
+        i, j = directed_edges(self).T
+        self.Y = Pn[i] - Pn[j]
+        v5 = np.column_stack([self.Y, np.ones(len(i)), -np.ones(len(i))])
+        cols = np.column_stack([4 * j[:, None] + np.arange(4), 4 * i + 3])
+        self.BT = csr_matrix((v5.ravel(), (cols.ravel(), np.repeat(np.arange(len(i)), 5))),
+                             shape=(4 * r, len(i)))
+        self.B = self.BT.T
+
         # each influence entry pairs with itself and every later entry of its
         # point, whose node is higher
         m = len(point)
@@ -177,7 +174,6 @@ class DeformationGraph:
 
         # the pattern: the node pairs that share a point or an edge, and the
         # diagonal; its reverse Cuthill-McKee order narrows H0 to a band
-        i, j = directed_edges(self).T
         nodes = np.arange(r)
         u, v = np.divmod(np.unique(np.concatenate([keys, pl * r + pj, i * r + j,
                                                    nodes * (r + 1)])), r)
@@ -185,8 +181,7 @@ class DeformationGraph:
         by_rank = reverse_cuthill_mckee(csr_matrix(
             (np.ones(len(u)), v, np.searchsorted(u, np.arange(r + 1))), shape=(r, r)),
             symmetric_mode=True) if r else nodes
-        rank = np.empty(r, dtype=np.int64)
-        rank[by_rank] = nodes
+        rank = np.argsort(by_rank)
         width = 4 * int(np.abs(rank[u] - rank[v]).max(initial=0)) + 4
 
         def slot(J, L, a, b):
@@ -194,13 +189,10 @@ class DeformationGraph:
             p, q = 4 * rank[J] + a, 4 * rank[L] + b
             return (np.abs(p - q) + width * np.minimum(p, q)).astype(np.int32)
 
-        # row k of B (directed edge (i, j)) has [p_i - p_j, 1] on node j's
-        # columns and -1 on node i's translation column: entries 0-3 and 4
-        v5 = np.column_stack([self.Y, np.ones(len(i)), -np.ones(len(i))])
         i, j = i[:, None], j[:, None]
-        return H0Plan(
+        self.h0_plan = H0Plan(
             rows=(4 * by_rank[:, None] + np.arange(4)).ravel(),
-            K=K, point=point, offsets=(self.source_positions[point] - Pn[node]).T.copy(),
+            K=K, point=point, offsets=offsets.T.copy(),
             shift=Pn[pj] - Pn[pl], edge_products=v5[:, _A15] * v5[:, _B15],
             slots=np.concatenate([
                 np.where((pj == pl)[:, None] & (_A16 < _B16), width * 4 * r,
@@ -324,8 +316,6 @@ def build_graph(s: Surface, R=None, sampler="pca"):
     """
     if R is None:
         R = DEFAULT_RADIUS_FACTOR * mean_edge_length(s)
-    if not R > 0:
-        raise InvalidInputError("R must be positive")
     if sampler == "pca":
         nodes, fields = sample_nodes_pca(s, R)
     elif sampler == "farthest":

@@ -520,6 +520,8 @@ def _parse_ply_header(fh, path):
                 count = int(parts[2])
                 if count < 0:
                     raise FormatError("negative element count", path, lineno)
+                if any(parts[1] == name for name, _, _ in elements):
+                    raise FormatError(f"duplicate element {parts[1]!r}", path, lineno)
                 elements.append((parts[1], count, []))
             elif parts[0] == "property":
                 if not elements:
@@ -824,10 +826,9 @@ def save_ply(s: Surface, path, colors=None, binary=False):
         fh.writelines(body)
 
 
-def load_surface(path, fmt=None):
-    """Load an OBJ or PLY surface; the format defaults to the file suffix."""
-    if fmt is None:
-        fmt = str(path).rsplit(".", 1)[-1].lower()
+def load_surface(path):
+    """Load an OBJ or PLY surface, by the file suffix."""
+    fmt = str(path).rsplit(".", 1)[-1].lower()
     if fmt == "obj":
         return load_obj(path)
     if fmt == "ply":

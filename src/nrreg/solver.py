@@ -136,19 +136,19 @@ def two_loop_direction(hist: LbfgsHistory, grad, h0_solve):
     return R, H0R
 
 
-def line_search(energy_fn, X, d, E0, g_dot_d, gamma):
+def line_search(trial_at, E0, g_dot_d, gamma):
     """Backtracking from step 1, halving until sufficient decrease holds.
-    ``energy_fn(X_new, lam)`` is the energy at ``X_new = X + lam d``.
+    ``trial_at(lam)`` returns the trial at step ``lam`` along the direction
+    and its energy.
 
-    Returns ``(lam, X_new, E_new)`` or ``None`` if no step above the floor is
+    Returns ``(lam, trial, E)`` or ``None`` if no step above the floor is
     accepted.
     """
     lam = 1.0
     while lam >= MIN_STEP:
-        X_new = X + lam * d
-        E_new = energy_fn(X_new, lam)
-        if E_new <= E0 + gamma * lam * g_dot_d:
-            return lam, X_new, E_new
+        trial, E = trial_at(lam)
+        if E <= E0 + gamma * lam * g_dot_d:
+            return lam, trial, E
         lam *= 0.5
     return None
 
@@ -209,13 +209,9 @@ def solve_inner(sys, params: SolverParams):
     zero = np.zeros(start.X.shape)
     first = cur = Trial(start.X, zero, zero, start.rot)
 
-    trial = None
-
-    def trial_energy(X, lam):
-        # the last point evaluated is the accepted one if the search succeeds
-        nonlocal trial
-        trial = cur.along(X, lam, d, two_m_d)
-        return sys.energy(trial)
+    def trial_at(lam):
+        trial = cur.along(lam, d, two_m_d)
+        return trial, sys.energy(trial)
 
     hist = LbfgsHistory(params.m)
     E = sys.energy(cur)
@@ -228,11 +224,11 @@ def solve_inner(sys, params: SolverParams):
             reason = "stationary"
             break
         two_m_d = h0_d - c * d
-        step = line_search(trial_energy, cur.X, d, E, gd, params.gamma)
+        step = line_search(trial_at, E, gd, params.gamma)
         if step is None:
             reason = "line_search"
             break
-        lam, _, E_new = step
+        lam, trial, E_new = step
         G_new = sys.gradient(trial)
         hist.push(lam * d, G_new - G, lam * h0_d)
         decrease = E - E_new

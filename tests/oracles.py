@@ -256,6 +256,10 @@ def solve_inner_expanded(sys, X0, params):
                 G[k::4] += 2.0 * p.beta * R[:, :, k]
         return G
 
+    def trial_at(lam):
+        trial = X + lam * d, S + lam * d, C + lam * two_m_d
+        return trial, energy(*trial)
+
     hist = LbfgsHistory(params.m)
     X, S, C = X0, np.zeros_like(X0), np.zeros_like(X0)
     E = energy(X, S, C)
@@ -266,12 +270,10 @@ def solve_inner_expanded(sys, X0, params):
         if gd >= 0.0:
             return X, "stationary"
         two_m_d = h0_d - c * d
-        step = line_search(lambda X_new, lam: energy(X_new, S + lam * d, C + lam * two_m_d),
-                           X, d, E, gd, params.gamma)
+        step = line_search(trial_at, E, gd, params.gamma)
         if step is None:
             return X, "line_search"
-        lam, X_new, E_new = step
-        S_new, C_new = S + lam * d, C + lam * two_m_d
+        lam, (X_new, S_new, C_new), E_new = step
         G_new = gradient(X_new, C_new)
         hist.push(lam * d, G_new - G, lam * h0_d)
         decrease = E - E_new

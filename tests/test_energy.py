@@ -71,13 +71,28 @@ def test_welsch_values():
     v = welsch(x, 0.7)
     assert np.all(np.diff(v) > 0)   # monotone on x >= 0
     assert v.max() < 1.0            # bounded above by 1
-    with pytest.raises(InvalidInputError):
-        welsch(1.0, 0.0)
+    for nu in (0.0, np.nan):
+        with pytest.raises(InvalidInputError, match="nu must be positive"):
+            welsch(1.0, nu)
 
 
 def test_energy_params_validation():
     with pytest.raises(InvalidInputError):
         EnergyParams(0.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("field, args", [
+    ("nu_a and nu_r", (np.nan, 1.0, 1.0, 1.0)), ("nu_a and nu_r", (1.0, np.inf, 1.0, 1.0)),
+    ("nu_a and nu_r", (-np.inf, 1.0, 1.0, 1.0)), ("nu_a and nu_r", (1.0, -1.0, 1.0, 1.0)),
+    ("alpha and beta", (1.0, 1.0, np.nan, 1.0)), ("alpha and beta", (1.0, 1.0, np.inf, 1.0)),
+    ("alpha and beta", (1.0, 1.0, 1.0, -0.5)), ("alpha and beta", (1.0, 1.0, 1.0, np.nan)),
+    ("unknown kernel 'huber'", (1.0, 1.0, 1.0, 1.0, "huber"))])
+def test_energy_params_reject_malformed_values_at_construction(field, args):
+    """Every field is checked when the parameters are made, NaN and infinite
+    values too, not when an energy is first summed."""
+    with pytest.raises(InvalidInputError, match=field):
+        EnergyParams(*args)
+    EnergyParams(1.0, 1.0, 0.0, 0.0, "l2")     # the limits a caller may reach
 
 
 def test_residual_dij_hand_example():

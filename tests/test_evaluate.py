@@ -63,6 +63,9 @@ def test_remove_region():
             remove_region(s, 0, radius)
     with pytest.raises(InvalidInputError):
         remove_region(s, 0, 100.0)   # would remove everything
+    for seed in (44.0, 44.5, np.float64(44.0), True):
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            remove_region(s, seed, 0.3)
 
 
 def test_synthesize_identity_is_noop(grid25):

@@ -71,6 +71,24 @@ def test_bad_arguments():
         geodesic_from(s, -1)
 
 
+@pytest.mark.parametrize("seed, cap", [
+    (1.5, None), (np.float64(2.0), None), (True, None), (np.bool_(True), None),
+    (1, float("nan")), (1, -1), (1, -1e-300), (1, True), (1, "0.5")])
+@pytest.mark.parametrize("faces", [True, False], ids=["fast-marching", "dijkstra"])
+def test_malformed_seed_or_cap_is_invalid_input(seed, cap, faces):
+    """A seed that is not an integer and a cap that is not a real number at
+    least 0 fail alike on a mesh and on a cloud: none is rounded, taken as a
+    vertex or marched to an empty field."""
+    s = grid_mesh(4, 4)
+    s = s if faces else Surface(s.vertices)
+    with pytest.raises(InvalidInputError, match="seed must be an integer" if cap is None
+                       else "cap must be None or a real number"):
+        geodesic_from(s, seed, cap=cap)
+    # the integer seeds and caps at least 0 a march accepts
+    for seed, cap in ((np.int32(2), np.float32(0.4)), (2, 0), (2, float("inf"))):
+        assert 2 in geodesic_from(s, seed, cap=cap).indices
+
+
 def test_point_cloud_falls_back_to_knn():
     rng = np.random.default_rng(3)
     pts = rng.uniform(size=(60, 3))

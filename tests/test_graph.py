@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from nrreg import geodesic, graph
 from nrreg.correspond import RigidTransform, lift_rigid_to_state
-from nrreg.energy import identity_state, pack_state
+from nrreg.energy import EnergyParams, SurrogateSystem, deform, identity_state, pack_state
 from nrreg.errors import InvalidInputError
 from nrreg.geodesic import geodesic_from
-from nrreg.graph import (build_graph, influence_weights, principal_axis,
+from nrreg.graph import (DeformationGraph, build_graph, influence_weights, principal_axis,
                          sample_nodes_farthest, sample_nodes_pca, transform_points)
 from nrreg.mesh import Surface, mean_edge_length, surface_edges
 
@@ -145,6 +145,39 @@ def test_transform_single_node_affine():
     p = g.node_positions[0]
     expected = (s.vertices - p) @ A.T + p + t
     assert np.allclose(transform_points(g, X), expected, atol=1e-14)
+
+
+def test_linear_map_and_h0_plan_ignore_the_influence_storage_order():
+    """F, B and the H0 band read the influence entries in (point, node)
+    order, so a canonical CSR, one with unsorted column indices within rows
+    and entries given with their rows out of order build the same bytes."""
+    rng = np.random.default_rng(11)
+    r, n = 5, 30
+    rows = np.repeat(np.arange(n), 3)
+    cols = np.concatenate([rng.choice(r, size=3, replace=False) for _ in range(n)])
+    vals = rng.uniform(0.1, 1.0, size=3 * n)
+    W = csr_matrix((vals, (rows, cols)), shape=(n, r))
+    assert W.has_canonical_format
+    indices, data = W.indices.copy(), W.data.copy()
+    for a, b in zip(W.indptr[:-1], W.indptr[1:]):
+        indices[a:b], data[a:b] = indices[a:b][::-1].copy(), data[a:b][::-1].copy()
+    unsorted = csr_matrix((data, indices, W.indptr), shape=(n, r))
+    assert not unsorted.has_sorted_indices
+    shuffle = rng.permutation(3 * n)
+    out_of_order = coo_matrix((vals[shuffle], (rows[shuffle], cols[shuffle])), shape=(n, r))
+    nodes, sources = rng.uniform(size=(r, 3)), rng.uniform(size=(n, 3))
+    edges = np.array([[0, 1], [0, 3], [1, 2], [2, 4], [3, 4]])
+    wa, wr = rng.uniform(size=n), rng.uniform(size=2 * len(edges))
+    built = []
+    for influence in (W, unsorted, out_of_order):
+        g = DeformationGraph(np.arange(r), nodes, edges, 1.0, influence, sources)
+        sys = SurrogateSystem(g, deform(g, identity_state(r)), np.zeros((n, 3)), wa, wr,
+                              EnergyParams(1.0, 1.0, 0.5, 1.0))
+        built.append([g.F.data, g.F.indices, g.F.indptr, g.B.data, g.B.indices, g.B.indptr,
+                      sys.assemble_H0().band])
+    for arrays in built[1:]:
+        for a, b in zip(built[0], arrays):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def dense_graph_oracle(s, R, sampler):

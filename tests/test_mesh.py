@@ -630,6 +630,20 @@ def test_ply_repeated_property_name_is_format_error(tmp_path, body):
     assert exc.value.path == p and exc.value.line == 5
 
 
+@pytest.mark.parametrize("header, line, name", [
+    (_PLY_XYZ + _PLY_XYZ[len(b"ply\nformat ascii 1.0\n"):], 7, "vertex"),
+    (_PLY_XYZ + _PLY_FACE + _PLY_FACE, 9, "face")],
+    ids=["vertex", "face"])
+def test_ply_repeated_element_name_is_format_error(tmp_path, header, line, name):
+    """An element declared twice fails in the header: the second does not
+    silently replace the first."""
+    p = tmp_path / "m.ply"
+    p.write_bytes(header + _PLY_BODY + b"5 5 5\n6 5 5\n5 6 5\n3 0 1 2\n3 0 1 2\n")
+    with pytest.raises(FormatError, match=f"duplicate element '{name}'") as exc:
+        load_ply(p)
+    assert exc.value.path == p and exc.value.line == line
+
+
 @pytest.mark.parametrize("layout", ["ascii", "binary", "split-rows"])
 @pytest.mark.parametrize("normals", [False, True])
 @pytest.mark.parametrize("colors", [False, True])

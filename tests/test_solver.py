@@ -153,12 +153,12 @@ def test_line_search_accepts_newton_step_on_quadratic():
     A = M @ M.T + 6 * np.eye(6)
     x = rng.normal(size=6)
 
-    def f(z, lam=None):
+    def f(z):
         return 0.5 * float(z @ A @ z)
 
     g = A @ x
     d = -np.linalg.solve(A, g)
-    out = line_search(f, x, d, f(x), float(g @ d), gamma=0.3)
+    out = line_search(lambda lam: (x + lam * d, f(x + lam * d)), f(x), float(g @ d), gamma=0.3)
     assert out is not None
     lam, x_new, e_new = out
     assert lam == 1.0
@@ -166,13 +166,13 @@ def test_line_search_accepts_newton_step_on_quadratic():
 
 
 def test_line_search_backtracks():
-    def f(z, lam=None):
+    def f(z):
         return float(np.sum(z ** 2))
 
     x = np.array([1.0])
     d = np.array([-4.0])       # overshoots; full step increases f
     g = np.array([2.0])
-    out = line_search(f, x, d, f(x), float(g @ d), gamma=0.3)
+    out = line_search(lambda lam: (x + lam * d, f(x + lam * d)), f(x), float(g @ d), gamma=0.3)
     assert out is not None
     lam, _, e_new = out
     assert lam < 1.0
