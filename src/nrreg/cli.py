@@ -28,7 +28,7 @@ import numpy as np
 
 from . import evaluate
 from .energy import KERNELS
-from .errors import InvalidInputError, NrregError
+from .errors import InvalidInputError, NrregError, check_number
 from .graph import SAMPLERS, build_graph
 from .mesh import (Surface, compute_normals, load_surface, mean_edge_length,
                    normalize_pair, save_ply, write_error_mesh)
@@ -207,11 +207,11 @@ def _register(cfg):
 
 
 def _synth(cfg):
-    # written so that NaN fails it too; the graph radius is checked by build_graph
+    # the graph radius is checked by build_graph
     for key in ("deform_angle", "deform_translation", "noise_fraction",
                 "noise_sigma_factor", "remove_radius"):
-        if not 0.0 <= cfg.get(key, 0.0) < np.inf:
-            raise InvalidInputError(f"{key} must be finite and non-negative")
+        check_number(key, cfg.get(key, 0.0), lambda v: 0.0 <= v < np.inf,
+                     "finite and non-negative")
     src_path = _require_path(cfg, "source")
     source = compute_normals(load_surface(src_path))
     seed = cfg.get("seed", 0)

@@ -18,15 +18,13 @@ bit for bit as the tree returns it; ties are never certified.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .energy import pack_state
-from .errors import InitializationError, InvalidInputError
+from .errors import InitializationError, InvalidInputError, check_number
 from .mesh import Surface, _kd_tree
 
 DEFAULT_EPS_D = 0.3
@@ -56,7 +54,8 @@ class CorrespondenceSet:
 
 def find_correspondences(queries, target: Surface, previous: CorrespondenceSet | None = None):
     """Exact closest target point per query, with no pair rejected (rigid
-    ICP rejects its own pairs); an empty target raises ``InvalidInputError``.
+    ICP rejects its own pairs).  An empty target, and queries that are not
+    an (m, 3) array of finite points, raise ``InvalidInputError``.
 
     ``previous`` is the last set found on the target's k-d tree for as many
     queries, row for row.  A row whose old nearest point is certified still
@@ -68,6 +67,8 @@ def find_correspondences(queries, target: Surface, previous: CorrespondenceSet |
     if target.n_vertices == 0:
         raise InvalidInputError("cannot index an empty point set")
     queries = np.array(queries, dtype=np.float64)   # a copy: the set keeps it
+    if queries.ndim != 2 or queries.shape[1] != 3:
+        raise InvalidInputError(f"queries must be an (m, 3) array, got shape {queries.shape}")
     tree = _kd_tree(target)
     if previous is None or previous.tree is not tree or len(previous.indices) != len(queries):
         idx, dist, margin = _nearest(target, queries)
@@ -81,10 +82,12 @@ def _nearest(target: Surface, queries):
     the lowest index, and each query's second-nearest distance: a lower
     bound on its distance to every target point but the nearest, 0 where
     there is none (one target point) or it is beyond the float range."""
-    queries = np.atleast_2d(queries)
     tree = _kd_tree(target)
     k = min(2, target.n_vertices)
-    d, idx = tree.query(queries, k=k)
+    try:
+        d, idx = tree.query(queries, k=k)
+    except ValueError:      # the tree refuses a NaN or infinite query
+        raise InvalidInputError("query points must be finite") from None
     if k == 1:
         return idx.ravel().astype(np.int64), d.ravel(), np.zeros(len(d))
     dist = d[:, 0].copy()
@@ -198,13 +201,9 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
     integer, ``eps_d`` finite and positive and ``theta`` in (0, 180], or
     ``InvalidInputError`` is raised.
     """
-    if (isinstance(iters, (bool, np.bool_)) or not isinstance(iters, (int, np.integer))
-            or iters < 0):
-        raise InvalidInputError(f"iters must be a non-negative integer, got {iters!r}")
-    if not (_real(eps_d) and math.isfinite(eps_d) and eps_d > 0):
-        raise InvalidInputError(f"eps_d must be finite and positive, got {eps_d!r}")
-    if not (_real(theta) and 0.0 < theta <= 180.0):
-        raise InvalidInputError(f"theta must lie in (0, 180] degrees, got {theta!r}")
+    check_number("iters", iters, lambda v: v >= 0, "a non-negative integer", integer=True)
+    check_number("eps_d", eps_d, lambda v: 0 < v < np.inf, "finite and positive")
+    check_number("theta", theta, lambda v: 0.0 < v <= 180.0, "in (0, 180] degrees")
     if source.normals is None or target.normals is None:
         raise InvalidInputError("rigid ICP needs normals on both surfaces")
     if target.n_vertices == 0:
@@ -233,11 +232,6 @@ def rigid_icp_init(source: Surface, target: Surface, iters=DEFAULT_ICP_ITERS,
         pairs = keep, corr.indices[keep]
         rt = best_rigid(moved[keep], corr.positions[keep]).compose(rt)
     return RigidIcpResult(rt, corr, iters, "iteration_cap")
-
-
-def _real(x):
-    """A real number that is not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
 
 
 def lift_rigid_to_state(rt: RigidTransform, g):

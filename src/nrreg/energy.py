@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 from .graph import DeformationGraph, transform_points
 
 SPD_JITTER = 1e-8
@@ -86,8 +86,7 @@ def identity_state(r):
 
 def welsch(x, nu):
     """1 - exp(-x^2 / (2 nu^2)); bounded robust kernel."""
-    if not nu > 0:
-        raise InvalidInputError("nu must be positive")
+    check_number("nu", nu, lambda v: v > 0, "positive")
     x = np.asarray(x, dtype=np.float64)
     out = 1.0 - np.exp(-(x * x) / (2.0 * nu * nu))
     return float(out) if out.ndim == 0 else out
@@ -110,11 +109,10 @@ class EnergyParams:
     kernel: str = "welsch"
 
     def __post_init__(self):
-        # each test fails on NaN
-        if not (0 < self.nu_a < np.inf and 0 < self.nu_r < np.inf):
-            raise InvalidInputError("nu_a and nu_r must be finite and positive")
-        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
-            raise InvalidInputError("alpha and beta must be finite and at least 0")
+        for value in (self.nu_a, self.nu_r):
+            check_number("nu_a and nu_r", value, lambda v: 0 < v < np.inf, "finite and positive")
+        for value in (self.alpha, self.beta):
+            check_number("alpha and beta", value, lambda v: 0 <= v < np.inf, "finite and >= 0")
         if self.kernel not in KERNELS:
             raise InvalidInputError(f"unknown kernel {self.kernel!r}")
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of numeric arguments."""
+
+import numbers
 
 
 class NrregError(Exception):
@@ -18,8 +20,8 @@ class FormatError(NrregError):
         self.line = line
 
 
-class InvalidInputError(NrregError):
-    """Arguments violate a documented precondition."""
+class InvalidInputError(NrregError, ValueError):
+    """Arguments violate a documented precondition; a ``ValueError`` too."""
 
 
 class DegenerateInputError(NrregError):
@@ -32,3 +34,12 @@ class InitializationError(NrregError):
 
 class SolverError(NrregError):
     """Numerical failure inside the registration solver."""
+
+
+def check_number(name, value, ok, what, integer=False):
+    """Raise ``InvalidInputError`` "<name> must be <what>, got <value>" unless
+    ``value`` is a real number (an integer if ``integer``), not a bool, and
+    ``ok(value)`` holds; ``ok`` must fail on NaN, as a comparison does."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not (isinstance(value, kind) and ok(value)):
+        raise InvalidInputError(f"{name} must be {what}, got {value!r}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 from .geodesic import geodesic_from
 from .graph import transform_points
 from .mesh import Surface, compute_normals, save_ply
@@ -31,8 +31,8 @@ class GroundTruth:
 def rmse(result_positions, gt: GroundTruth):
     """Root mean square pointwise deviation from the ground truth."""
     result_positions = np.asarray(result_positions, dtype=np.float64)
-    if len(result_positions) != len(gt.gt_positions):
-        raise InvalidInputError("position count mismatch")
+    if result_positions.shape != gt.gt_positions.shape:
+        raise InvalidInputError(f"positions {result_positions.shape}, not {gt.gt_positions.shape}")
     e = np.linalg.norm(result_positions - gt.gt_positions, axis=1)
     return float(np.sqrt(np.mean(e * e)))
 
@@ -41,8 +41,8 @@ def add_gaussian_normal_noise(s: Surface, fraction, sigma, rng_seed=0):
     """Displace a random vertex subset along its normals by N(0, sigma^2)."""
     if s.normals is None:
         raise InvalidInputError("noise generator needs normals")
-    if sigma < 0 or not (0.0 <= fraction <= 1.0):
-        raise InvalidInputError("need sigma >= 0 and fraction in [0, 1]")
+    check_number("fraction", fraction, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+    check_number("sigma", sigma, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
     count = int(np.floor(fraction * s.n_vertices))
     if count == 0 or sigma == 0.0:
         return s
@@ -56,8 +56,7 @@ def add_gaussian_normal_noise(s: Surface, fraction, sigma, rng_seed=0):
 
 def remove_region(s: Surface, seed_vertex, geodesic_radius):
     """Delete all vertices within a geodesic ball of the seed, reindexing."""
-    if not geodesic_radius > 0:
-        raise InvalidInputError("radius must be positive")
+    check_number("geodesic_radius", geodesic_radius, lambda v: v > 0, "positive")
     keep = np.ones(s.n_vertices, dtype=bool)
     keep[geodesic_from(s, seed_vertex, cap=geodesic_radius).indices] = False
     if not keep.any():
@@ -94,8 +93,7 @@ def random_node_rotations(g, max_angle_deg, rng_seed=0, translation_scale=0.0):
     translations, one per graph node."""
     for name, value in (("max_angle_deg", max_angle_deg),
                         ("translation_scale", translation_scale)):
-        if not (np.isfinite(value) and value >= 0.0):
-            raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
+        check_number(name, value, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
     rng = np.random.default_rng(rng_seed)
     r = g.n_nodes
     axes = rng.normal(size=(r, 3))

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .errors import InvalidInputError
+from .errors import check_number
 from .mesh import Surface, surface_edges
 
 
@@ -188,14 +187,11 @@ def geodesic_from(s: Surface, seed, cap=None):
     reaches: fast marching on a mesh, Dijkstra on its edges or k-NN graph
     otherwise, stopped at ``cap`` if given.  Vertices beyond the cap or on
     another component are left out, which is not an error.  The seed must be
-    an integer (not a bool), the cap ``None`` or a real number, at least 0."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, numbers.Real)
-                            or not cap >= 0):
-        raise InvalidInputError(f"cap must be None or a real number at least 0, got {cap!r}")
-    if not (0 <= seed < s.n_vertices):
-        raise InvalidInputError(f"seed {seed} out of range")
+    a vertex index (an integer, not a bool), the cap ``None`` or a real number >= 0."""
+    n = s.n_vertices
+    check_number("seed", seed, lambda v: 0 <= v < n, f"an integer in [0, {n})", integer=True)
+    if cap is not None:
+        check_number("cap", cap, lambda v: v >= 0, "None or a real number at least 0")
     march = _fast_marching if s.has_faces else _dijkstra
     return march(_geometry(s), seed, cap)
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, triu
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, check_number
 from .geodesic import geodesic_from
 from .mesh import Surface, mean_edge_length, save_ply
 
@@ -241,8 +241,7 @@ def sample_nodes_pca(s: Surface, R):
     Returns the nodes and their fields: the (vertex indices, distances) of
     the points below R from each node, the points it influences, from one
     march capped at R."""
-    if not R > 0:
-        raise InvalidInputError("R must be positive")
+    check_number("R", R, lambda v: v > 0, "positive")
     n = s.n_vertices
     if n == 0:
         raise DegenerateInputError("empty surface")
@@ -276,8 +275,7 @@ def sample_nodes_farthest(s: Surface, R):
     which leaves every distance below the cap unchanged.  A point no node
     reaches is at +inf, the farthest, so each component gets a node, marched
     uncapped; the first node is vertex 0."""
-    if not R > 0:
-        raise InvalidInputError("R must be positive")
+    check_number("R", R, lambda v: v > 0, "positive")
     if s.n_vertices == 0:
         raise DegenerateInputError("empty surface")
     nearest = np.full(s.n_vertices, np.inf)

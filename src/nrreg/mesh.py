@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateInputError, FormatError, InvalidInputError
+from .errors import DegenerateInputError, FormatError, InvalidInputError, check_number
 
 KNN_GRAPH_K = 8
 
@@ -202,18 +202,21 @@ class NormalizationRecord:
     scale: float
 
     def normalize(self, points, frame):
-        c = self._centroid(frame)
-        return (np.asarray(points, dtype=np.float64) - c) * self.scale
+        points, c = self._in_frame(points, frame)
+        return (points - c) * self.scale
 
     def denormalize(self, points, frame):
-        c = self._centroid(frame)
-        return np.asarray(points, dtype=np.float64) / self.scale + c
+        points, c = self._in_frame(points, frame)
+        return points / self.scale + c
 
-    def _centroid(self, frame):
+    def _in_frame(self, points, frame):
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise InvalidInputError(f"points must be an (n, 3) array, got shape {points.shape}")
         if frame == "source":
-            return self.centroid_shift_source
+            return points, self.centroid_shift_source
         if frame == "target":
-            return self.centroid_shift_target
+            return points, self.centroid_shift_target
         raise InvalidInputError(f"unknown frame {frame!r}")
 
 
@@ -406,8 +409,7 @@ def compute_normals(s: Surface, k=10):
     along the surface normal, each with an arbitrary sign.  The new surface
     shares what is derived from ``s``, whose points it has.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise InvalidInputError(f"k must be an integer >= 2, got {k!r}")
+    check_number("k", k, lambda v: v >= 2, "an integer >= 2", integer=True)
     out = replace(s, normals=LazyNormals(s, k))
     object.__setattr__(out, "_derived", s._derived)
     return out
@@ -782,17 +784,18 @@ def load_ply(path):
 
 
 def save_ply(s: Surface, path, colors=None, binary=False):
-    """Write a surface as PLY; ``colors`` is an optional (n, 3) uint8 array."""
+    """Write a surface as PLY; ``colors`` is an optional (n, 3) array of integers in [0, 255]."""
     n = s.n_vertices
     # (PLY type, property names, values) of each per-vertex triple
     blocks = [("float", "x y z", s.vertices)]
     if s.normals is not None:
         blocks.append(("float", "nx ny nz", s.normals))
     if colors is not None:
-        colors = np.asarray(colors, dtype=np.uint8)
-        if colors.shape != (n, 3):
-            raise InvalidInputError("colors must be (n, 3)")
-        blocks.append(("uchar", "red green blue", colors))
+        colors = np.asarray(colors)
+        if not (colors.shape == (n, 3) and colors.dtype.kind in "iuf"
+                and np.all((colors >= 0) & (colors <= 255) & (colors == np.trunc(colors)))):
+            raise InvalidInputError("colors must be an (n, 3) array of integers in [0, 255]")
+        blocks.append(("uchar", "red green blue", colors.astype(np.uint8)))
     header = ["ply",
               "format binary_little_endian 1.0" if binary else "format ascii 1.0",
               f"element vertex {n}"]

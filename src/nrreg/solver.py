@@ -10,7 +10,6 @@ outlier suppression.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, fields
@@ -25,7 +24,7 @@ from .correspond import (DEFAULT_EPS_D, DEFAULT_ICP_ITERS, DEFAULT_THETA_DEG,
                          find_correspondences, lift_rigid_to_state, rigid_icp_init)
 from .energy import (KERNELS, EnergyParams, Trial, assemble_surrogate, deform,
                      total_energy)
-from .errors import InvalidInputError, SolverError
+from .errors import InvalidInputError, SolverError, check_number
 from .graph import DEFAULT_RADIUS_FACTOR, SAMPLERS, build_graph
 # perfbench traces transform_points at this lookup site too; the solver itself
 # reads deformed points from the evaluated state (energy.deform)
@@ -63,12 +62,10 @@ class SolverParams:
         # each field is checked by its annotation, read as a string
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and (isinstance(value, bool) or not (
-                    isinstance(value, numbers.Real) and math.isfinite(value))):
-                raise InvalidInputError(f"{f.name} must be a finite real number, got {value!r}")
-            elif f.type == "int" and (isinstance(value, bool)
-                                      or not isinstance(value, (int, np.integer))):
-                raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float":
+                check_number(f.name, value, math.isfinite, "a finite real number")
+            elif f.type == "int":
+                check_number(f.name, value, lambda v: True, "an integer", integer=True)
             elif f.type == "bool" and not isinstance(value, (bool, np.bool_)):
                 raise InvalidInputError(f"{f.name} must be a bool, got {value!r}")
         if not (0.0 < self.gamma < 1.0):

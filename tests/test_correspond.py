@@ -23,6 +23,22 @@ def nearest(queries, points):
     return corr.indices, corr.distances
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "2d"])
+def test_malformed_queries_are_invalid_input(bad):
+    """A query that is not finite, or not three coordinates, fails typed,
+    whether or not a previous set is offered for reuse."""
+    target = Surface(np.random.default_rng(1).uniform(size=(20, 3)))
+    queries = np.random.default_rng(2).uniform(size=(5, 3))
+    previous = find_correspondences(queries, target)
+    if bad == "2d":
+        queries = queries[:, :2]
+    else:
+        queries[3] = float(bad)
+    for prev in (None, previous):
+        with pytest.raises(InvalidInputError, match="finite" if bad != "2d" else r"\(m, 3\)"):
+            find_correspondences(queries, target, prev)
+
+
 def test_index_matches_brute_force():
     """At any coordinate scale the closest point's distance is the row norm
     of the difference to the bit, which warm-started queries rely on (see

@@ -71,7 +71,7 @@ def test_welsch_values():
     v = welsch(x, 0.7)
     assert np.all(np.diff(v) > 0)   # monotone on x >= 0
     assert v.max() < 1.0            # bounded above by 1
-    for nu in (0.0, np.nan):
+    for nu in (0.0, np.nan, "a", True, np.bool_(True)):
         with pytest.raises(InvalidInputError, match="nu must be positive"):
             welsch(1.0, nu)
 
@@ -86,7 +86,11 @@ def test_energy_params_validation():
     ("nu_a and nu_r", (-np.inf, 1.0, 1.0, 1.0)), ("nu_a and nu_r", (1.0, -1.0, 1.0, 1.0)),
     ("alpha and beta", (1.0, 1.0, np.nan, 1.0)), ("alpha and beta", (1.0, 1.0, np.inf, 1.0)),
     ("alpha and beta", (1.0, 1.0, 1.0, -0.5)), ("alpha and beta", (1.0, 1.0, 1.0, np.nan)),
-    ("unknown kernel 'huber'", (1.0, 1.0, 1.0, 1.0, "huber"))])
+    ("unknown kernel 'huber'", (1.0, 1.0, 1.0, 1.0, "huber")),
+    ("nu_a and nu_r", ("a", 1.0, 1.0, 1.0)), ("nu_a and nu_r", (1.0, True, 1.0, 1.0)),
+    ("nu_a and nu_r", (np.bool_(True), 1.0, 1.0, 1.0)), ("alpha and beta", (1.0, 1.0, True, 1.0)),
+    ("alpha and beta", (1.0, 1.0, 1.0, None)), ("alpha and beta", (1.0, 1.0, "a", 1.0)),
+    ("alpha and beta", (1.0, 1.0, 1.0, np.bool_(True)))])
 def test_energy_params_reject_malformed_values_at_construction(field, args):
     """Every field is checked when the parameters are made, NaN and infinite
     values too, not when an energy is first summed."""

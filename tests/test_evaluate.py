@@ -19,6 +19,8 @@ def test_rmse_arithmetic():
     assert rmse(pts, gt) == pytest.approx(np.sqrt(25.0 / 2.0))
     with pytest.raises(InvalidInputError):
         rmse(np.zeros((3, 3)), gt)
+    with pytest.raises(InvalidInputError, match=r"positions \(2, 2\)"):
+        rmse(np.zeros((2, 2)), gt)
 
 
 def test_noise_moves_expected_subset():
@@ -43,6 +45,12 @@ def test_noise_reproducible_and_degenerate_cases():
     assert np.array_equal(add_gaussian_normal_noise(s, 0.5, 0.0).vertices, s.vertices)
     with pytest.raises(InvalidInputError):
         add_gaussian_normal_noise(s, 1.5, 0.1)
+    for field, args in (("fraction", ("0.5", 0.1)), ("fraction", (True, 0.1)),
+                        ("fraction", (np.bool_(True), 0.1)), ("sigma", (0.5, "a")),
+                        ("sigma", (0.5, True)), ("sigma", (0.5, np.nan)),
+                        ("sigma", (0.5, np.inf))):
+        with pytest.raises(InvalidInputError, match=field):
+            add_gaussian_normal_noise(s, *args)
     with pytest.raises(InvalidInputError):
         add_gaussian_normal_noise(grid_mesh(4, 4), 0.5, 0.1)   # no normals
 
@@ -58,7 +66,7 @@ def test_remove_region():
     # surviving vertices keep their coordinates; faces are valid reindexes
     assert np.array_equal(out.vertices, s.vertices[keep])
     assert out.faces.min() >= 0 and out.faces.max() < out.n_vertices
-    for radius in (-1.0, 0.0, float("nan")):
+    for radius in (-1.0, 0.0, float("nan"), "a", True, np.bool_(True)):
         with pytest.raises(InvalidInputError, match="radius must be positive"):
             remove_region(s, 0, radius)
     with pytest.raises(InvalidInputError):
@@ -102,7 +110,8 @@ def test_random_node_rotations_are_rotations(grid25):
 @pytest.mark.parametrize("field, value", [
     ("max_angle_deg", float("nan")), ("max_angle_deg", float("inf")), ("max_angle_deg", -1.0),
     ("translation_scale", float("nan")), ("translation_scale", float("inf")),
-    ("translation_scale", -1.0)])
+    ("translation_scale", -1.0), ("max_angle_deg", "5"), ("max_angle_deg", True),
+    ("max_angle_deg", np.bool_(True)), ("translation_scale", None), ("translation_scale", True)])
 def test_random_node_rotations_reject_malformed_magnitudes(grid25, field, value):
     args = {"max_angle_deg": 10.0, "translation_scale": 0.01, field: value}
     with pytest.raises(InvalidInputError, match=field):

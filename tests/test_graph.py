@@ -112,6 +112,9 @@ def test_build_graph_bad_args(grid25):
     for R in (-1.0, 0.0, float("nan")):
         with pytest.raises(InvalidInputError):
             build_graph(grid25, R=R)
+    for R in ("a", True, np.bool_(True)):
+        with pytest.raises(InvalidInputError, match="R must be positive"):
+            build_graph(grid25, R=R)
     with pytest.raises(InvalidInputError):
         build_graph(grid25, sampler="random")
 

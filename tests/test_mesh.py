@@ -246,6 +246,10 @@ def test_normalize_pair_unit_diagonal_and_roundtrip():
     assert np.allclose(back_t, b.vertices, atol=1e-12)
     with pytest.raises(InvalidInputError):
         rec.normalize(a.vertices, "nope")
+    for points in (np.zeros((4, 2)), np.zeros(3)):
+        for move in (rec.normalize, rec.denormalize):
+            with pytest.raises(InvalidInputError, match=r"points must be an \(n, 3\) array"):
+                move(points, "source")
 
 
 def test_normalize_pair_degenerate():
@@ -478,6 +482,23 @@ def test_ply_ascii_roundtrip(tmp_path):
     assert np.allclose(back.vertices, s.vertices, atol=1e-8)
     assert np.allclose(back.normals, s.normals, atol=1e-8)
     assert np.array_equal(back.faces, s.faces)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_save_ply_rejects_colors_a_uchar_cannot_hold(tmp_path, binary):
+    """A cast to uint8 would write 300 as 44, 1.5 as 1 and -1 as 255."""
+    s = grid_mesh(2, 2)
+    good = np.full((4, 3), 255)
+    for bad in (300, 1.5, -1, np.nan, np.inf):
+        colors = good.astype(type(bad))
+        colors[2, 1] = bad
+        with pytest.raises(InvalidInputError, match=r"integers in \[0, 255\]"):
+            save_ply(s, tmp_path / "m.ply", colors=colors, binary=binary)
+    for colors in (good[:3], [["red"] * 3] * 4, good.astype(bool)):
+        with pytest.raises(InvalidInputError, match=r"colors must be an \(n, 3\) array"):
+            save_ply(s, tmp_path / "m.ply", colors=colors, binary=binary)
+    save_ply(s, tmp_path / "m.ply", colors=good.astype(np.float64), binary=binary)
+    assert load_ply(tmp_path / "m.ply").n_vertices == 4
 
 
 @pytest.mark.parametrize("normals", [False, True])

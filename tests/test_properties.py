@@ -66,8 +66,13 @@ and whatever the layout, the lines must load, or fail with the message, as
 the stream does.  Edges are
 deduplicated by sorting one integer key per index pair, and must come out as
 the sorted unique rows, byte for byte as ``np.unique`` of the keys gives them.
+
+Every public numeric argument must reject, with ``InvalidInputError`` naming
+it, a value that is text, a bool, None where None has no meaning, NaN, a
+float where an integer is due, or a number out of its range.
 """
 
+import functools
 import tempfile
 from pathlib import Path
 
@@ -82,14 +87,15 @@ from scipy.spatial.transform import Rotation
 
 from nrreg import mesh
 from nrreg.correspond import (CorrespondenceSet, RigidTransform, find_correspondences,
-                              lift_rigid_to_state)
+                              lift_rigid_to_state, rigid_icp_init)
 from nrreg.energy import (SPD_JITTER, EnergyParams, SurrogateSystem, Trial,
                           assemble_surrogate, deform, gaussian_weight, identity_state,
-                          project_rotations, total_energy)
+                          project_rotations, total_energy, welsch)
 from nrreg.errors import FormatError, InvalidInputError
+from nrreg.evaluate import add_gaussian_normal_noise, random_node_rotations, remove_region
 from nrreg.geodesic import geodesic_from
 from nrreg.graph import (SAMPLERS, DeformationGraph, build_graph, sample_nodes_farthest,
-                         transform_points)
+                         sample_nodes_pca, transform_points)
 from nrreg.mesh import (Surface, _pca_normals, _smallest_eigenvectors, compute_normals,
                         edges_from_faces, load_obj, load_ply, save_ply, surface_edges)
 from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
@@ -1074,3 +1080,102 @@ def test_edges_from_faces_are_the_unique_sorted_rows(faces):
     assert _same(got, edges_unique_rows(faces))
     ref = edges_unique_keys(faces)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def malformed(out_of_range, integer=False, none=True):
+    """Text, bools, NaN, complex, None (unless ``none`` is False) and the
+    ``out_of_range`` numbers; any float too where an integer is due."""
+    bad = st.one_of(st.text(max_size=4), st.booleans(), st.sampled_from(
+        [np.bool_(True), np.bool_(False), float("nan"), np.float32("nan"), 1 + 1j,
+         *out_of_range]))
+    if none:
+        bad |= st.none()
+    return (bad | st.floats(-1e3, 1e3)) if integer else bad
+
+
+@functools.cache
+def numeric_arguments():
+    """(argument, message pattern, call, a value in range, malformed values)
+    for every public numeric argument."""
+    s = compute_normals(grid_mesh(4, 4))
+    g = build_graph(s)
+
+    def solver(field):
+        return lambda v: SolverParams(**{field: v})
+
+    return [
+        ("EnergyParams.nu_a", "nu_a and nu_r", lambda v: EnergyParams(v, 1.0, 1.0, 1.0), 1.0,
+         malformed([0.0, -1.0, np.inf])),
+        ("EnergyParams.nu_r", "nu_a and nu_r", lambda v: EnergyParams(1.0, v, 1.0, 1.0), 1.0,
+         malformed([0.0, -np.inf])),
+        ("EnergyParams.alpha", "alpha and beta", lambda v: EnergyParams(1.0, 1.0, v, 1.0), 0.0,
+         malformed([-0.5, np.inf])),
+        ("EnergyParams.beta", "alpha and beta", lambda v: EnergyParams(1.0, 1.0, 1.0, v), 0.0,
+         malformed([-1e-300, np.inf])),
+        ("welsch.nu", "nu must", lambda v: welsch(1.0, v), 0.5, malformed([0.0, -1.0])),
+        ("SolverParams.m", "m must", solver("m"), 1, malformed([0, -2], integer=True)),
+        ("SolverParams.gamma", "gamma", solver("gamma"), 0.5, malformed([0.0, 1.0, np.inf])),
+        ("SolverParams.eps1", "eps1", solver("eps1"), 1e-9, malformed([0.0, -1.0])),
+        ("SolverParams.eps2", "eps2", solver("eps2"), 1e-9, malformed([0.0, np.inf])),
+        ("SolverParams.i_max", "i_max", solver("i_max"), 1, malformed([0], integer=True)),
+        ("SolverParams.k_alpha", "k_alpha", solver("k_alpha"), 0.0, malformed([-1.0, np.inf])),
+        ("SolverParams.k_beta", "k_beta", solver("k_beta"), 0.0, malformed([-1.0])),
+        ("SolverParams.nu_a_max_factor", "nu_a_max", solver("nu_a_max_factor"), 0.5,
+         malformed([0.1, np.inf])),
+        ("SolverParams.nu_a_min_factor", "nu_a_min", solver("nu_a_min_factor"), 10.0,
+         malformed([0.0, 11.0])),
+        ("SolverParams.nu_r_max_factor", "nu_r_max_factor", solver("nu_r_max_factor"), 1.0,
+         malformed([0.0, -np.inf])),
+        ("SolverParams.radius_factor", "radius_factor", solver("radius_factor"), 1.0,
+         malformed([0.0, np.inf])),
+        ("SolverParams.eps_d", "eps_d", solver("eps_d"), 1e-9, malformed([0.0, np.inf])),
+        ("SolverParams.theta", "theta", solver("theta"), 180.0, malformed([0.0, 180.5])),
+        ("SolverParams.icp_iters", "icp_iters", solver("icp_iters"), 0,
+         malformed([-1], integer=True)),
+        ("rigid_icp_init.iters", "iters", lambda v: rigid_icp_init(s, s, iters=v), 0,
+         malformed([-1], integer=True)),
+        ("rigid_icp_init.eps_d", "eps_d", lambda v: rigid_icp_init(s, s, eps_d=v), 1.0,
+         malformed([0.0, np.inf])),
+        ("rigid_icp_init.theta", "theta", lambda v: rigid_icp_init(s, s, theta=v), 180,
+         malformed([0.0, -30.0, 720.0])),
+        ("geodesic_from.seed", "seed must", lambda v: geodesic_from(s, v), 15,
+         malformed([-1, 16], integer=True)),
+        ("geodesic_from.cap", "cap must", lambda v: geodesic_from(s, 0, cap=v), 0.0,
+         malformed([-1e-300, -np.inf], none=False)),
+        ("compute_normals.k", "k must", lambda v: compute_normals(s, k=v), 2,
+         malformed([1, -3], integer=True)),
+        ("sample_nodes_pca.R", "R must", lambda v: sample_nodes_pca(s, v), 0.5,
+         malformed([0.0, -1.0])),
+        ("sample_nodes_farthest.R", "R must", lambda v: sample_nodes_farthest(s, v), 0.5,
+         malformed([0.0, -1.0])),
+        ("build_graph.R", "R must", lambda v: build_graph(s, R=v), 0.5,
+         malformed([0.0, -np.inf], none=False)),
+        ("add_gaussian_normal_noise.fraction", "fraction",
+         lambda v: add_gaussian_normal_noise(s, v, 0.1), 1.0, malformed([-0.1, 1.5])),
+        ("add_gaussian_normal_noise.sigma", "sigma",
+         lambda v: add_gaussian_normal_noise(s, 0.5, v), 0.0, malformed([-1.0, np.inf])),
+        ("remove_region.seed_vertex", "seed must", lambda v: remove_region(s, v, 0.3), 5,
+         malformed([-1, 16], integer=True)),
+        ("remove_region.geodesic_radius", "radius must", lambda v: remove_region(s, 5, v), 0.3,
+         malformed([0.0, -1.0])),
+        ("random_node_rotations.max_angle_deg", "max_angle_deg",
+         lambda v: random_node_rotations(g, v), 0.0, malformed([-1.0, np.inf])),
+        ("random_node_rotations.translation_scale", "translation_scale",
+         lambda v: random_node_rotations(g, 10.0, translation_scale=v), 0.0,
+         malformed([-1.0, np.inf])),
+    ]
+
+
+def test_every_numeric_argument_takes_a_value_in_range():
+    for _, _, call, good, _ in numeric_arguments():
+        call(good)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_numeric_argument_rejects_malformed_values(data):
+    argument, pattern, call, _, bad = data.draw(
+        st.sampled_from(numeric_arguments()), label="argument")
+    value = data.draw(bad, label=argument)
+    with pytest.raises(InvalidInputError, match=pattern):
+        call(value)
