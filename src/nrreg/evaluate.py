@@ -37,12 +37,22 @@ def rmse(result_positions, gt: GroundTruth):
     return float(np.sqrt(np.mean(e * e)))
 
 
+def _check_seed(rng_seed):
+    """A seed is an integer >= 0 or a list or tuple of them, as numpy's
+    ``default_rng`` takes it; anything else is an ``InvalidInputError``."""
+    for v in rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed]:
+        check_number("rng_seed", v, lambda v: v >= 0,
+                     "an integer >= 0 or a list or tuple of them", integer=True)
+
+
 def add_gaussian_normal_noise(s: Surface, fraction, sigma, rng_seed=0):
-    """Displace a random vertex subset along its normals by N(0, sigma^2)."""
+    """Displace a random vertex subset along its normals by N(0, sigma^2),
+    drawn from ``rng_seed``: an integer >= 0 or a list or tuple of them."""
     if s.normals is None:
         raise InvalidInputError("noise generator needs normals")
     check_number("fraction", fraction, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
     check_number("sigma", sigma, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
+    _check_seed(rng_seed)
     count = int(np.floor(fraction * s.n_vertices))
     if count == 0 or sigma == 0.0:
         return s
@@ -75,12 +85,19 @@ def remove_region(s: Surface, seed_vertex, geodesic_radius):
 
 
 def synthesize_deformation(s: Surface, g, node_rotations, node_translations):
-    """Deform a surface with known per-node transforms; returns the deformed
-    surface (as target) and the per-vertex ground truth."""
+    """Deform a surface with known per-node transforms, shaped (r, 3, 3)
+    and (r, 3) for a graph of r nodes; returns the deformed surface (as
+    target) and the per-vertex ground truth."""
     if s.n_vertices != g.n_points:
         raise InvalidInputError("the graph was built on a different surface")
-    X = pack_state(np.asarray(node_rotations, dtype=np.float64),
-                   np.asarray(node_translations, dtype=np.float64))
+    rotations = np.asarray(node_rotations, dtype=np.float64)
+    translations = np.asarray(node_translations, dtype=np.float64)
+    r = g.n_nodes
+    if rotations.shape != (r, 3, 3) or translations.shape != (r, 3):
+        raise InvalidInputError(
+            f"node_rotations {rotations.shape} and node_translations {translations.shape}, "
+            f"not ({r}, 3, 3) and ({r}, 3) for a graph of {r} nodes")
+    X = pack_state(rotations, translations)
     deformed = transform_points(g, X)
     target = Surface(deformed, s.faces)
     if target.faces is not None:
@@ -90,10 +107,12 @@ def synthesize_deformation(s: Surface, g, node_rotations, node_translations):
 
 def random_node_rotations(g, max_angle_deg, rng_seed=0, translation_scale=0.0):
     """Small random rotations (angle <= max_angle_deg) plus optional random
-    translations, one per graph node."""
+    translations, one per graph node, drawn from ``rng_seed``: an integer
+    >= 0 or a list or tuple of them."""
     for name, value in (("max_angle_deg", max_angle_deg),
                         ("translation_scale", translation_scale)):
         check_number(name, value, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
+    _check_seed(rng_seed)
     rng = np.random.default_rng(rng_seed)
     r = g.n_nodes
     axes = rng.normal(size=(r, 3))

@@ -11,21 +11,24 @@ the cap, in ascending index order: no n-length array per march.
 
 What a surface is marched on is built on first use and kept with the
 surface, which never changes (:meth:`nrreg.mesh.Surface.derived`): for fast
-marching, one flat list per vertex v holding a 7-value record
-``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)`` for each triangle (v, q, r) at
-v, its edge lengths and corner dot products as plain floats, so the
-marching loop makes no numpy call; for Dijkstra, the CSR matrix of the
-surface graph.  Each length and dot comes from numpy's 3-vector dot (BLAS
-``ddot``), as when the loop took them from the points on the fly.  That
-dot fuses its multiply-adds, so a plain ``x*x + y*y + z*z`` rounds
-differently in about a third of cases and would move fields in the last
-bit.
+marching, one packed little-endian buffer of 56-byte records
+``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)``, two int64 and five float64, one
+for each triangle (v, q, r) at each vertex v, its edge lengths and corner
+dot products, grouped by v, with each vertex's byte offset into it.  numpy
+builds it with no loop over the faces, and the marching loop unpacks each
+accepted vertex's records with one ``struct`` call, so it makes no numpy
+call; for Dijkstra, the CSR matrix of the surface graph.  Each length and
+dot comes from numpy's 3-vector dot (BLAS ``ddot``), as when the loop took
+them from the points on the fly.  That dot fuses its multiply-adds, so a
+plain ``x*x + y*y + z*z`` rounds differently in about a third of cases and
+would move fields in the last bit.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,27 +65,45 @@ def _dots(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+# one fast-marching record: q and r as int64, then |vq|, |vr|, |qr|, dot_q, dot_r
+_RECORD = struct.Struct("<qq5d")
+_RECORD_DTYPE = np.dtype([("q", "<i8"), ("r", "<i8"), ("vq", "<f8"), ("vr", "<f8"),
+                          ("qr", "<f8"), ("dot_q", "<f8"), ("dot_r", "<f8")])
+
+
 def _incident_triangles(points, faces):
-    """Per vertex v, one flat list of 7-value records
-    ``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)``, one for each triangle
-    (v, q, r) at v in face order, where ``dot_q = (v - q).(r - q)`` and
+    """The fast-marching table: one packed :data:`_RECORD`
+    ``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)`` for each triangle (v, q, r)
+    at each vertex v, where ``dot_q = (v - q).(r - q)`` and
     ``dot_r = (v - r).(q - r)`` are the dots at the two other corners;
-    triangles that repeat v are skipped.  The lengths and dots are plain
-    floats, computed once per triangle edge and corner and shared by the
-    triangle's three records."""
+    triangles that repeat v are skipped.  Returns ``(records, offsets)``:
+    the records as one little-endian byte buffer ordered by v, each vertex's
+    in face order, and the byte offsets ``offsets[v]`` to ``offsets[v + 1]``
+    of vertex v's records.  The lengths and dots are computed once per
+    triangle edge and corner and shared by the triangle's three records."""
     p = [points[faces[:, k]] for k in range(3)]
     # column k: the length of edge (k, k + 1) and the dot at corner k
     edge = np.column_stack([np.sqrt(_dots(e, e))
-                            for e in (p[1] - p[0], p[2] - p[1], p[0] - p[2])]).tolist()
+                            for e in (p[1] - p[0], p[2] - p[1], p[0] - p[2])]).ravel()
     corner = np.column_stack([_dots(p[(k + 1) % 3] - p[k], p[(k + 2) % 3] - p[k])
-                              for k in range(3)]).tolist()
-    incident = [[] for _ in range(len(points))]
-    for f, el, cd in zip(faces.tolist(), edge, corner):
-        for k, q, r in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            v = f[k]
-            if f[q] != v != f[r]:
-                incident[v] += (f[q], f[r], el[k], el[r], el[q], cd[q], cd[r])
-    return incident
+                              for k in range(3)]).ravel()
+    del p
+    # corner c = 3 f + k of face f holds v[c] = faces[f, k]; its q and r are
+    # the next two corners of the face, nxt[c] and prv[c]
+    v = faces.ravel()
+    nxt = np.arange(len(v)).reshape(-1, 3)[:, [1, 2, 0]].ravel()
+    prv = nxt[nxt]
+    c = np.flatnonzero((v[nxt] != v) & (v[prv] != v))
+    c = c[np.argsort(v[c], kind="stable")]      # by v, each vertex's in face order
+    offsets = np.zeros(len(points) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(v[c], minlength=len(points)), out=offsets[1:])
+    records = np.empty(len(c), dtype=_RECORD_DTYPE)
+    cq, cr = nxt[c], prv[c]
+    for name, values, at in (("q", v, cq), ("r", v, cr), ("vq", edge, c), ("vr", edge, cr),
+                             ("qr", edge, cq), ("dot_q", corner, cq), ("dot_r", corner, cr)):
+        records[name] = values[at]
+    return (memoryview(records).cast("B").toreadonly(),
+            memoryview(offsets * _RECORD.size).toreadonly())
 
 
 def _geometry(s: Surface):
@@ -137,8 +158,10 @@ def _triangle_update(dc_a, dc_b, b_len, a_len, cab):
     return dc_a + t
 
 
-def _fast_marching(incident, seed, cap):
-    n = len(incident)
+def _fast_marching(table, seed, cap):
+    records, offsets = table
+    unpack = _RECORD.iter_unpack
+    n = len(offsets) - 1
     dist = [math.inf] * n
     done = [False] * n
     dist[seed] = 0.0
@@ -152,8 +175,7 @@ def _fast_marching(incident, seed, cap):
         if d > limit:
             break
         done[v] = True
-        it = iter(incident[v])
-        for q, r, vq, vr, qr, dot_q, dot_r in zip(it, it, it, it, it, it, it):
+        for q, r, vq, vr, qr, dot_q, dot_r in unpack(records[offsets[v]:offsets[v + 1]]):
             # triangle (v, q, r) updates q, then r
             if not done[q]:
                 cand = d + vq       # edge update from the newly accepted vertex

@@ -7,9 +7,12 @@ can check the matrix forms against something other than themselves.
 
 The same goes for fast marching, which the package runs on lengths and dots
 precomputed per surface: the loop below takes every quantity from the points
-at the moment it is needed.  A point cloud's geodesics are restated as
-Dijkstra on a dense matrix of its symmetric k-NN graph, with neighbours found
-by sorting every pairwise distance.  The package's PCA eigenvectors come in
+at the moment it is needed.  The package packs those lengths and dots into
+one buffer, built by numpy in vertex order; the reference table below is
+built by a loop over the faces into one list of Python numbers per vertex.
+A point cloud's geodesics are restated as Dijkstra on a dense matrix of its
+symmetric k-NN graph, with neighbours found by sorting every pairwise
+distance.  The package's PCA eigenvectors come in
 closed form; the version below takes them from LAPACK's ``eigh``.
 
 The package reads and writes PLY one numpy block per element, and OBJ one
@@ -66,7 +69,7 @@ from scipy.spatial import cKDTree
 
 from nrreg.energy import (POLAR_ITERS, POLAR_TOL, SPD_JITTER, Trial, deform, pack_state,
                           unpack_state)
-from nrreg.geodesic import geodesic_from
+from nrreg.geodesic import _dots, geodesic_from
 from nrreg.graph import directed_edges
 from nrreg.solver import (MAX_INNER_ITERS, LbfgsHistory, factor_h0, line_search,
                           two_loop_direction)
@@ -363,6 +366,26 @@ def triangle_update(dc_a, dc_b, p_c, p_a, p_b):
     if not (a_len * cos_t < q < a_len / cos_t):
         return math.inf
     return dc_a + t
+
+
+def incident_triangle_lists(points, faces):
+    """Per vertex v, one flat list of 7-value records
+    ``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)``, one for each triangle
+    (v, q, r) at v in face order, with the package's lengths and dots as
+    Python floats; triangles that repeat v are skipped."""
+    p = [points[faces[:, k]] for k in range(3)]
+    # column k: the length of edge (k, k + 1) and the dot at corner k
+    edge = np.column_stack([np.sqrt(_dots(e, e))
+                            for e in (p[1] - p[0], p[2] - p[1], p[0] - p[2])]).tolist()
+    corner = np.column_stack([_dots(p[(k + 1) % 3] - p[k], p[(k + 2) % 3] - p[k])
+                              for k in range(3)]).tolist()
+    incident = [[] for _ in range(len(points))]
+    for f, el, cd in zip(faces.tolist(), edge, corner):
+        for k, q, r in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            v = f[k]
+            if f[q] != v != f[r]:
+                incident[v] += (f[q], f[r], el[k], el[r], el[q], cd[q], cd[r])
+    return incident
 
 
 def fast_marching(points, faces, seed, cap):

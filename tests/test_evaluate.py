@@ -93,6 +93,39 @@ def test_synthesize_needs_the_graph_surface(grid25, grid9):
         synthesize_deformation(grid25, g, rots, np.zeros((g.n_nodes, 3)))
 
 
+def test_synthesize_checks_the_per_node_shapes(grid25):
+    g = build_graph(grid25)
+    r = g.n_nodes
+    rots = np.broadcast_to(np.eye(3), (r, 3, 3))
+    for bad_rots, bad_trans in ((rots[:2], np.zeros((r, 3))), (rots, np.zeros((r - 1, 3))),
+                                (rots[:, :2], np.zeros((r, 3))), (rots, np.zeros((r, 3, 1))),
+                                (np.eye(3), np.zeros(3))):
+        with pytest.raises(InvalidInputError, match=rf"not \({r}, 3, 3\) and \({r}, 3\)"):
+            synthesize_deformation(grid25, g, bad_rots, bad_trans)
+
+
+@pytest.mark.parametrize("seed", [[1, -1], [1, True], (1, 2.0), ["a"], [None], np.array([1, 2])])
+def test_corruption_generators_reject_malformed_seed_sequences(grid25, seed):
+    """A list or tuple is checked entry by entry; an array is no seed (the
+    property test's table of numeric arguments draws the malformed scalars)."""
+    s = compute_normals(grid_mesh(6, 6))
+    with pytest.raises(InvalidInputError, match="rng_seed must be"):
+        add_gaussian_normal_noise(s, 0.5, 0.1, rng_seed=seed)
+    with pytest.raises(InvalidInputError, match="rng_seed must be"):
+        random_node_rotations(build_graph(grid25), 10.0, rng_seed=seed)
+
+
+def test_corruption_generators_take_a_sequence_of_seeds(grid25):
+    """A seed may be a list or tuple of integers >= 0, as numpy takes it."""
+    s = compute_normals(grid_mesh(6, 6))
+    g = build_graph(grid25)
+    a = add_gaussian_normal_noise(s, 0.5, 0.1, rng_seed=[7, 0, 3])
+    assert np.array_equal(a.vertices, add_gaussian_normal_noise(s, 0.5, 0.1, (7, 0, 3)).vertices)
+    assert not np.array_equal(a.vertices, add_gaussian_normal_noise(s, 0.5, 0.1, 7).vertices)
+    rots, _ = random_node_rotations(g, 10.0, rng_seed=(5, 2**70))
+    assert np.array_equal(rots, random_node_rotations(g, 10.0, rng_seed=[5, 2**70])[0])
+
+
 def test_random_node_rotations_are_rotations(grid25):
     g = build_graph(grid25)
     rots, trans = random_node_rotations(g, 10.0, rng_seed=5, translation_scale=0.01)

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -134,31 +135,43 @@ def test_fmm_matches_pointwise_oracle_on_test_grids(n):
                                   fast_marching(s.vertices, s.faces, seed, cap))
 
 
+def vertex_records(table, v):
+    """Vertex v's records of a packed fast-marching table, one flat list."""
+    records, offsets = table
+    return [x for record in struct.iter_unpack("<qq5d", records[offsets[v]:offsets[v + 1]])
+            for x in record]
+
+
 def test_fast_marching_table_holds_one_record_per_incident_triangle():
-    """Each vertex's list holds ``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)``
+    """Each vertex's slice holds ``(q, r, |vq|, |vr|, |qr|, dot_q, dot_r)``
     per triangle (v, q, r) at it, in face order; a triangle that repeats a
     vertex gives that vertex no record."""
     points = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 2, 0]])
     table = _incident_triangles(points, np.array([[0, 1, 2], [1, 3, 2], [3, 3, 0]]))
     r5 = np.sqrt(5.0)
-    assert table[0] == [1, 2, 1.0, 2.0, r5, 1.0, 4.0, 3, 3, r5, r5, 0.0, 0.0, 0.0]
-    assert table[1] == [2, 0, r5, 1.0, 2.0, 4.0, 0.0, 3, 2, 2.0, r5, 1.0, 0.0, 1.0]
-    assert table[2] == [0, 1, 2.0, r5, 1.0, 0.0, 1.0, 1, 3, r5, 1.0, 2.0, 4.0, 0.0]
-    assert table[3] == [2, 1, 1.0, 2.0, r5, 1.0, 4.0]
+    rows = [vertex_records(table, v) for v in range(4)]
+    assert rows[0] == [1, 2, 1.0, 2.0, r5, 1.0, 4.0, 3, 3, r5, r5, 0.0, 0.0, 0.0]
+    assert rows[1] == [2, 0, r5, 1.0, 2.0, 4.0, 0.0, 3, 2, 2.0, r5, 1.0, 0.0, 1.0]
+    assert rows[2] == [0, 1, 2.0, r5, 1.0, 0.0, 1.0, 1, 3, r5, 1.0, 2.0, 4.0, 0.0]
+    assert rows[3] == [2, 1, 1.0, 2.0, r5, 1.0, 4.0]
     assert all(type(x) is (int if k % 7 < 2 else float)
-               for row in table for k, x in enumerate(row))
+               for row in rows for k, x in enumerate(row))
+    records, offsets = table
+    assert len(offsets) == 5 and offsets[-1] == len(records) == 56 * 7
 
 
 @pytest.mark.parametrize("n", [50, 100])
 def test_fast_marching_table_is_compact(n):
-    """The table is the largest structure of a graph build: at most 500 B
-    per face, where 5-tuples of Python objects took about 800."""
+    """The table is the largest structure of a graph build: at most 200 B
+    per face, where one list of Python numbers per vertex took about 445,
+    and at most 500 B per face at the build's peak."""
     s = grid_mesh(n, n)
     tracemalloc.start()
     try:
         table = _incident_triangles(s.vertices, s.faces)
-        size = tracemalloc.get_traced_memory()[0]
+        size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(table) == s.n_vertices
-    assert size <= 500 * len(s.faces)
+    assert len(table[1]) == s.n_vertices + 1
+    assert size <= 200 * len(s.faces)
+    assert peak <= 500 * len(s.faces)

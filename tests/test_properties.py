@@ -10,7 +10,9 @@ uncapped.  Two nodes are joined exactly when some point lies below R from
 both by their uncapped fields, and every point lies below R from some node,
 so every point has a weight.  Fast marching runs on lengths and dots
 precomputed per surface, and must give the fields of a march that takes
-them from the points as it goes, to the last bit.
+them from the points as it goes, to the last bit.  Those are packed in one
+buffer, built by numpy in vertex order, which must hold the records of a
+loop over the faces, vertex by vertex and to the last bit.
 
 The solver starts from a rigid map lifted onto the graph, so the lifted
 state must reproduce that map exactly.  Each outer iteration minimizes a
@@ -73,6 +75,7 @@ float where an integer is due, or a number out of its range.
 """
 
 import functools
+import struct
 import tempfile
 from pathlib import Path
 
@@ -93,7 +96,7 @@ from nrreg.energy import (SPD_JITTER, EnergyParams, SurrogateSystem, Trial,
                           project_rotations, total_energy, welsch)
 from nrreg.errors import FormatError, InvalidInputError
 from nrreg.evaluate import add_gaussian_normal_noise, random_node_rotations, remove_region
-from nrreg.geodesic import geodesic_from
+from nrreg.geodesic import _incident_triangles, geodesic_from
 from nrreg.graph import (SAMPLERS, DeformationGraph, build_graph, sample_nodes_farthest,
                          sample_nodes_pca, transform_points)
 from nrreg.mesh import (Surface, _pca_normals, _smallest_eigenvectors, compute_normals,
@@ -103,8 +106,8 @@ from nrreg.solver import (LbfgsHistory, SolverParams, factor_h0, solve_inner,
 
 from conftest import grid_mesh
 from oracles import (dense, edges_unique_keys, edges_unique_rows, fast_marching,
-                     load_obj_rows, load_ply_rows, neighbour_covariances,
-                     project_rotations_einsum, project_rotations_newton, robust_energy,
+                     incident_triangle_lists, load_obj_rows, load_ply_rows,
+                     neighbour_covariances, project_rotations_einsum, project_rotations_newton, robust_energy,
                      sample_nodes_farthest_uncapped, save_ply_rows, solve_inner_expanded,
                      surrogate_at, surrogate_energy, surrogate_gradient, upper_entries)
 from test_energy import random_graph, random_state
@@ -162,6 +165,25 @@ def test_fmm_matches_pointwise_oracle(case, cap):
     s, seed = case
     assert np.array_equal(dense(geodesic_from(s, seed, cap=cap), s.n_vertices),
                           fast_marching(s.vertices, s.faces, seed, cap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_meshes())
+def test_fast_marching_table_is_the_per_face_loop_table(case):
+    """The packed table holds, vertex by vertex, the records of the per-face
+    loop's lists in their order, ``q`` and ``r`` unpacked as Python ints and
+    every float to the last bit, and nothing else."""
+    s, _ = case
+    records, offsets = _incident_triangles(s.vertices, s.faces)
+    reference = incident_triangle_lists(s.vertices, s.faces)
+    assert len(offsets) == s.n_vertices + 1 and offsets[0] == 0
+    assert offsets[-1] == len(records)
+    for v, flat in enumerate(reference):
+        got = list(struct.iter_unpack("<qq5d", records[offsets[v]:offsets[v + 1]]))
+        it = iter(flat)
+        want = list(zip(it, it, it, it, it, it, it))
+        assert [tuple(map(type, r)) for r in got] == [(int, int) + (float,) * 5] * len(want)
+        assert [struct.pack("<qq5d", *r) for r in got] == [struct.pack("<qq5d", *r) for r in want]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1154,6 +1176,8 @@ def numeric_arguments():
          lambda v: add_gaussian_normal_noise(s, v, 0.1), 1.0, malformed([-0.1, 1.5])),
         ("add_gaussian_normal_noise.sigma", "sigma",
          lambda v: add_gaussian_normal_noise(s, 0.5, v), 0.0, malformed([-1.0, np.inf])),
+        ("add_gaussian_normal_noise.rng_seed", "rng_seed",
+         lambda v: add_gaussian_normal_noise(s, 0.5, 0.1, v), 0, malformed([-1], integer=True)),
         ("remove_region.seed_vertex", "seed must", lambda v: remove_region(s, v, 0.3), 5,
          malformed([-1, 16], integer=True)),
         ("remove_region.geodesic_radius", "radius must", lambda v: remove_region(s, 5, v), 0.3,
@@ -1163,6 +1187,8 @@ def numeric_arguments():
         ("random_node_rotations.translation_scale", "translation_scale",
          lambda v: random_node_rotations(g, 10.0, translation_scale=v), 0.0,
          malformed([-1.0, np.inf])),
+        ("random_node_rotations.rng_seed", "rng_seed",
+         lambda v: random_node_rotations(g, 10.0, rng_seed=v), 0, malformed([-1], integer=True)),
     ]
 
 
